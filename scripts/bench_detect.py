@@ -28,6 +28,7 @@ def main() -> int:
         f"detect(): p50 {stats.p50_ms:.2f} ms, p95 {stats.p95_ms:.2f} ms, "
         f"max {stats.max_ms:.2f} ms ({stats.n_measurements} measurements)"
     )
+    print(f"  BLAS threads limited by threadpoolctl: {stats.blas_threads_limited}")
     for stage, s in stats.stages_ms.items():
         print(f"  {stage:<9} p50 {s['p50']:.2f} ms  p95 {s['p95']:.2f} ms  max {s['max']:.2f} ms")
     return 0

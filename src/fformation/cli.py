@@ -159,10 +159,10 @@ def cmd_train_svm(args) -> int:
         X, y, classes, C=args.C, gamma=gamma, tol=args.tol
     )
     svm_mod.save_svm(model, args.out)
-    n_sv = sum(len(b.dual_coef) for b in model.binaries)
     print(
         f"trained {args.task} svm on {len(y)} samples "
-        f"(gamma={gamma:g}, {len(classes)} classes, {n_sv} stored SVs)"
+        f"(gamma={gamma:g}, {len(classes)} classes, "
+        f"{model.n_support_vectors} stored SVs)"
     )
     return 0
 
@@ -185,7 +185,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    tables = tuple(int(t) for t in args.tables.split(",") if t.strip())
+    try:
+        tables = tuple(int(t) for t in args.tables.split(",") if t.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad table list {args.tables!r}: {exc}") from exc
     cfg = ExperimentConfig(
         out_dir=args.out_dir,
         tables=tables,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,6 +36,8 @@ from .pose import APPROACH_ANGLES, FORMATIONS, GROUP_LABELS, Scene, load_scenes
 from .synth import SynthConfig, generate_dataset, split_train_test
 
 NONE_CLASS = "(none)"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,14 @@ def train_bundle(
             tol=training.crf_tol,
         ),
     )
+    if not crf_result.converged:
+        logger.warning(
+            "CRF training stopped unconverged after %d L-BFGS iterations "
+            "(gradient inf-norm %.3e, tol %g)",
+            crf_result.n_iters,
+            crf_result.final_grad_inf_norm,
+            training.crf_tol,
+        )
     crf_model = crf_result.model
     Xf, yf = build_formation_data(train_scenes, crf_model)
     gamma = resolve_gamma(training, Xf, yf, seed)
@@ -172,6 +183,11 @@ def train_bundle(
         formation_svm=formation_svm,
         angle_svm=angle_svm,
         joint_svm=joint_svm,
+        crf_training={
+            "converged": crf_result.converged,
+            "n_iters": crf_result.n_iters,
+            "final_grad_inf_norm": crf_result.final_grad_inf_norm,
+        },
     )
 
 
@@ -413,6 +429,10 @@ class LatencyStats:
     p95_ms: float
     max_ms: float
     stages_ms: dict  # stage -> {"p50": ..., "p95": ..., "max": ...}
+    # True when threadpoolctl capped BLAS at one thread for the run; False
+    # when it is not installed and BLAS ran with the threads its environment
+    # allows (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before numpy loads).
+    blas_threads_limited: bool
 
 
 def latency_stats_to_dict(stats: LatencyStats) -> dict:
@@ -422,6 +442,7 @@ def latency_stats_to_dict(stats: LatencyStats) -> dict:
         "p95_ms": stats.p95_ms,
         "max_ms": stats.max_ms,
         "stages_ms": stats.stages_ms,
+        "blas_threads_limited": stats.blas_threads_limited,
     }
 
 
@@ -457,11 +478,13 @@ def bench_latency(
 
     try:
         from threadpoolctl import threadpool_limits
-
+    except ImportError:
+        limited = False
+        totals, stages = run()
+    else:
+        limited = True
         with threadpool_limits(limits=1):
             totals, stages = run()
-    except ImportError:
-        totals, stages = run()
 
     totals_ms = np.array(totals) * 1e3
     stage_stats = {
@@ -478,4 +501,5 @@ def bench_latency(
         p95_ms=float(np.percentile(totals_ms, 95)),
         max_ms=float(np.max(totals_ms)),
         stages_ms=stage_stats,
+        blas_threads_limited=limited,
     )

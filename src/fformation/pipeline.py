@@ -46,6 +46,7 @@ REASON_TOO_FEW_VISIBLE = "too_few_visible_poses"
 
 JOINT_CLASSES = tuple(f"{f}@{a}" for f in FORMATIONS for a in APPROACH_ANGLES)
 
+REASON_NO_PEOPLE = "no_people"
 REASON_TOO_SMALL = "group_too_small"
 REASON_OVERFLOW = "group_overflow"
 REASON_NO_RULE = "no_rule_matched"
@@ -107,14 +108,19 @@ def _ordered_chain(scene: Scene):
 
 
 def _membership_from_chain(crf_model: crf_mod.CrfModel, chain, perm):
-    """Viterbi labels and G-marginals, mapped back to the input pose order."""
+    """Viterbi labels and G-marginals, mapped back to the input pose order.
+
+    The marginals are clipped to [0, 1]: forward-backward rounding can put
+    them a few ulps outside.
+    """
     labels_ordered = crf_mod.viterbi(crf_model, chain)
     marg, _ = crf_mod.marginals(crf_model, chain)
+    g_ordered = np.clip(marg[:, 0], 0.0, 1.0)
     membership = [""] * len(perm)
     g_prob = [0.0] * len(perm)
     for pos, src in enumerate(perm):
         membership[src] = labels_ordered[pos]
-        g_prob[src] = float(marg[pos, 0])
+        g_prob[src] = float(g_ordered[pos])
     member_positions = [p for p, lab in enumerate(labels_ordered) if lab == GROUP]
     return tuple(membership), g_prob, member_positions
 
@@ -127,6 +133,17 @@ def _group_slice(ordered: Scene, member_positions: list[int]):
     return poses, overflow
 
 
+def _no_people(scene: Scene) -> Detection:
+    """The defined result for a frame without any pose."""
+    return Detection(
+        frame_id=scene.frame_id,
+        membership=(),
+        member_indices=(),
+        scores={"membership_g_prob": []},
+        reason=REASON_NO_PEOPLE,
+    )
+
+
 def detect(
     scene: Scene,
     crf_model: crf_mod.CrfModel,
@@ -136,6 +153,10 @@ def detect(
 ) -> Detection:
     """Cascade: membership -> formation -> angle (formation fed as a feature)."""
     _check_bundle_versions(crf_model, formation_svm, angle_svm)
+    if not scene.poses:
+        if timings is not None:
+            timings.update(features=0.0, crf=0.0, svm=0.0)
+        return _no_people(scene)
     t0 = time.perf_counter()
     perm, ordered, chain = _ordered_chain(scene)
     t1 = time.perf_counter()
@@ -188,6 +209,8 @@ def detect_joint(
 ) -> Detection:
     """Single 28-class prediction over (formation x angle)."""
     _check_bundle_versions(crf_model, joint_svm)
+    if not scene.poses:
+        return _no_people(scene)
     perm, ordered, chain = _ordered_chain(scene)
     membership, g_prob, member_positions = _membership_from_chain(
         crf_model, chain, perm
@@ -445,6 +468,9 @@ class ModelBundle:
     formation_svm: svm_mod.SvmModel
     angle_svm: svm_mod.SvmModel
     joint_svm: svm_mod.SvmModel
+    # How L-BFGS ended: {"converged", "n_iters", "final_grad_inf_norm"};
+    # None when the CRF's training run is unknown.
+    crf_training: dict | None = None
 
 
 def _check_bundle_versions(*models) -> None:
@@ -456,12 +482,30 @@ def _check_bundle_versions(*models) -> None:
         )
 
 
+def _training_record(bundle: ModelBundle) -> dict:
+    """How the bundle was trained. No wall times: bundles must stay
+    byte-identical across reruns with the same seed."""
+    svms = {
+        "formation": bundle.formation_svm,
+        "angle": bundle.angle_svm,
+        "joint": bundle.joint_svm,
+    }
+    return {
+        "crf": bundle.crf_training,
+        "svm": {
+            name: {"gamma": m.gamma, "n_support_vectors": m.n_support_vectors}
+            for name, m in svms.items()
+        },
+    }
+
+
 def save_models(bundle: ModelBundle, path) -> None:
     os.makedirs(path, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "feature_catalog_version": FEATURE_CATALOG_VERSION,
         "files": dict(_BUNDLE_FILES),
+        "training": _training_record(bundle),
     }
     crf_mod.save_crf(bundle.crf, os.path.join(path, _BUNDLE_FILES["crf"]))
     svm_mod.save_svm(bundle.formation_svm, os.path.join(path, _BUNDLE_FILES["formation"]))
@@ -481,6 +525,8 @@ def load_models(path) -> ModelBundle:
         raise DataError(f"no model bundle manifest at {manifest_path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt bundle manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"bundle manifest {manifest_path} is not a JSON object")
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise DataError(
             f"unsupported bundle format_version {manifest.get('format_version')!r}"
@@ -491,12 +537,23 @@ def load_models(path) -> ModelBundle:
             f"bundle built for catalog {catalog!r}, "
             f"library provides {FEATURE_CATALOG_VERSION!r}"
         )
-    files = manifest["files"]
+    files = manifest.get("files")
+    if not isinstance(files, dict) or not all(
+        isinstance(files.get(key), str) for key in _BUNDLE_FILES
+    ):
+        raise DataError(
+            f"bundle manifest {manifest_path} must name a file for each of "
+            f"{sorted(_BUNDLE_FILES)}, got {files!r}"
+        )
+    training = manifest.get("training", {})
+    if not isinstance(training, dict):
+        raise DataError(f"bundle manifest {manifest_path}: malformed training block")
     bundle = ModelBundle(
         crf=crf_mod.load_crf(os.path.join(path, files["crf"])),
         formation_svm=svm_mod.load_svm(os.path.join(path, files["formation"])),
         angle_svm=svm_mod.load_svm(os.path.join(path, files["angle"])),
         joint_svm=svm_mod.load_svm(os.path.join(path, files["joint"])),
+        crf_training=training.get("crf"),
     )
     _check_bundle_versions(
         bundle.crf, bundle.formation_svm, bundle.angle_svm, bundle.joint_svm

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError, VersionMismatchError
 from .features import FEATURE_CATALOG_VERSION
 
-SVM_FORMAT_VERSION = 1
+SVM_FORMAT_VERSION = 2
 
 DEFAULT_C = 10.0
 DEFAULT_TOL = 1e-3
@@ -29,15 +29,18 @@ GAMMA_GRID = tuple(2.0**p for p in range(-6, 3))
 VARIANCE_FLOOR = 1e-8
 
 
-def pairwise_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(X), len(Z)). Clipped at 0."""
+def pairwise_sq_dists(
+    X: np.ndarray, Z: np.ndarray, z_sq_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(X), len(Z)). Clipped at 0.
+
+    z_sq_norms, when given, is (Z * Z).sum(axis=1) computed once by the caller.
+    """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    d = (
-        (X * X).sum(axis=1)[:, None]
-        + (Z * Z).sum(axis=1)[None, :]
-        - 2.0 * (X @ Z.T)
-    )
+    if z_sq_norms is None:
+        z_sq_norms = (Z * Z).sum(axis=1)
+    d = (X * X).sum(axis=1)[:, None] + z_sq_norms[None, :] - 2.0 * (X @ Z.T)
     return np.maximum(d, 0.0)
 
 
@@ -56,7 +59,8 @@ def rbf_gram(X: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinarySvm:
-    """Soft-margin RBF SVM: only support vectors (alpha > 0) are stored."""
+    """Soft-margin RBF SVM as smo_solve returns it: only support vectors
+    (alpha > 0) are stored. One-vs-rest models use SvmModel's shared layout."""
 
     support_vectors: np.ndarray  # (m, d)
     dual_coef: np.ndarray  # (m,), entries alpha_i * y_i
@@ -163,18 +167,6 @@ def smo_solve(
     )
 
 
-def train_binary(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float = DEFAULT_C,
-    gamma: float = 1.0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    K: np.ndarray | None = None,
-) -> BinarySvm:
-    return smo_solve(X, y, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K).model
-
-
 def kkt_violations(alpha: np.ndarray, margins: np.ndarray, C: float) -> np.ndarray:
     """Per-point violation of the margin KKT conditions.
 
@@ -194,17 +186,51 @@ def kkt_violations(alpha: np.ndarray, margins: np.ndarray, C: float) -> np.ndarr
     return viol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
-    """One-vs-rest ensemble over a fixed, canonical class order."""
+    """One-vs-rest ensemble whose classes share one support-vector set.
+
+    Each support vector is stored once (the layout LIBSVM uses for its
+    multi-class models): `dual_coef[i, c]` is alpha_i * y_i of class c's
+    binary, 0 where point i is not one of that class's support vectors, so
+    every class's decision comes from one kernel block and one matmul.
+    """
 
     classes: tuple[str, ...]
-    binaries: tuple[BinarySvm, ...]
+    support_vectors: np.ndarray  # (m, d): union over the class binaries
+    dual_coef: np.ndarray  # (m, n_classes), entries alpha_i * y_i
+    bias: np.ndarray  # (n_classes,)
+    C: float
+    gamma: float
     feature_catalog_version: str = FEATURE_CATALOG_VERSION
+    sv_sq_norms: np.ndarray = field(init=False, repr=False)  # (m,)
 
     def __post_init__(self):
-        if len(self.classes) < 2 or len(self.binaries) != len(self.classes):
-            raise ValueError("need one binary per class and at least two classes")
+        sv = np.asarray(self.support_vectors, dtype=float)
+        coef = np.asarray(self.dual_coef, dtype=float)
+        bias = np.asarray(self.bias, dtype=float)
+        k = len(self.classes)
+        if k < 2:
+            raise ValueError("need at least two classes")
+        if sv.ndim != 2 or coef.shape != (len(sv), k) or bias.shape != (k,):
+            raise ValueError(
+                f"support vectors {sv.shape}, dual coefficients {coef.shape} and "
+                f"bias {bias.shape} do not fit {k} classes"
+            )
+        if not all(np.isfinite(arr).all() for arr in (sv, coef, bias)):
+            raise ValueError(
+                "support vectors, dual coefficients and bias must be finite"
+            )
+        if not (0 < self.C < np.inf and 0 < self.gamma < np.inf):
+            raise ValueError(f"C={self.C} and gamma={self.gamma} must be positive, finite")
+        object.__setattr__(self, "support_vectors", sv)
+        object.__setattr__(self, "dual_coef", coef)
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "sv_sq_norms", (sv * sv).sum(axis=1))
+
+    @property
+    def n_support_vectors(self) -> int:
+        return len(self.support_vectors)
 
 
 def _check_version(model: SvmModel) -> None:
@@ -213,6 +239,27 @@ def _check_version(model: SvmModel) -> None:
             f"model built for catalog {model.feature_catalog_version!r}, "
             f"library provides {FEATURE_CATALOG_VERSION!r}"
         )
+
+
+def _fit_ovr(X, labels, classes, *, C, gamma, tol, max_iter, K) -> SvmModel:
+    """One SMO binary per class over a shared Gram matrix K; the stored
+    support vectors are the training rows where any class has alpha > 0."""
+    alphas, coefs, biases = [], [], []
+    for cls in classes:
+        y = np.where(labels == cls, 1.0, -1.0)
+        sol = smo_solve(X, y, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K)
+        alphas.append(sol.alpha)
+        coefs.append(sol.alpha * y)
+        biases.append(sol.model.bias)
+    sv = np.any(np.column_stack(alphas) > 0, axis=1)
+    return SvmModel(
+        classes=tuple(classes),
+        support_vectors=X[sv],
+        dual_coef=np.column_stack(coefs)[sv],
+        bias=np.array(biases),
+        C=C,
+        gamma=gamma,
+    )
 
 
 def train_one_vs_rest(
@@ -232,20 +279,17 @@ def train_one_vs_rest(
     if missing:
         raise ValueError(f"classes absent from training data: {missing}")
     K = rbf_gram(X, X, gamma)
-    binaries = []
-    for cls in classes:
-        y = np.where(labels == cls, 1.0, -1.0)
-        binaries.append(
-            train_binary(X, y, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K)
-        )
-    return SvmModel(classes=tuple(classes), binaries=tuple(binaries))
+    return _fit_ovr(
+        X, labels, classes, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K
+    )
 
 
 def decision_matrix(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """(n, n_classes) one-vs-rest decision values."""
+    """(n, n_classes) one-vs-rest decision values: one kernel block, one matmul."""
     _check_version(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.column_stack([b.decision(X) for b in model.binaries])
+    d2 = pairwise_sq_dists(X, model.support_vectors, model.sv_sq_norms)
+    return np.exp(-model.gamma * d2) @ model.dual_coef + model.bias
 
 
 def predict(model: SvmModel, x: np.ndarray) -> tuple[str, dict[str, float]]:
@@ -310,13 +354,16 @@ def cv_gamma_accuracy(
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[g] for g in range(len(folds)) if g != f])
         K_train = np.exp(-gamma * d2[np.ix_(train_idx, train_idx)])
-        binaries = []
-        for cls in classes:
-            y = np.where(labels[train_idx] == cls, 1.0, -1.0)
-            binaries.append(
-                train_binary(X[train_idx], y, C=C, gamma=gamma, tol=tol, K=K_train)
-            )
-        sub = SvmModel(classes=tuple(classes), binaries=tuple(binaries))
+        sub = _fit_ovr(
+            X[train_idx],
+            labels[train_idx],
+            classes,
+            C=C,
+            gamma=gamma,
+            tol=tol,
+            max_iter=DEFAULT_MAX_ITER,
+            K=K_train,
+        )
         pred = predict_batch(sub, X[test_idx])
         accs.append(float(np.mean(pred == labels[test_idx])))
     return float(np.mean(accs))
@@ -364,41 +411,33 @@ def svm_to_dict(model: SvmModel) -> dict:
         "kind": "svm-ovr",
         "feature_catalog_version": model.feature_catalog_version,
         "classes": list(model.classes),
-        "binaries": [
-            {
-                "gamma": b.gamma,
-                "C": b.C,
-                "bias": b.bias,
-                "dual_coefs": b.dual_coef.tolist(),
-                "support_vectors": b.support_vectors.tolist(),
-            }
-            for b in model.binaries
-        ],
+        "C": model.C,
+        "gamma": model.gamma,
+        "bias": model.bias.tolist(),
+        "support_vectors": model.support_vectors.tolist(),
+        "dual_coefs": model.dual_coef.tolist(),
     }
 
 
 def svm_from_dict(doc: dict) -> SvmModel:
     try:
         if doc.get("kind") != "svm-ovr":
-            raise ValueError(f"not an svm model file (kind={doc.get('kind')!r})")
+            raise DataError(f"not an svm model file (kind={doc.get('kind')!r})")
         if doc["format_version"] != SVM_FORMAT_VERSION:
-            raise ValueError(f"unsupported svm format_version {doc['format_version']}")
-        binaries = tuple(
-            BinarySvm(
-                support_vectors=np.array(b["support_vectors"], dtype=float),
-                dual_coef=np.array(b["dual_coefs"], dtype=float),
-                bias=float(b["bias"]),
-                C=float(b["C"]),
-                gamma=float(b["gamma"]),
+            raise DataError(
+                f"unsupported svm format_version {doc['format_version']!r} "
+                f"(this library reads version {SVM_FORMAT_VERSION}); retrain the model"
             )
-            for b in doc["binaries"]
-        )
         return SvmModel(
             classes=tuple(doc["classes"]),
-            binaries=binaries,
+            support_vectors=np.array(doc["support_vectors"], dtype=float),
+            dual_coef=np.array(doc["dual_coefs"], dtype=float),
+            bias=np.array(doc["bias"], dtype=float),
+            C=float(doc["C"]),
+            gamma=float(doc["gamma"]),
             feature_catalog_version=doc["feature_catalog_version"],
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed svm model file: {exc}") from exc
 
 

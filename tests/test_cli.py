@@ -1,10 +1,27 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fformation
 from fformation.cli import main
 from fformation.pose import load_scenes
+
+
+def run_cli(args):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(fformation.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fformation.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +313,79 @@ class TestEvaluatePredictBaselineBench:
             ]
         )
         assert rc == 3
+
+    def test_predict_on_empty_frame_reports_no_people(self, workdir, artifacts):
+        scene = {
+            "frame_id": "empty",
+            "image_width": 640,
+            "image_height": 480,
+            "poses": [],
+        }
+        data = workdir / "empty.jsonl"
+        data.write_text(json.dumps(scene) + "\n")
+        for extra in ([], ["--joint"]):
+            out = workdir / "empty_det.jsonl"
+            rc, err = run_cli(
+                [
+                    "predict",
+                    "--data",
+                    str(data),
+                    "--models",
+                    str(artifacts["models"]),
+                    "--out",
+                    str(out),
+                ]
+                + extra
+            )
+            assert rc == 0, err
+            assert "Traceback" not in err
+            [doc] = [json.loads(line) for line in out.read_text().splitlines()]
+            assert doc["membership"] == []
+            assert doc["formation"] is None
+            assert doc["reason"] == "no_people"
+
+    def test_bad_table_list_is_config_error(self, workdir, artifacts):
+        rc, err = run_cli(
+            [
+                "evaluate",
+                "--test",
+                str(workdir / "test.jsonl"),
+                "--models",
+                str(artifacts["models"]),
+                "--tables",
+                "1,x",
+                "--out-dir",
+                str(workdir / "never_reports"),
+            ]
+        )
+        assert rc == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("drop", ["files", "joint"])
+    def test_manifest_without_files_is_data_error(self, workdir, artifacts, drop):
+        broken = workdir / f"no_{drop}_models"
+        broken.mkdir(exist_ok=True)
+        manifest = json.loads((artifacts["models"] / "manifest.json").read_text())
+        if drop == "files":
+            del manifest["files"]
+        else:
+            del manifest["files"][drop]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = run_cli(
+            [
+                "predict",
+                "--data",
+                str(workdir / "test.jsonl"),
+                "--models",
+                str(broken),
+                "--out",
+                str(workdir / "never.jsonl"),
+            ]
+        )
+        assert rc == 3
+        assert "data error" in err
+        assert "Traceback" not in err
 
 
 class TestConvertEgoGroup:

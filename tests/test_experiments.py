@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import logging
 import os
 
 import numpy as np
@@ -14,6 +16,7 @@ from fformation.experiments import (
     latency_stats_to_dict,
     resolve_gamma,
     run_experiment,
+    train_bundle,
 )
 from fformation.pose import save_scenes
 from fformation.svm import GAMMA_GRID
@@ -154,6 +157,30 @@ def scenes():
     ]
 
 
+class TestTrainBundle:
+    def test_unconverged_crf_is_logged_and_recorded(self, mini, caplog):
+        with caplog.at_level(logging.WARNING, logger="fformation.experiments"):
+            bundle = train_bundle(
+                mini.train_scenes, TrainingConfig(crf_max_iters=30), seed=2024
+            )
+        record = bundle.crf_training
+        assert record["converged"] is False
+        assert record["n_iters"] == 30
+        assert record["final_grad_inf_norm"] > 1e-4
+        assert any("unconverged" in r.getMessage() for r in caplog.records)
+
+
+def interleaved_p50s(run_a, run_b, rounds=5):
+    """Median p50 of each side over alternating calls (a b, b a, a b, ...),
+    so that both sides are measured under the same host speed."""
+    p50s = ([], [])
+    for i in range(rounds):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for side in order:
+            p50s[side].append((run_a, run_b)[side]().p50_ms)
+    return float(np.median(p50s[0])), float(np.median(p50s[1]))
+
+
 class TestBenchLatency:
 
     def test_percentiles_are_monotone(self, mini, scenes):
@@ -174,14 +201,25 @@ class TestBenchLatency:
         assert stats.n_measurements == 2 * len(scenes)
 
     def test_p50_stable_across_repetition_counts(self, mini, scenes):
-        a = bench_latency(mini.bundle, scenes, repetitions=1)
-        b = bench_latency(mini.bundle, scenes, repetitions=2)
-        assert abs(a.p50_ms - b.p50_ms) <= 0.2 * max(a.p50_ms, b.p50_ms)
+        a, b = interleaved_p50s(
+            lambda: bench_latency(mini.bundle, scenes, repetitions=1),
+            lambda: bench_latency(mini.bundle, scenes, repetitions=2),
+        )
+        assert abs(a - b) <= 0.2 * max(a, b)
 
     def test_p50_stable_when_scene_count_doubles(self, mini, scenes):
-        a = bench_latency(mini.bundle, scenes, repetitions=1)
-        b = bench_latency(mini.bundle, scenes + scenes, repetitions=1)
-        assert abs(a.p50_ms - b.p50_ms) <= 0.2 * max(a.p50_ms, b.p50_ms)
+        a, b = interleaved_p50s(
+            lambda: bench_latency(mini.bundle, scenes, repetitions=1),
+            lambda: bench_latency(mini.bundle, scenes + scenes, repetitions=1),
+        )
+        assert abs(a - b) <= 0.2 * max(a, b)
+
+    def test_reports_whether_blas_threads_were_limited(self, mini, scenes):
+        stats = bench_latency(mini.bundle, scenes, repetitions=1)
+        has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
+        assert stats.blas_threads_limited is has_threadpoolctl
+        doc = latency_stats_to_dict(stats)
+        assert doc["blas_threads_limited"] is has_threadpoolctl
 
     def test_requires_100_scenes(self, mini, scenes):
         with pytest.raises(ValueError, match="100"):

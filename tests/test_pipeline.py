@@ -6,17 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fformation.crf import CrfModel, weight_dim
+from fformation.crf import ChainInstance, CrfModel, marginals, weight_dim
 from fformation.errors import DataError, VersionMismatchError
 from fformation.features import F_NODE
 from fformation.pipeline import (
     JOINT_CLASSES,
+    REASON_NO_PEOPLE,
     REASON_NO_RULE,
     REASON_OVERFLOW,
     REASON_TOO_FEW_VISIBLE,
     REASON_TOO_SMALL,
     Detection,
     ModelBundle,
+    _membership_from_chain,
     detect,
     detect_joint,
     detection_to_dict,
@@ -192,6 +194,29 @@ class TestJointClasses:
 
 
 class TestDetect:
+    def test_empty_scene_has_no_people(self, mini):
+        scene = make_scene([], frame_id="empty")
+        timings = {}
+        dets = [
+            detect(
+                scene,
+                mini.bundle.crf,
+                mini.bundle.formation_svm,
+                mini.bundle.angle_svm,
+                timings=timings,
+            ),
+            detect_joint(scene, mini.bundle.crf, mini.bundle.joint_svm),
+        ]
+        for det in dets:
+            assert det.frame_id == "empty"
+            assert det.membership == ()
+            assert det.member_indices == ()
+            assert det.formation is None and det.angle_deg is None
+            assert det.joint is None
+            assert det.reason == REASON_NO_PEOPLE
+            assert det.scores == {"membership_g_prob": []}
+        assert timings == {"features": 0.0, "crf": 0.0, "svm": 0.0}
+
     def test_single_person_scene(self, mini):
         scene = make_scene([make_pose("solo", x=300.0)])
         det = detect(
@@ -337,6 +362,24 @@ class TestDetect:
         assert len(poses) == len(det.member_indices)
 
 
+class TestGroupProbabilities:
+    def test_clipped_to_unit_interval_on_extreme_potentials(self):
+        # Large weights and features push forward-backward rounding past 1;
+        # at least one raw marginal must leave [0, 1] for the check to bite.
+        rng = np.random.default_rng(0)
+        raw_outside = 0
+        for _ in range(40):
+            model = CrfModel(rng.normal(0.0, 100.0, size=weight_dim(F_NODE)))
+            n = int(rng.integers(2, 6))
+            chain = ChainInstance(rng.normal(0.0, 50.0, size=(n, F_NODE)))
+            raw = marginals(model, chain)[0][:, 0]
+            raw_outside += int(np.any((raw < 0.0) | (raw > 1.0)))
+            perm = list(rng.permutation(n))
+            _, g_prob, _ = _membership_from_chain(model, chain, perm)
+            assert all(0.0 <= p <= 1.0 for p in g_prob)
+        assert raw_outside > 0
+
+
 class TestDetectionJsonl:
     def test_wire_format_fields(self, mini):
         scene = render_scene(
@@ -414,3 +457,40 @@ class TestModelBundle:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_models(tmp_path / "nothing")
+
+    def test_manifest_records_training(self, mini, tmp_path):
+        path = tmp_path / "bundle"
+        save_models(mini.bundle, path)
+        training = json.loads((path / "manifest.json").read_text())["training"]
+        assert set(training["crf"]) == {"converged", "n_iters", "final_grad_inf_norm"}
+        assert training["crf"] == mini.bundle.crf_training
+        for name in ("formation", "angle", "joint"):
+            model = getattr(mini.bundle, f"{name}_svm")
+            assert training["svm"][name] == {
+                "gamma": model.gamma,
+                "n_support_vectors": model.n_support_vectors,
+            }
+        assert load_models(path).crf_training == mini.bundle.crf_training
+
+    def test_manifest_without_training_block_loads(self, mini, tmp_path):
+        path = tmp_path / "bundle"
+        save_models(mini.bundle, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest["training"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_models(path)
+        assert loaded.crf_training is None
+        assert loaded.joint_svm.n_support_vectors == mini.bundle.joint_svm.n_support_vectors
+
+    @pytest.mark.parametrize("drop", ["files", "crf", "formation", "angle", "joint"])
+    def test_manifest_missing_files_entry_is_data_error(self, mini, tmp_path, drop):
+        path = tmp_path / "bundle"
+        save_models(mini.bundle, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        if drop == "files":
+            del manifest["files"]
+        else:
+            del manifest["files"][drop]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="must name a file"):
+            load_models(path)

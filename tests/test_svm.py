@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fformation.errors import ConvergenceError, DataError, VersionMismatchError
 from fformation.svm import (
     GAMMA_GRID,
-    BinarySvm,
+    SVM_FORMAT_VERSION,
     SvmModel,
     cv_gamma_accuracy,
     decision_matrix,
@@ -26,7 +26,6 @@ from fformation.svm import (
     smo_solve,
     svm_from_dict,
     svm_to_dict,
-    train_binary,
     train_one_vs_rest,
 )
 
@@ -91,7 +90,7 @@ class TestSmo:
     def test_two_point_problem(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        model = train_binary(X, y, C=1000.0, gamma=1.0, tol=1e-6)
+        model = smo_solve(X, y, C=1000.0, gamma=1.0, tol=1e-6).model
         assert len(model.dual_coef) == 2  # both are support vectors
         d = model.decision(X)
         assert d[0] > 0 > d[1]
@@ -100,7 +99,7 @@ class TestSmo:
 
     def test_separable_blobs_train_perfectly(self, rng):
         X, y = blobs(rng)
-        model = train_binary(X, y, C=10.0, gamma=0.5, tol=1e-3)
+        model = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3).model
         assert np.all(np.sign(model.decision(X)) == y)
 
     def test_dual_constraints_hold(self, rng):
@@ -127,7 +126,7 @@ class TestSmo:
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="both classes"):
-            train_binary(X, np.ones(10), C=1.0, gamma=1.0)
+            smo_solve(X, np.ones(10), C=1.0, gamma=1.0)
 
     def test_iteration_cap_raises_with_violation_report(self, rng):
         X, y = blobs(rng)
@@ -137,7 +136,7 @@ class TestSmo:
     def test_duplicate_features_terminate(self):
         X = np.zeros((8, 3))
         y = np.array([1.0, -1.0] * 4)
-        model = train_binary(X, y, C=2.0, gamma=1.0, tol=1e-3)
+        model = smo_solve(X, y, C=2.0, gamma=1.0, tol=1e-3).model
         assert np.all(np.isfinite(model.decision(X)))
 
     def test_only_positive_alphas_stored(self, rng):
@@ -164,11 +163,15 @@ class TestOneVsRest:
         assert set(scores) == {"a", "b", "c"}
 
     def test_exact_tie_takes_earlier_class(self):
-        sv = np.array([[0.0, 0.0]])
-        twin = BinarySvm(
-            support_vectors=sv, dual_coef=np.array([1.0]), bias=0.0, C=1.0, gamma=1.0
+        # Both classes carry the same coefficient on the same support vector.
+        model = SvmModel(
+            classes=("first", "second"),
+            support_vectors=np.array([[0.0, 0.0]]),
+            dual_coef=np.array([[1.0, 1.0]]),
+            bias=np.zeros(2),
+            C=1.0,
+            gamma=1.0,
         )
-        model = SvmModel(classes=("first", "second"), binaries=(twin, twin))
         cls, scores = predict(model, np.array([0.3, 0.4]))
         assert cls == "first"
         assert scores["first"] == scores["second"]
@@ -181,19 +184,15 @@ class TestOneVsRest:
     def test_prediction_invariant_to_sv_storage_order(self, rng):
         X, y = self._toy_multiclass(rng)
         model = train_one_vs_rest(X, y, ("a", "b", "c"), C=10.0, gamma=0.5)
-        perm_binaries = []
-        for b in model.binaries:
-            order = rng.permutation(len(b.dual_coef))
-            perm_binaries.append(
-                BinarySvm(
-                    support_vectors=b.support_vectors[order],
-                    dual_coef=b.dual_coef[order],
-                    bias=b.bias,
-                    C=b.C,
-                    gamma=b.gamma,
-                )
-            )
-        shuffled = SvmModel(classes=model.classes, binaries=tuple(perm_binaries))
+        order = rng.permutation(model.n_support_vectors)
+        shuffled = SvmModel(
+            classes=model.classes,
+            support_vectors=model.support_vectors[order],
+            dual_coef=model.dual_coef[order],
+            bias=model.bias,
+            C=model.C,
+            gamma=model.gamma,
+        )
         Q = rng.normal(size=(20, 2))
         np.testing.assert_allclose(
             decision_matrix(model, Q), decision_matrix(shuffled, Q), atol=1e-10
@@ -205,11 +204,70 @@ class TestOneVsRest:
         model = train_one_vs_rest(X, y, ("a", "b", "c"), gamma=0.5)
         stale = SvmModel(
             classes=model.classes,
-            binaries=model.binaries,
+            support_vectors=model.support_vectors,
+            dual_coef=model.dual_coef,
+            bias=model.bias,
+            C=model.C,
+            gamma=model.gamma,
             feature_catalog_version="other-v0",
         )
         with pytest.raises(VersionMismatchError):
             predict(stale, X[0])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            SvmModel(
+                classes=("a", "b"),
+                support_vectors=np.zeros((3, 2)),
+                dual_coef=np.zeros((3, 3)),
+                bias=np.zeros(2),
+                C=1.0,
+                gamma=1.0,
+            )
+
+
+@pytest.fixture(scope="module")
+def ovr28():
+    """28 classes of 6 points each around distinct centres in 4-D, with each
+    class's SMO solution re-run independently as the reference."""
+    rng = np.random.default_rng(2828)
+    classes = tuple(f"c{k:02d}" for k in range(28))
+    centres = rng.normal(0.0, 2.0, size=(28, 4))
+    X = np.vstack([rng.normal(c, 0.6, size=(6, 4)) for c in centres])
+    labels = np.repeat(np.array(classes), 6)
+    gamma, C, tol = 0.5, 10.0, 1e-3
+    model = train_one_vs_rest(X, labels, classes, C=C, gamma=gamma, tol=tol)
+    K = rbf_gram(X, X, gamma)
+    solutions = []
+    for cls in classes:
+        y = np.where(labels == cls, 1.0, -1.0)
+        solutions.append((y, smo_solve(X, y, C=C, gamma=gamma, tol=tol, K=K)))
+    return X, model, solutions
+
+
+class TestSharedSupportVectors:
+    def test_decisions_match_per_class_reference(self, ovr28, rng):
+        X, model, solutions = ovr28
+        Q = np.vstack([X[::7], rng.normal(0.0, 2.0, size=(20, 4))])
+        K = rbf_gram(Q, X, model.gamma)
+        ref = np.column_stack(
+            [K @ (sol.alpha * y) + sol.model.bias for y, sol in solutions]
+        )
+        got = decision_matrix(model, Q)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+
+    def test_stored_rows_are_the_union_of_class_support_vectors(self, ovr28):
+        X, model, solutions = ovr28
+        any_sv = np.any([sol.alpha > 0 for _, sol in solutions], axis=0)
+        assert model.n_support_vectors == int(any_sv.sum())
+        np.testing.assert_array_equal(model.support_vectors, X[any_sv])
+        per_class = sum(int(np.sum(sol.alpha > 0)) for _, sol in solutions)
+        assert model.n_support_vectors < per_class
+        for c, (y, sol) in enumerate(solutions):
+            np.testing.assert_array_equal(
+                model.dual_coef[:, c], (sol.alpha * y)[any_sv]
+            )
 
 
 class TestSelectGamma:
@@ -283,9 +341,53 @@ class TestSerialization:
         model = train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5)
         again = svm_from_dict(svm_to_dict(model))
         assert again.classes == model.classes
-        np.testing.assert_array_equal(
-            again.binaries[0].support_vectors, model.binaries[0].support_vectors
-        )
+        assert (again.C, again.gamma) == (model.C, model.gamma)
+        np.testing.assert_array_equal(again.support_vectors, model.support_vectors)
+        np.testing.assert_array_equal(again.dual_coef, model.dual_coef)
+        np.testing.assert_array_equal(again.bias, model.bias)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        import json
+
+        doc = {
+            "format_version": 1,
+            "kind": "svm-ovr",
+            "feature_catalog_version": "any",
+            "classes": ["neg", "pos"],
+            "binaries": [
+                {
+                    "gamma": 0.5,
+                    "C": 10.0,
+                    "bias": 0.0,
+                    "dual_coefs": [1.0],
+                    "support_vectors": [[0.0, 0.0]],
+                }
+            ]
+            * 2,
+        }
+        path = tmp_path / "svm_v1.json"
+        path.write_text(json.dumps(doc))
+        assert SVM_FORMAT_VERSION == 2
+        with pytest.raises(DataError, match="format_version 1"):
+            load_svm(path)
+
+    def test_inconsistent_shapes_raise_data_error(self, rng):
+        X, y = blobs(rng, n_per=5)
+        labels = np.where(y > 0, "pos", "neg")
+        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+        doc["bias"] = [0.0]
+        with pytest.raises(DataError, match="malformed"):
+            svm_from_dict(doc)
+
+    def test_non_finite_or_negative_values_raise_data_error(self, rng):
+        X, y = blobs(rng, n_per=5)
+        labels = np.where(y > 0, "pos", "neg")
+        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+        bad_coef = dict(doc, dual_coefs=[[float("nan")] * 2] + doc["dual_coefs"][1:])
+        bad_gamma = dict(doc, gamma=-0.5)
+        for bad in (bad_coef, bad_gamma):
+            with pytest.raises(DataError, match="finite"):
+                svm_from_dict(bad)
 
     def test_corrupt_file_raises_data_error(self, tmp_path):
         path = tmp_path / "svm.json"
