@@ -30,9 +30,9 @@ from .pipeline import (
     build_formation_data,
     build_joint_data,
     detect,
-    detect_joint,
     load_models,
     rule_classify,
+    training_groups,
     write_detections,
 )
 from .pose import (
@@ -152,7 +152,7 @@ def cmd_train_svm(args) -> int:
     scenes = load_scenes(args.train)
     builder, classes = _TASKS[args.task]
     crf_model = crf_mod.load_crf(args.crf) if args.crf else None
-    X, y = builder(scenes, crf_model)
+    X, y = builder(scenes, training_groups(scenes, crf_model))
     training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
     gamma = resolve_gamma(training, X, y, args.seed)
     model = svm_mod.train_one_vs_rest(
@@ -170,14 +170,11 @@ def cmd_train_svm(args) -> int:
 def cmd_predict(args) -> int:
     scenes = load_scenes(args.data)
     bundle = load_models(args.models)
-    detections = []
-    for scene in scenes:
-        if args.joint:
-            detections.append(detect_joint(scene, bundle.crf, bundle.joint_svm))
-        else:
-            detections.append(
-                detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
-            )
+    if args.joint:
+        heads = {"joint_svm": bundle.joint_svm}
+    else:
+        heads = {"formation_svm": bundle.formation_svm, "angle_svm": bundle.angle_svm}
+    detections = [detect(scene, bundle.crf, **heads) for scene in scenes]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
         write_detections(detections, fp)
     print(f"wrote {len(detections)} detections to {args.out}")

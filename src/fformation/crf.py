@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, DataError, VersionMismatchError
 from .features import F_NODE, FEATURE_CATALOG_VERSION
@@ -122,53 +121,69 @@ def sequence_score(node: np.ndarray, trans: np.ndarray, labels: np.ndarray) -> f
     return s
 
 
-def _forward_messages(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """alpha[i, y] = log sum over prefixes ending in label y at node i."""
-    n = node.shape[0]
+def _log_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(exp(a) + exp(b)), elementwise and overflow-free.
+
+    The larger term is factored out and the smaller enters through log1p,
+    the way scipy.special.logsumexp sums two terms; both round identically
+    (the test suite checks this bit for bit), so trained weights do not
+    depend on which of the two computed them. np.logaddexp rounds
+    differently in the last place on a few percent of pairs.
+    """
+    hi = np.maximum(a, b)
+    return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
+
+
+def _forward_backward(
+    node: np.ndarray, trans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-space messages for B chains of equal length n.
+
+    node (B, n, 2), trans (2, 2) -> alpha (B, n, 2), beta (B, n, 2), log Z (B,).
+    alpha[b, i, y] sums the scores of the labelings of nodes 0..i that end in
+    y; beta[b, i, y] those of nodes i+1..n-1 given y at node i (Sutton &
+    McCallum, "An Introduction to Conditional Random Fields", 2012, 4.1).
+    """
+    n = node.shape[1]
     alpha = np.empty_like(node)
-    alpha[0] = node[0]
+    alpha[:, 0] = node[:, 0]
     for i in range(1, n):
-        alpha[i] = node[i] + logsumexp(alpha[i - 1][:, None] + trans, axis=0)
-    return alpha
-
-
-def _backward_messages(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    n = node.shape[0]
+        prev = alpha[:, i - 1, :, None] + trans  # (B, from, to)
+        alpha[:, i] = node[:, i] + _log_add(prev[:, 0], prev[:, 1])
     beta = np.zeros_like(node)
     for i in range(n - 2, -1, -1):
-        beta[i] = logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
-    return beta
+        nxt = trans + (node[:, i + 1] + beta[:, i + 1])[:, None, :]  # (B, from, to)
+        beta[:, i] = _log_add(nxt[:, :, 0], nxt[:, :, 1])
+    log_z = _log_add(alpha[:, -1, 0], alpha[:, -1, 1])
+    return alpha, beta, log_z
+
+
+def _posteriors(
+    node: np.ndarray, trans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node marginals (B, n, 2), edge marginals (B, n-1, 2, 2) and log Z (B,)."""
+    alpha, beta, log_z = _forward_backward(node, trans)
+    node_marg = np.exp(alpha + beta - log_z[:, None, None])
+    log_edge = (
+        alpha[:, :-1, :, None]
+        + trans
+        + (node[:, 1:] + beta[:, 1:])[:, :, None, :]
+        - log_z[:, None, None, None]
+    )
+    return node_marg, np.exp(log_edge), log_z
 
 
 def forward(model: CrfModel, chain: ChainInstance) -> float:
     """log Z: log-partition over all 2^n labelings."""
     node, trans = log_potentials(model, chain)
-    alpha = _forward_messages(node, trans)
-    return float(logsumexp(alpha[-1]))
+    return float(_forward_backward(node[None], trans)[2][0])
 
 
 def marginals(model: CrfModel, chain: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
     """Node marginals (n, 2) and edge marginals (n-1, 2, 2)."""
     node, trans = log_potentials(model, chain)
-    return _marginals_from_potentials(node, trans)[:2]
-
-
-def _marginals_from_potentials(node, trans):
-    alpha = _forward_messages(node, trans)
-    beta = _backward_messages(node, trans)
-    log_z = float(logsumexp(alpha[-1]))
-    node_marg = np.exp(alpha + beta - log_z)
-    n = node.shape[0]
-    edge_marg = np.empty((max(n - 1, 0), NUM_LABELS, NUM_LABELS))
-    for i in range(n - 1):
-        log_edge = (
-            alpha[i][:, None]
-            + trans
-            + (node[i + 1] + beta[i + 1])[None, :]
-            - log_z
-        )
-        edge_marg[i] = np.exp(log_edge)
-    return node_marg, edge_marg, log_z
+    node_marg, edge_marg, _ = _posteriors(node[None], trans)
+    return node_marg[0], edge_marg[0]
 
 
 def nll_and_gradient(
@@ -177,6 +192,8 @@ def nll_and_gradient(
     """Negative conditional log-likelihood of the batch plus L2 penalty.
 
     grad = sum over chains (expected - empirical feature counts) + l2 * w.
+    One chain at a time: the reference the batched training objective is
+    checked against.
     """
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
@@ -191,15 +208,15 @@ def nll_and_gradient(
         if chain.labels is None:
             raise ValueError("all chains must carry gold labels for training")
         node, trans = log_potentials(model, chain)
-        node_marg, edge_marg, log_z = _marginals_from_potentials(node, trans)
+        node_marg, edge_marg, log_z = _posteriors(node[None], trans)
         gold = chain.labels
-        loss += log_z - sequence_score(node, trans, gold)
+        loss += float(log_z[0]) - sequence_score(node, trans, gold)
 
-        resid = node_marg.copy()
+        resid = node_marg[0].copy()
         resid[np.arange(chain.n), gold] -= 1.0
         grad_obs += resid.T @ chain.features
         if chain.n > 1:
-            grad_trans += edge_marg.sum(axis=0)
+            grad_trans += edge_marg[0].sum(axis=0)
             np.add.at(grad_trans, (gold[:-1], gold[1:]), -1.0)
     return loss, grad
 
@@ -237,42 +254,24 @@ def _batched_objective(
     grad_trans = l2 * trans.copy()
 
     for feats, labels in groups:
-        b, n, _ = feats.shape
+        n = feats.shape[1]
         node = feats @ w_obs.T  # (B, n, 2)
-        alpha = np.empty((b, n, NUM_LABELS))
-        alpha[:, 0] = node[:, 0]
-        for i in range(1, n):
-            alpha[:, i] = node[:, i] + logsumexp(
-                alpha[:, i - 1][:, :, None] + trans[None], axis=1
-            )
-        beta = np.zeros((b, n, NUM_LABELS))
-        for i in range(n - 2, -1, -1):
-            beta[:, i] = logsumexp(
-                trans[None] + (node[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2
-            )
-        log_z = logsumexp(alpha[:, -1], axis=1)  # (B,)
+        node_marg, edge_marg, log_z = _posteriors(node, trans)
 
-        rows = np.arange(n)
         gold_node = np.take_along_axis(node, labels[:, :, None], axis=2)[:, :, 0]
         gold_score = gold_node.sum(axis=1)
         if n > 1:
             gold_score = gold_score + trans[labels[:, :-1], labels[:, 1:]].sum(axis=1)
         loss += float(log_z.sum() - gold_score.sum())
 
-        resid = np.exp(alpha + beta - log_z[:, None, None])
-        one_hot = np.zeros_like(resid)
+        one_hot = np.zeros_like(node_marg)
         np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
-        resid -= one_hot
-        grad_obs += np.einsum("bny,bnf->yf", resid, feats)
+        grad_obs += np.einsum("bny,bnf->yf", node_marg - one_hot, feats)
         if n > 1:
-            for i in range(n - 1):
-                log_edge = (
-                    alpha[:, i][:, :, None]
-                    + trans[None]
-                    + (node[:, i + 1] + beta[:, i + 1])[:, None, :]
-                    - log_z[:, None, None]
-                )
-                grad_trans += np.exp(log_edge).sum(axis=0)
+            # Position by position: this summation order fixes the rounding,
+            # and with it the L-BFGS path and the trained weights.
+            for per_edge in edge_marg.sum(axis=0):
+                grad_trans += per_edge
             flat = labels[:, :-1] * NUM_LABELS + labels[:, 1:]
             counts = np.bincount(flat.ravel(), minlength=NUM_LABELS * NUM_LABELS)
             grad_trans -= counts.reshape(NUM_LABELS, NUM_LABELS)
@@ -383,6 +382,8 @@ def crf_to_dict(model: CrfModel) -> dict:
 
 
 def crf_from_dict(doc: dict) -> CrfModel:
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed crf model file: a {type(doc).__name__}, not an object")
     try:
         if doc.get("kind") != "crf":
             raise ValueError(f"not a crf model file (kind={doc.get('kind')!r})")
@@ -393,7 +394,7 @@ def crf_from_dict(doc: dict) -> CrfModel:
             feature_catalog_version=doc["feature_catalog_version"],
             l2=float(doc["l2"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed crf model file: {exc}") from exc
 
 
@@ -411,4 +412,9 @@ def load_crf(path) -> CrfModel:
             raise DataError(f"corrupt crf model file {path}: {exc}") from exc
     model = crf_from_dict(doc)
     _check_version(model)
+    if model.f_node != F_NODE:
+        raise DataError(
+            f"crf model file {path} has weights for {model.f_node} node features, "
+            f"catalog {FEATURE_CATALOG_VERSION!r} has {F_NODE}"
+        )
     return model

@@ -20,17 +20,18 @@ from .metrics import report, report_to_dict
 from .pipeline import (
     ANGLE_CLASSES,
     JOINT_CLASSES,
+    Detection,
     ModelBundle,
     build_angle_data,
     build_crf_chains,
     build_formation_data,
     build_joint_data,
     detect,
-    detect_joint,
     joint_class,
     load_models,
     rule_classify,
     save_models,
+    training_groups,
 )
 from .pose import APPROACH_ANGLES, FORMATIONS, GROUP_LABELS, Scene, load_scenes
 from .synth import SynthConfig, generate_dataset, split_train_test
@@ -165,16 +166,17 @@ def train_bundle(
             training.crf_tol,
         )
     crf_model = crf_result.model
-    Xf, yf = build_formation_data(train_scenes, crf_model)
+    groups = training_groups(train_scenes, crf_model)
+    Xf, yf = build_formation_data(train_scenes, groups)
     gamma = resolve_gamma(training, Xf, yf, seed)
     formation_svm = svm_mod.train_one_vs_rest(
         Xf, yf, FORMATIONS, C=training.svm_c, gamma=gamma, tol=training.svm_tol
     )
-    Xa, ya = build_angle_data(train_scenes, crf_model)
+    Xa, ya = build_angle_data(train_scenes, groups)
     angle_svm = svm_mod.train_one_vs_rest(
         Xa, ya, ANGLE_CLASSES, C=training.svm_c, gamma=gamma, tol=training.svm_tol
     )
-    Xj, yj = build_joint_data(train_scenes, crf_model)
+    Xj, yj = build_joint_data(train_scenes, groups)
     joint_svm = svm_mod.train_one_vs_rest(
         Xj, yj, JOINT_CLASSES, C=training.svm_c, gamma=gamma, tol=training.svm_tol
     )
@@ -198,14 +200,35 @@ def _require_truth(scenes: list[Scene], what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Table builders. Each returns (csv_rows, json_payload); rows are written in
-# a fixed column order so reruns diff cleanly.
+# Table builders. Each reads the scenes' detections and rule-baseline
+# formations from `_decode_scenes` and returns (csv_rows, json_payload); rows
+# are written in a fixed column order so reruns diff cleanly.
 
 
-def membership_table(scenes, bundle) -> tuple[list[list], dict]:
-    gold, pred = [], []
+def _decode_scenes(scenes, bundle) -> tuple[list[Detection], list[str | None]]:
+    """Every head of the detector, and the rule baseline, once per scene.
+
+    The rule baseline's formation is None where it names none or the scene
+    has fewer than two poses.
+    """
+    detections, rules = [], []
     for scene in scenes:
-        det = detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
+        detections.append(
+            detect(
+                scene,
+                bundle.crf,
+                bundle.formation_svm,
+                bundle.angle_svm,
+                joint_svm=bundle.joint_svm,
+            )
+        )
+        rules.append(rule_classify(scene).formation if len(scene.poses) >= 2 else None)
+    return detections, rules
+
+
+def membership_table(scenes, detections, rules) -> tuple[list[list], dict]:
+    gold, pred = [], []
+    for scene, det in zip(scenes, detections):
         gold.extend(scene.truth.membership)
         pred.extend(det.membership)
     rep = report(gold, pred, GROUP_LABELS)
@@ -227,22 +250,10 @@ def membership_table(scenes, bundle) -> tuple[list[list], dict]:
     return rows, {"report": report_to_dict(rep)}
 
 
-def _formation_predictions(scenes, bundle):
-    learned, rule = [], []
-    for scene in scenes:
-        det = detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
-        learned.append(det.formation if det.formation is not None else NONE_CLASS)
-        if len(scene.poses) >= 2:
-            rb = rule_classify(scene)
-            rule.append(rb.formation if rb.formation is not None else NONE_CLASS)
-        else:
-            rule.append(NONE_CLASS)
-    return learned, rule
-
-
-def formation_table(scenes, bundle) -> tuple[list[list], dict]:
+def formation_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold = [s.truth.formation for s in scenes]
-    learned, rule = _formation_predictions(scenes, bundle)
+    learned = [d.formation if d.formation is not None else NONE_CLASS for d in detections]
+    rule = [r if r is not None else NONE_CLASS for r in rules]
     classes = FORMATIONS + (NONE_CLASS,)
     rep = report(gold, learned, classes)
     rows = [["formation", "precision", "recall", "f1", "support", "rule_accuracy"]]
@@ -277,12 +288,9 @@ def formation_table(scenes, bundle) -> tuple[list[list], dict]:
     return rows, payload
 
 
-def angle_table(scenes, bundle) -> tuple[list[list], dict]:
+def angle_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold = [str(s.truth.angle_deg) for s in scenes]
-    pred = []
-    for scene in scenes:
-        det = detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
-        pred.append(str(det.angle_deg) if det.angle_deg is not None else NONE_CLASS)
+    pred = [str(d.angle_deg) if d.angle_deg is not None else NONE_CLASS for d in detections]
     classes = ANGLE_CLASSES + (NONE_CLASS,)
     rep = report(gold, pred, classes)
     rows = [["angle_deg", "precision", "recall", "f1", "support"]]
@@ -303,15 +311,15 @@ def angle_table(scenes, bundle) -> tuple[list[list], dict]:
     return rows, {"report": report_to_dict(rep)}
 
 
-def joint_table(scenes, bundle) -> tuple[list[list], dict]:
+def joint_table(scenes, detections, rules) -> tuple[list[list], dict]:
     """28 rows of (formation, angle): learned joint accuracy vs rule accuracy.
 
     The rule baseline predicts only the formation, so its column scores
     formation correctness within each cell, as in the compared system.
     """
-    by_cell: dict[str, list[Scene]] = {c: [] for c in JOINT_CLASSES}
-    for scene in scenes:
-        by_cell[joint_class(scene.truth.formation, scene.truth.angle_deg)].append(scene)
+    by_cell: dict[str, list[int]] = {c: [] for c in JOINT_CLASSES}
+    for i, scene in enumerate(scenes):
+        by_cell[joint_class(scene.truth.formation, scene.truth.angle_deg)].append(i)
     rows = [["formation", "angle_deg", "n", "learned_accuracy", "rule_accuracy"]]
     cells = {}
     total_n = 0
@@ -319,15 +327,10 @@ def joint_table(scenes, bundle) -> tuple[list[list], dict]:
     rule_hits = 0.0
     for cls in JOINT_CLASSES:
         formation, angle = cls.rpartition("@")[0], int(cls.rpartition("@")[2])
-        cell_scenes = by_cell[cls]
-        n = len(cell_scenes)
-        l_ok = r_ok = 0
-        for scene in cell_scenes:
-            det = detect_joint(scene, bundle.crf, bundle.joint_svm)
-            if det.joint == (formation, angle):
-                l_ok += 1
-            if len(scene.poses) >= 2 and rule_classify(scene).formation == formation:
-                r_ok += 1
+        cell = by_cell[cls]
+        n = len(cell)
+        l_ok = sum(detections[i].joint == (formation, angle) for i in cell)
+        r_ok = sum(rules[i] == formation for i in cell)
         l_acc = l_ok / n if n else 0.0
         r_acc = r_ok / n if n else 0.0
         rows.append(
@@ -396,10 +399,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             save_models(bundle, cfg.save_models_dir)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
+    detections, rules = _decode_scenes(test_scenes, bundle)
     outputs = {}
     for t in cfg.tables:
         stem, builder = _TABLE_BUILDERS[t]
-        rows, payload = builder(test_scenes, bundle)
+        rows, payload = builder(test_scenes, detections, rules)
         outputs[stem] = _write_outputs(cfg.out_dir, stem, rows, payload, cfg.seed)
 
     meta = {

@@ -14,6 +14,8 @@ from . import crf as crf_mod
 from . import svm as svm_mod
 from .errors import DataError, VersionMismatchError
 from .features import (
+    F_ANGLE,
+    F_GROUP,
     FEATURE_CATALOG_VERSION,
     angle_features,
     chain_features,
@@ -147,12 +149,26 @@ def _no_people(scene: Scene) -> Detection:
 def detect(
     scene: Scene,
     crf_model: crf_mod.CrfModel,
-    formation_svm: svm_mod.SvmModel,
-    angle_svm: svm_mod.SvmModel,
+    formation_svm: svm_mod.SvmModel | None = None,
+    angle_svm: svm_mod.SvmModel | None = None,
+    *,
+    joint_svm: svm_mod.SvmModel | None = None,
     timings: dict | None = None,
 ) -> Detection:
-    """Cascade: membership -> formation -> angle (formation fed as a feature)."""
-    _check_bundle_versions(crf_model, formation_svm, angle_svm)
+    """Membership by the CRF filter, then the requested heads on its group.
+
+    The cascade (formation_svm and angle_svm) predicts the formation, then
+    the angle with the formation fed as a feature. The joint head
+    (joint_svm) predicts one of the 28 (formation, angle) classes into
+    `joint`; without the cascade, formation and angle are its class's. The
+    CRF runs once whichever heads are filled.
+    """
+    if (formation_svm is None) != (angle_svm is None):
+        raise ValueError("the cascade needs both formation_svm and angle_svm")
+    heads = [m for m in (formation_svm, angle_svm, joint_svm) if m is not None]
+    if not heads:
+        raise ValueError("detect needs the cascade heads, the joint head or both")
+    _check_bundle_versions(crf_model, *heads)
     if not scene.poses:
         if timings is not None:
             timings.update(features=0.0, crf=0.0, svm=0.0)
@@ -180,63 +196,29 @@ def detect(
         )
     poses, overflow = _group_slice(ordered, member_positions)
     gfv = group_features(poses, scene.image_width, scene.image_height)
-    formation, f_scores = svm_mod.predict(formation_svm, gfv)
-    afv = angle_features(gfv, formation)
-    angle_cls, a_scores = svm_mod.predict(angle_svm, afv)
+    formation = angle_deg = joint = None
+    if formation_svm is not None:
+        formation, scores["formation"] = svm_mod.predict(formation_svm, gfv)
+        afv = angle_features(gfv, formation)
+        angle_cls, scores["angle"] = svm_mod.predict(angle_svm, afv)
+        angle_deg = int(angle_cls)
+    if joint_svm is not None:
+        cls, scores["joint"] = svm_mod.predict(joint_svm, gfv)
+        joint = parse_joint_class(cls)
+        if formation_svm is None:
+            formation, angle_deg = joint
     t3 = time.perf_counter()
     if timings is not None:
         timings["features"] = t1 - t0
         timings["crf"] = t2 - t1
         timings["svm"] = t3 - t2
-    scores["formation"] = f_scores
-    scores["angle"] = a_scores
-    return Detection(
-        frame_id=scene.frame_id,
-        membership=membership,
-        member_indices=member_indices,
-        formation=formation,
-        angle_deg=int(angle_cls),
-        scores=scores,
-        reason=REASON_OVERFLOW if overflow else None,
-        overflow=overflow,
-    )
-
-
-def detect_joint(
-    scene: Scene,
-    crf_model: crf_mod.CrfModel,
-    joint_svm: svm_mod.SvmModel,
-) -> Detection:
-    """Single 28-class prediction over (formation x angle)."""
-    _check_bundle_versions(crf_model, joint_svm)
-    if not scene.poses:
-        return _no_people(scene)
-    perm, ordered, chain = _ordered_chain(scene)
-    membership, g_prob, member_positions = _membership_from_chain(
-        crf_model, chain, perm
-    )
-    scores = {"membership_g_prob": g_prob}
-    member_indices = tuple(sorted(perm[p] for p in member_positions))
-    if len(member_positions) < 2:
-        return Detection(
-            frame_id=scene.frame_id,
-            membership=membership,
-            member_indices=member_indices,
-            scores=scores,
-            reason=REASON_TOO_SMALL,
-        )
-    poses, overflow = _group_slice(ordered, member_positions)
-    gfv = group_features(poses, scene.image_width, scene.image_height)
-    cls, j_scores = svm_mod.predict(joint_svm, gfv)
-    formation, angle_deg = parse_joint_class(cls)
-    scores["joint"] = j_scores
     return Detection(
         frame_id=scene.frame_id,
         membership=membership,
         member_indices=member_indices,
         formation=formation,
         angle_deg=angle_deg,
-        joint=(formation, angle_deg),
+        joint=joint,
         scores=scores,
         reason=REASON_OVERFLOW if overflow else None,
         overflow=overflow,
@@ -395,21 +377,32 @@ def predicted_group_poses(scene: Scene, crf_model) -> list[PersonPose] | None:
     return poses
 
 
-def _training_group(scene: Scene, crf_model):
-    """Classifier training inputs: the filtered group when a CRF is supplied
-    (matching what the classifiers see at detection time), gold otherwise."""
-    if crf_model is None:
-        return _gold_group(scene)
-    return predicted_group_poses(scene, crf_model)
+def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
+    """Per scene, the group its classifier training sample is built from.
 
-
-def build_formation_data(scenes, crf_model=None) -> tuple[np.ndarray, np.ndarray]:
-    X, y = [], []
+    With a CRF, the filtered group the classifiers will see at detection
+    time (None where fewer than two people survive, a scene that then
+    yields no sample), found with one CRF decode per scene; without one,
+    the gold group.
+    """
+    groups = []
     for scene in scenes:
+        if scene.truth is None or scene.truth.membership is None:
+            raise DataError(f"scene {scene.frame_id!r} lacks membership truth")
+        if crf_model is None:
+            groups.append(_gold_group(scene))
+        else:
+            groups.append(predicted_group_poses(scene, crf_model))
+    return groups
+
+
+def build_formation_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Formation training rows from `training_groups(scenes, ...)`."""
+    X, y = [], []
+    for scene, members in zip(scenes, groups, strict=True):
         t = scene.truth
         if t is None or t.membership is None or t.formation is None:
             raise DataError(f"scene {scene.frame_id!r} lacks formation truth")
-        members = _training_group(scene, crf_model)
         if members is None:
             continue
         X.append(group_features(members, scene.image_width, scene.image_height))
@@ -417,14 +410,13 @@ def build_formation_data(scenes, crf_model=None) -> tuple[np.ndarray, np.ndarray
     return np.array(X), np.array(y)
 
 
-def build_angle_data(scenes, crf_model=None) -> tuple[np.ndarray, np.ndarray]:
+def build_angle_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """Angle training vectors use the gold formation one-hot (teacher forcing)."""
     X, y = [], []
-    for scene in scenes:
+    for scene, members in zip(scenes, groups, strict=True):
         t = scene.truth
         if t is None or t.membership is None or t.formation is None or t.angle_deg is None:
             raise DataError(f"scene {scene.frame_id!r} lacks angle truth")
-        members = _training_group(scene, crf_model)
         if members is None:
             continue
         gfv = group_features(members, scene.image_width, scene.image_height)
@@ -433,13 +425,12 @@ def build_angle_data(scenes, crf_model=None) -> tuple[np.ndarray, np.ndarray]:
     return np.array(X), np.array(y)
 
 
-def build_joint_data(scenes, crf_model=None) -> tuple[np.ndarray, np.ndarray]:
+def build_joint_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     X, y = [], []
-    for scene in scenes:
+    for scene, members in zip(scenes, groups, strict=True):
         t = scene.truth
         if t is None or t.membership is None or t.formation is None or t.angle_deg is None:
             raise DataError(f"scene {scene.frame_id!r} lacks joint truth")
-        members = _training_group(scene, crf_model)
         if members is None:
             continue
         X.append(group_features(members, scene.image_width, scene.image_height))
@@ -558,4 +549,14 @@ def load_models(path) -> ModelBundle:
     _check_bundle_versions(
         bundle.crf, bundle.formation_svm, bundle.angle_svm, bundle.joint_svm
     )
+    for key, model, width in (
+        ("formation", bundle.formation_svm, F_GROUP),
+        ("angle", bundle.angle_svm, F_ANGLE),
+        ("joint", bundle.joint_svm, F_GROUP),
+    ):
+        if model.support_vectors.shape[1] != width:
+            raise DataError(
+                f"{key} svm {files[key]!r} has {model.support_vectors.shape[1]}-wide "
+                f"support vectors, its features are {width} wide"
+            )
     return bundle

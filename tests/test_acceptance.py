@@ -19,7 +19,7 @@ from fformation.experiments import (
     train_bundle,
 )
 from fformation.metrics import report
-from fformation.pipeline import detect, detect_joint, rule_classify
+from fformation.pipeline import detect, rule_classify
 from fformation.pose import (
     APPROACH_ANGLES,
     FORMATIONS,
@@ -70,7 +70,11 @@ class World:
         joint_ok = 0
         for scene in self.test_scenes:
             det = detect(
-                scene, self.bundle.crf, self.bundle.formation_svm, self.bundle.angle_svm
+                scene,
+                self.bundle.crf,
+                self.bundle.formation_svm,
+                self.bundle.angle_svm,
+                joint_svm=self.bundle.joint_svm,
             )
             self.gold_membership.extend(scene.truth.membership)
             self.pred_membership.extend(det.membership)
@@ -81,8 +85,7 @@ class World:
                 str(det.angle_deg) if det.angle_deg is not None else NONE_CLASS
             )
             cell = (scene.truth.formation, scene.truth.angle_deg)
-            dj = detect_joint(scene, self.bundle.crf, self.bundle.joint_svm)
-            hit = dj.joint == cell
+            hit = det.joint == cell
             joint_ok += hit
             self.joint_hits_by_cell.setdefault(cell, []).append(hit)
             rb = rule_classify(scene)

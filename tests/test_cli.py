@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -249,6 +250,12 @@ class TestEvaluatePredictBaselineBench:
         assert "membership" in doc and "formation" in doc
         joint_doc = json.loads((workdir / "det_joint.jsonl").read_text().splitlines()[0])
         assert joint_doc["joint"] is not None
+        for line in (workdir / "det_joint.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            if doc["joint"] is not None:
+                assert doc["formation"] == doc["joint"]["formation"]
+                assert doc["angle_deg"] == doc["joint"]["angle_deg"]
+                assert set(doc["scores"]) == {"membership_g_prob", "joint"}
 
     def test_baseline(self, workdir):
         rc = main(
@@ -386,6 +393,49 @@ class TestEvaluatePredictBaselineBench:
         assert rc == 3
         assert "data error" in err
         assert "Traceback" not in err
+
+
+def _sv_308_wide(doc):
+    doc["support_vectors"] = [row[:-1] for row in doc["support_vectors"]]
+
+
+# Model files `fformation predict` must refuse with exit 3: (file, edit).
+MALFORMED_MODELS = {
+    "crf_weights_not_numbers": ("crf.json", lambda d: d.update(weights="abc")),
+    "crf_five_weights": ("crf.json", lambda d: d.update(weights=[0.0] * 5)),
+    "crf_nan_weights": (
+        "crf.json",
+        lambda d: d.update(weights=[float("nan")] * len(d["weights"])),
+    ),
+    "crf_not_an_object": ("crf.json", lambda d: [d]),
+    "crf_l2_not_a_number": ("crf.json", lambda d: d.update(l2="x")),
+    "crf_27_node_features": ("crf.json", lambda d: d.update(weights=[0.0] * (2 * 27 + 4))),
+    "svm_308_wide": ("svm_formation.json", _sv_308_wide),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_is_data_error(workdir, artifacts, case):
+    name, edit = MALFORMED_MODELS[case]
+    bundle = workdir / f"malformed_{case}"
+    shutil.copytree(artifacts["models"], bundle, dirs_exist_ok=True)
+    doc = json.loads((bundle / name).read_text())
+    replaced = edit(doc)
+    (bundle / name).write_text(json.dumps(doc if replaced is None else replaced))
+    rc, err = run_cli(
+        [
+            "predict",
+            "--data",
+            str(workdir / "test.jsonl"),
+            "--models",
+            str(bundle),
+            "--out",
+            str(workdir / "never.jsonl"),
+        ]
+    )
+    assert rc == 3, err
+    assert "data error" in err
+    assert "Traceback" not in err
 
 
 class TestConvertEgoGroup:

@@ -11,7 +11,9 @@ from fformation.crf import (
     CrfModel,
     CrfTrainConfig,
     _batched_objective,
+    _forward_backward,
     _group_by_length,
+    _log_add,
     crf_from_dict,
     crf_to_dict,
     forward,
@@ -27,7 +29,8 @@ from fformation.crf import (
     viterbi,
     weight_dim,
 )
-from fformation.errors import VersionMismatchError
+from fformation.errors import DataError, VersionMismatchError
+from fformation.features import F_NODE
 
 F = 5  # small synthetic feature dimension for oracle tests
 
@@ -181,6 +184,105 @@ class TestMarginals:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def reference_forward_backward(node, trans):
+    """One chain (n, 2), node by node with scipy's logsumexp."""
+    n = node.shape[0]
+    alpha = np.empty_like(node)
+    alpha[0] = node[0]
+    for i in range(1, n):
+        alpha[i] = node[i] + logsumexp(alpha[i - 1][:, None] + trans, axis=0)
+    beta = np.zeros_like(node)
+    for i in range(n - 2, -1, -1):
+        beta[i] = logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
+    return alpha, beta, logsumexp(alpha[-1])
+
+
+def reference_batched_objective(w, groups, l2, f):
+    """The training objective with scipy's logsumexp and a loop over edges."""
+    w_obs = w[: 2 * f].reshape(2, f)
+    trans = w[2 * f :].reshape(2, 2)
+    loss = 0.5 * l2 * float(w @ w)
+    grad_obs = l2 * w_obs.copy()
+    grad_trans = l2 * trans.copy()
+    for feats, labels in groups:
+        b, n, _ = feats.shape
+        node = feats @ w_obs.T
+        alpha = np.empty((b, n, 2))
+        alpha[:, 0] = node[:, 0]
+        for i in range(1, n):
+            alpha[:, i] = node[:, i] + logsumexp(
+                alpha[:, i - 1][:, :, None] + trans[None], axis=1
+            )
+        beta = np.zeros((b, n, 2))
+        for i in range(n - 2, -1, -1):
+            beta[:, i] = logsumexp(
+                trans[None] + (node[:, i + 1] + beta[:, i + 1])[:, None, :], axis=2
+            )
+        log_z = logsumexp(alpha[:, -1], axis=1)
+        gold_node = np.take_along_axis(node, labels[:, :, None], axis=2)[:, :, 0]
+        gold_score = gold_node.sum(axis=1)
+        if n > 1:
+            gold_score = gold_score + trans[labels[:, :-1], labels[:, 1:]].sum(axis=1)
+        loss += float(log_z.sum() - gold_score.sum())
+        resid = np.exp(alpha + beta - log_z[:, None, None])
+        one_hot = np.zeros_like(resid)
+        np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
+        resid -= one_hot
+        grad_obs += np.einsum("bny,bnf->yf", resid, feats)
+        for i in range(n - 1):
+            log_edge = (
+                alpha[:, i][:, :, None]
+                + trans[None]
+                + (node[:, i + 1] + beta[:, i + 1])[:, None, :]
+                - log_z[:, None, None]
+            )
+            grad_trans += np.exp(log_edge).sum(axis=0)
+        if n > 1:
+            flat = labels[:, :-1] * 2 + labels[:, 1:]
+            grad_trans -= np.bincount(flat.ravel(), minlength=4).reshape(2, 2)
+    return loss, np.concatenate([grad_obs.ravel(), grad_trans.ravel()])
+
+
+class TestExactness:
+    """The CRF core rounds exactly like the scipy-based recursion, so the
+    L-BFGS path and the trained weights do not move."""
+
+    def test_log_add_is_scipy_logsumexp_bit_for_bit(self, rng):
+        for scale in (0.1, 1.0, 10.0, 100.0, 1000.0):
+            pairs = rng.normal(size=(20_000, 2)) * scale
+            pairs[:500, 1] = pairs[:500, 0]  # ties
+            pairs[500:1000, 1] = pairs[500:1000, 0] + rng.uniform(-1e3, 1e3, 500)
+            got = _log_add(pairs[:, 0], pairs[:, 1])
+            assert np.array_equal(got, logsumexp(pairs, axis=1))
+
+    def test_forward_backward_matches_reference_exactly(self, rng):
+        for n in range(1, 9):
+            for scale in (0.5, 5.0, 50.0):
+                model = random_model(rng, scale=scale)
+                chains = [random_instance(rng, n=n) for _ in range(6)]
+                node = np.stack([log_potentials(model, c)[0] for c in chains])
+                trans = model.transition_weights()
+                alpha, beta, log_z = _forward_backward(node, trans)
+                for b in range(len(chains)):
+                    ra, rb, rz = reference_forward_backward(node[b], trans)
+                    assert np.array_equal(alpha[b], ra)
+                    assert np.array_equal(beta[b], rb)
+                    assert log_z[b] == rz
+
+    def test_batched_objective_matches_reference_exactly(self, rng):
+        for scale in (0.5, 5.0, 50.0):
+            chains = [
+                random_instance(rng, n=int(n), labeled=True)
+                for n in rng.integers(1, 9, size=40)
+            ]
+            w = scale * rng.normal(size=weight_dim(F))
+            groups = _group_by_length(chains)
+            loss, grad = _batched_objective(w, groups, 0.3, F)
+            ref_loss, ref_grad = reference_batched_objective(w, groups, 0.3, F)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+
 class TestNllAndGradient:
     def test_uniform_model_loss_is_n_log_2(self):
         model = CrfModel(np.zeros(weight_dim(F)))
@@ -315,7 +417,7 @@ class TestViterbi:
 
 class TestSerialization:
     def test_round_trip_preserves_weights_exactly(self, rng, tmp_path):
-        model = random_model(rng)
+        model = CrfModel(rng.normal(size=weight_dim(F_NODE)))
         path = tmp_path / "crf.json"
         save_crf(model, path)
         loaded = load_crf(path)
@@ -331,9 +433,13 @@ class TestSerialization:
     def test_corrupt_file_raises_data_error(self, tmp_path):
         path = tmp_path / "crf.json"
         path.write_text('{"format_version": 1, "kind": "crf", "wei')
-        from fformation.errors import DataError
-
         with pytest.raises(DataError, match="corrupt"):
+            load_crf(path)
+
+    def test_width_other_than_the_catalog_rejected_at_load(self, rng, tmp_path):
+        path = tmp_path / "crf.json"
+        save_crf(random_model(rng), path)  # F node features, not F_NODE
+        with pytest.raises(DataError, match=f"{F} node features"):
             load_crf(path)
 
     def test_stale_catalog_rejected_at_load(self, rng, tmp_path):

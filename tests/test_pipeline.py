@@ -20,7 +20,6 @@ from fformation.pipeline import (
     ModelBundle,
     _membership_from_chain,
     detect,
-    detect_joint,
     detection_to_dict,
     head_orientation,
     joint_class,
@@ -205,7 +204,7 @@ class TestDetect:
                 mini.bundle.angle_svm,
                 timings=timings,
             ),
-            detect_joint(scene, mini.bundle.crf, mini.bundle.joint_svm),
+            detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm),
         ]
         for det in dets:
             assert det.frame_id == "empty"
@@ -246,10 +245,32 @@ class TestDetect:
         scene = render_scene(
             SynthConfig(formation="triangle", angle_deg=60, outlier_count=0, seed=32_000)
         )
-        det = detect_joint(scene, mini.bundle.crf, mini.bundle.joint_svm)
+        det = detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm)
         assert det.joint == ("triangle", 60)
         assert det.formation == "triangle"
         assert det.angle_deg == 60
+        assert set(det.scores) == {"membership_g_prob", "joint"}
+
+    def test_joint_head_leaves_the_cascade_unchanged(self, mini):
+        b = mini.bundle
+        both_seen = 0
+        for scene in mini.test_scenes[:60]:
+            cascade = detect(scene, b.crf, b.formation_svm, b.angle_svm)
+            both = detect(scene, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm)
+            joint = detect(scene, b.crf, joint_svm=b.joint_svm)
+            assert both.membership == cascade.membership == joint.membership
+            assert (both.formation, both.angle_deg) == (cascade.formation, cascade.angle_deg)
+            assert both.joint == joint.joint
+            assert both.scores == {**cascade.scores, **joint.scores}
+            both_seen += both.joint is not None
+        assert both_seen > 0
+
+    def test_needs_whole_cascade_or_joint_head(self, mini):
+        scene = make_scene([make_pose("a"), make_pose("b", x=400.0)])
+        with pytest.raises(ValueError, match="cascade"):
+            detect(scene, mini.bundle.crf, mini.bundle.formation_svm)
+        with pytest.raises(ValueError, match="head"):
+            detect(scene, mini.bundle.crf)
 
     def test_detect_is_deterministic(self, mini):
         scene = render_scene(
@@ -385,7 +406,7 @@ class TestDetectionJsonl:
         scene = render_scene(
             SynthConfig(formation="triangle", angle_deg=90, outlier_count=0, seed=38_000)
         )
-        det = detect_joint(scene, mini.bundle.crf, mini.bundle.joint_svm)
+        det = detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm)
         buf = io.StringIO()
         write_detections([det], buf)
         doc = json.loads(buf.getvalue())
