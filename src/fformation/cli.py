@@ -29,7 +29,7 @@ from .pipeline import (
     build_crf_chains,
     build_formation_data,
     build_joint_data,
-    detect,
+    detect_many,
     load_models,
     rule_classify,
     training_groups,
@@ -174,7 +174,7 @@ def cmd_predict(args) -> int:
         heads = {"joint_svm": bundle.joint_svm}
     else:
         heads = {"formation_svm": bundle.formation_svm, "angle_svm": bundle.angle_svm}
-    detections = [detect(scene, bundle.crf, **heads) for scene in scenes]
+    detections = detect_many(scenes, bundle.crf, **heads)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
         write_detections(detections, fp)
     print(f"wrote {len(detections)} detections to {args.out}")

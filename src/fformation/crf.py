@@ -100,18 +100,22 @@ def _check_version(model: CrfModel) -> None:
         )
 
 
-def log_potentials(model: CrfModel, chain: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Node scores (n, 2) and the shared transition score table (2, 2)."""
+def _node_potentials(model: CrfModel, features: np.ndarray) -> np.ndarray:
+    """Node scores (..., n, 2) of node features (..., n, F)."""
     _check_version(model)
-    if chain.n == 0:
+    if features.shape[-2] == 0:
         raise ValueError("chain must contain at least one node")
-    if chain.features.shape[1] != model.f_node:
+    if features.shape[-1] != model.f_node:
         raise ValueError(
-            f"chain has {chain.features.shape[1]} features per node, "
+            f"chain has {features.shape[-1]} features per node, "
             f"model expects {model.f_node}"
         )
-    node = chain.features @ model.obs_weights().T
-    return node, model.transition_weights()
+    return features @ model.obs_weights().T
+
+
+def log_potentials(model: CrfModel, chain: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Node scores (n, 2) and the shared transition score table (2, 2)."""
+    return _node_potentials(model, chain.features), model.transition_weights()
 
 
 def sequence_score(node: np.ndarray, trans: np.ndarray, labels: np.ndarray) -> float:
@@ -158,19 +162,22 @@ def _forward_backward(
     return alpha, beta, log_z
 
 
+def _node_marginals(alpha, beta, log_z) -> np.ndarray:
+    return np.exp(alpha + beta - log_z[:, None, None])
+
+
 def _posteriors(
     node: np.ndarray, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node marginals (B, n, 2), edge marginals (B, n-1, 2, 2) and log Z (B,)."""
     alpha, beta, log_z = _forward_backward(node, trans)
-    node_marg = np.exp(alpha + beta - log_z[:, None, None])
     log_edge = (
         alpha[:, :-1, :, None]
         + trans
         + (node[:, 1:] + beta[:, 1:])[:, :, None, :]
         - log_z[:, None, None, None]
     )
-    return node_marg, np.exp(log_edge), log_z
+    return _node_marginals(alpha, beta, log_z), np.exp(log_edge), log_z
 
 
 def forward(model: CrfModel, chain: ChainInstance) -> float:
@@ -346,23 +353,45 @@ def train(
     )
 
 
-def viterbi(model: CrfModel, chain: ChainInstance) -> list[str]:
-    """Max-scoring label sequence; ties prefer G at the first differing position.
+def _viterbi(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Max-scoring label indices (B, n) of B chains of equal length.
 
-    Decodes left to right against a suffix-max table, so among equally scoring
-    sequences the lexicographically G-first one is returned.
+    Decodes left to right against a suffix-max table, so among equally
+    scoring sequences the lexicographically G-first one wins.
     """
-    node, trans = log_potentials(model, chain)
-    n = node.shape[0]
+    n = node.shape[1]
     suffix = np.empty_like(node)
-    suffix[n - 1] = node[n - 1]
+    suffix[:, n - 1] = node[:, n - 1]
     for i in range(n - 2, -1, -1):
-        suffix[i] = node[i] + np.max(trans + suffix[i + 1][None, :], axis=1)
-    labels = np.empty(n, dtype=int)
-    labels[0] = int(np.argmax(suffix[0]))
+        suffix[:, i] = node[:, i] + np.max(trans + suffix[:, i + 1, None, :], axis=2)
+    labels = np.empty(node.shape[:2], dtype=int)
+    labels[:, 0] = np.argmax(suffix[:, 0], axis=1)
     for i in range(1, n):
-        labels[i] = int(np.argmax(trans[labels[i - 1]] + suffix[i]))
-    return indices_to_labels(labels)
+        labels[:, i] = np.argmax(trans[labels[:, i - 1]] + suffix[:, i], axis=1)
+    return labels
+
+
+def viterbi(model: CrfModel, chain: ChainInstance) -> list[str]:
+    """Max-scoring label sequence; ties prefer G at the first differing position."""
+    node, trans = log_potentials(model, chain)
+    return indices_to_labels(_viterbi(node[None], trans)[0])
+
+
+def decode_batch(
+    model: CrfModel, features: np.ndarray, *, marginals: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Viterbi label indices (B, n) of B equal-length chains (B, n, F), and
+    with marginals=True their node marginals (B, n, 2), else None.
+
+    Row b equals what viterbi and marginals return for chain b alone, bit
+    for bit: every step is elementwise across the batch.
+    """
+    node = _node_potentials(model, features)
+    trans = model.transition_weights()
+    labels = _viterbi(node, trans)
+    if not marginals:
+        return labels, None
+    return labels, _node_marginals(*_forward_backward(node, trans))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ from .pipeline import (
     build_formation_data,
     build_joint_data,
     detect,
+    detect_many,
+    filtered_groups,
     joint_class,
     load_models,
     rule_classify,
     save_models,
-    training_groups,
 )
 from .pose import APPROACH_ANGLES, FORMATIONS, GROUP_LABELS, Scene, load_scenes
 from .synth import SynthConfig, generate_dataset, split_train_test
@@ -146,7 +147,8 @@ def train_bundle(
     """Train the CRF, then the three SVMs on CRF-filtered groups.
 
     Feeding the classifiers the same filtered person sets they will see at
-    detection time makes them robust to the filter's residual mistakes.
+    detection time makes them robust to the filter's residual mistakes. Each
+    scene's chain is built once, for CRF training and for the filtering.
     """
     chains = build_crf_chains(train_scenes)
     crf_result = crf_mod.train(
@@ -166,7 +168,7 @@ def train_bundle(
             training.crf_tol,
         )
     crf_model = crf_result.model
-    groups = training_groups(train_scenes, crf_model)
+    groups = filtered_groups(train_scenes, chains, crf_model)
     Xf, yf = build_formation_data(train_scenes, groups)
     gamma = resolve_gamma(training, Xf, yf, seed)
     formation_svm = svm_mod.train_one_vs_rest(
@@ -211,18 +213,17 @@ def _decode_scenes(scenes, bundle) -> tuple[list[Detection], list[str | None]]:
     The rule baseline's formation is None where it names none or the scene
     has fewer than two poses.
     """
-    detections, rules = [], []
-    for scene in scenes:
-        detections.append(
-            detect(
-                scene,
-                bundle.crf,
-                bundle.formation_svm,
-                bundle.angle_svm,
-                joint_svm=bundle.joint_svm,
-            )
-        )
-        rules.append(rule_classify(scene).formation if len(scene.poses) >= 2 else None)
+    detections = detect_many(
+        scenes,
+        bundle.crf,
+        bundle.formation_svm,
+        bundle.angle_svm,
+        joint_svm=bundle.joint_svm,
+    )
+    rules = [
+        rule_classify(scene).formation if len(scene.poses) >= 2 else None
+        for scene in scenes
+    ]
     return detections, rules
 
 

@@ -15,14 +15,16 @@ import numpy as np
 
 from .errors import CapacityError
 from .pose import (
+    CONF,
     FORMATIONS,
-    KEYPOINT_NAMES,
+    KEYPOINT_INDEX,
     NUM_KEYPOINTS,
+    X,
+    Y,
     ConfidenceBin,
     PersonPose,
     Scene,
-    anchor_x,
-    bin_confidence,
+    confidence_bins,
 )
 
 FEATURE_CATALOG_VERSION = "node26-group309-v1"
@@ -62,66 +64,103 @@ F_GROUP = GROUP_SLOTS * SLOT_WIDTH + GROUP_SLOTS
 F_ANGLE = F_GROUP + len(FORMATIONS)
 
 
-def pose_stats(pose: PersonPose, image_width: int) -> np.ndarray:
-    """The 8 per-pose statistics shared by a node and its neighbor blocks."""
-    ls = pose.kp("leftShoulder")
-    rs = pose.kp("rightShoulder")
-    nose = pose.kp("nose")
-    span = abs(ls.x - rs.x)
-    facing = (nose.x - 0.5 * (ls.x + rs.x)) / max(span, SHOULDER_EPS)
+_NOSE = KEYPOINT_INDEX["nose"]
+_LEFT_EYE, _RIGHT_EYE = KEYPOINT_INDEX["leftEye"], KEYPOINT_INDEX["rightEye"]
+_LEFT_EAR, _RIGHT_EAR = KEYPOINT_INDEX["leftEar"], KEYPOINT_INDEX["rightEar"]
+_LEFT_SHOULDER = KEYPOINT_INDEX["leftShoulder"]
+_RIGHT_SHOULDER = KEYPOINT_INDEX["rightShoulder"]
 
-    le, re = pose.kp("leftEye"), pose.kp("rightEye")
-    lear, rear = pose.kp("leftEar"), pose.kp("rightEar")
-    back = float(
-        le.confidence < 0.25
-        and re.confidence < 0.25
-        and lear.confidence >= 0.25
-        and rear.confidence >= 0.25
+
+_BINS = np.arange(len(ConfidenceBin))
+
+
+def _stats(points: np.ndarray, image_width) -> np.ndarray:
+    """The 8 per-pose statistics of stacked poses, (..., 17, 3) -> (..., 8);
+    image_width broadcasts against the leading dimensions."""
+    x = points[..., X]
+    conf = points[..., CONF]
+    ls, rs = x[..., _LEFT_SHOULDER], x[..., _RIGHT_SHOULDER]
+    span = np.abs(ls - rs)
+    out = np.empty(points.shape[:-2] + (STATS_PER_POSE,))
+    out[..., 0] = span / image_width
+    out[..., 1] = (x[..., _NOSE] - 0.5 * (ls + rs)) / np.maximum(span, SHOULDER_EPS)
+    out[..., 2] = (
+        (conf[..., _LEFT_EYE] < 0.25)
+        & (conf[..., _RIGHT_EYE] < 0.25)
+        & (conf[..., _LEFT_EAR] >= 0.25)
+        & (conf[..., _RIGHT_EAR] >= 0.25)
     )
-
-    conf = pose.confidences()
-    bins = np.zeros(4)
-    for c in conf:
-        bins[bin_confidence(float(c))] += 1.0
-    bins /= NUM_KEYPOINTS
-
-    out = np.empty(STATS_PER_POSE)
-    out[0] = span / image_width
-    out[1] = facing
-    out[2] = back
-    out[3] = conf.mean()
-    out[4:8] = bins
+    out[..., 3] = conf.mean(axis=-1)
+    in_bin = confidence_bins(conf)[..., None] == _BINS
+    out[..., 4:8] = in_bin.sum(axis=-2) / NUM_KEYPOINTS
     return out
 
 
-def node_features(scene: Scene, i: int) -> np.ndarray:
-    """Observation features for pose i of a left-to-right ordered scene.
+def pose_stats(pose: PersonPose, image_width: int) -> np.ndarray:
+    """The 8 per-pose statistics shared by a node and its neighbor blocks."""
+    return _stats(pose.points, image_width)
 
-    Depends only on poses i-1, i, i+1. Missing neighbors contribute the gap
-    sentinel and a zero statistics block.
+
+def stacked_chain_features(points: np.ndarray, anchors: np.ndarray, widths) -> np.ndarray:
+    """Node features (B, n, F_NODE) of B chains of n poses each.
+
+    points (B, n, 17, 3) holds each chain's keypoint arrays in chain order,
+    anchors (B, n) their anchor x and widths (B,) the image widths. Row i
+    of a chain depends only on its poses i-1, i, i+1; missing neighbors
+    contribute the gap sentinel and a zero statistics block. Every pose's
+    statistics are computed once.
     """
-    n = len(scene.poses)
-    if not 0 <= i < n:
-        raise ValueError(f"pose index {i} out of range for {n} poses")
-    width = scene.image_width
-    out = np.zeros(F_NODE)
-
-    a_i = anchor_x(scene.poses[i])
-    out[0] = (a_i - anchor_x(scene.poses[i - 1])) / width if i > 0 else NO_NEIGHBOR_GAP
-    out[1] = (
-        (anchor_x(scene.poses[i + 1]) - a_i) / width if i < n - 1 else NO_NEIGHBOR_GAP
-    )
-    out[2 : 2 + STATS_PER_POSE] = pose_stats(scene.poses[i], width)
-    if i > 0:
-        out[10:18] = pose_stats(scene.poses[i - 1], width)
-    if i < n - 1:
-        out[18:26] = pose_stats(scene.poses[i + 1], width)
+    widths = np.asarray(widths, dtype=float)[:, None]
+    stats = _stats(points, widths)
+    gaps = (anchors[:, 1:] - anchors[:, :-1]) / widths
+    out = np.zeros(anchors.shape + (F_NODE,))
+    out[:, :, 0:2] = NO_NEIGHBOR_GAP
+    out[:, 1:, 0] = gaps
+    out[:, :-1, 1] = gaps
+    out[:, :, 2:10] = stats
+    out[:, 1:, 10:18] = stats[:, :-1]
+    out[:, :-1, 18:26] = stats[:, 1:]
     return out
 
 
 def chain_features(scene: Scene) -> np.ndarray:
-    """Stack node_features for every pose; shape (n, F_NODE)."""
-    return np.stack([node_features(scene, i) for i in range(len(scene.poses))])
+    """Node features, shape (n, F_NODE), of a left-to-right ordered scene."""
+    if not scene.poses:
+        raise ValueError("a chain needs at least one pose")
+    return stacked_chain_features(
+        np.stack([p.points for p in scene.poses])[None],
+        np.array([[p.anchor for p in scene.poses]]),
+        [scene.image_width],
+    )[0]
+
+
+def node_features(scene: Scene, i: int) -> np.ndarray:
+    """Observation features for pose i of a left-to-right ordered scene."""
+    n = len(scene.poses)
+    if not 0 <= i < n:
+        raise ValueError(f"pose index {i} out of range for {n} poses")
+    return chain_features(scene)[i]
+
+
+def stacked_group_features(points: np.ndarray, sizes, widths, heights) -> np.ndarray:
+    """Group vectors (G, F_GROUP) of G groups of 1-3 poses.
+
+    points (G, GROUP_SLOTS, 17, 3): slot s of group g holds its s-th member
+    left to right for s < sizes[g]; later slots are ignored. widths and
+    heights (G,) are the image sizes.
+    """
+    present = np.arange(GROUP_SLOTS) < np.asarray(sizes)[:, None]
+    half_w = (np.asarray(widths, dtype=float) / 2.0)[:, None, None]
+    half_h = (np.asarray(heights, dtype=float) / 2.0)[:, None, None]
+    slots = np.empty(points.shape[:-1] + (ENTRIES_PER_KEYPOINT,))
+    slots[..., 0] = np.clip((points[..., X] - half_w) / half_w, -1.0, 1.0)
+    slots[..., 1] = np.clip((points[..., Y] - half_h) / half_h, -1.0, 1.0)
+    slots[..., 2:] = confidence_bins(points[..., CONF])[..., None] == _BINS
+    slots[~present] = 0.0
+    out = np.empty((len(points), F_GROUP))
+    out[:, : GROUP_SLOTS * SLOT_WIDTH] = slots.reshape(len(points), -1)
+    out[:, GROUP_SLOTS * SLOT_WIDTH :] = present
+    return out
 
 
 def group_features(
@@ -141,18 +180,9 @@ def group_features(
         raise CapacityError(
             f"group of {len(poses)} exceeds the {GROUP_SLOTS}-slot feature layout"
         )
-    half_w = image_width / 2.0
-    half_h = image_height / 2.0
-    out = np.zeros(F_GROUP)
-    for s, pose in enumerate(poses):
-        base = s * SLOT_WIDTH
-        for k, kp in enumerate(pose.keypoints):
-            off = base + k * ENTRIES_PER_KEYPOINT
-            out[off] = min(1.0, max(-1.0, (kp.x - half_w) / half_w))
-            out[off + 1] = min(1.0, max(-1.0, (kp.y - half_h) / half_h))
-            out[off + 2 + bin_confidence(kp.confidence)] = 1.0
-        out[GROUP_SLOTS * SLOT_WIDTH + s] = 1.0
-    return out
+    points = np.zeros((1, GROUP_SLOTS, NUM_KEYPOINTS, 3))
+    points[0, : len(poses)] = [p.points for p in poses]
+    return stacked_group_features(points, [len(poses)], [image_width], [image_height])[0]
 
 
 def formation_one_hot(formation: str) -> np.ndarray:

@@ -17,20 +17,24 @@ from .features import (
     F_ANGLE,
     F_GROUP,
     FEATURE_CATALOG_VERSION,
+    GROUP_SLOTS,
     angle_features,
-    chain_features,
     group_features,
+    stacked_chain_features,
+    stacked_group_features,
 )
 from .pose import (
     APPROACH_ANGLES,
+    CONF,
     FORMATIONS,
     GROUP,
+    KEYPOINT_INDEX,
+    NUM_KEYPOINTS,
     OUTLIER,
+    X,
     PersonPose,
     Scene,
-    anchor_x,
     left_to_right_permutation,
-    order_left_to_right,
 )
 
 ORIENT_LEFT = "left"
@@ -99,40 +103,63 @@ def write_detections(detections, stream) -> None:
         stream.write(json.dumps(detection_to_dict(det)) + "\n")
 
 
-def _ordered_chain(scene: Scene):
-    """Left-to-right permutation, the reordered scene, and its chain features."""
-    perm = left_to_right_permutation(scene)
-    ordered_poses = tuple(scene.poses[i] for i in perm)
-    ordered = Scene(
-        scene.frame_id, scene.image_width, scene.image_height, ordered_poses, None
-    )
-    return perm, ordered, crf_mod.ChainInstance(chain_features(ordered))
+# Scenes per batch in detect_many: bounds the feature matrices and SVM
+# kernel blocks held at once.
+DETECT_BATCH = 512
 
 
-def _membership_from_chain(crf_model: crf_mod.CrfModel, chain, perm):
-    """Viterbi labels and G-marginals, mapped back to the input pose order.
+def _ordered_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per scene (each with at least one pose): its left-to-right
+    permutation and its chain features in that order, computed in one batch
+    per pose count."""
+    chains: list = [None] * len(scenes)
+    for n, idx in _by_length(len(s.poses) for s in scenes).items():
+        group = [scenes[i] for i in idx]
+        anchors = np.array([[p.anchor for p in s.poses] for s in group])
+        perms = np.argsort(anchors, axis=1, kind="stable")
+        points = np.stack([p.points for s in group for p in s.poses])
+        rows = np.arange(len(group))[:, None]
+        feats = stacked_chain_features(
+            points.reshape(len(group), n, NUM_KEYPOINTS, 3)[rows, perms],
+            anchors[rows, perms],
+            [s.image_width for s in group],
+        )
+        for k, i in enumerate(idx):
+            chains[i] = (perms[k], feats[k])
+    return chains
+
+
+def _by_length(lengths) -> dict[int, list[int]]:
+    """Indices grouped by length, in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    return groups
+
+
+def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, marginals):
+    """Viterbi label indices per chain, plus G-marginals when asked (else
+    None); one batched decode per chain length.
 
     The marginals are clipped to [0, 1]: forward-backward rounding can put
     them a few ulps outside.
     """
-    labels_ordered = crf_mod.viterbi(crf_model, chain)
-    marg, _ = crf_mod.marginals(crf_model, chain)
-    g_ordered = np.clip(marg[:, 0], 0.0, 1.0)
-    membership = [""] * len(perm)
-    g_prob = [0.0] * len(perm)
-    for pos, src in enumerate(perm):
-        membership[src] = labels_ordered[pos]
-        g_prob[src] = float(g_ordered[pos])
-    member_positions = [p for p, lab in enumerate(labels_ordered) if lab == GROUP]
-    return tuple(membership), g_prob, member_positions
+    labels: list = [None] * len(chains)
+    g_prob: list = [None] * len(chains)
+    for idx in _by_length(len(feats) for feats in chains).values():
+        lab, marg = crf_mod.decode_batch(
+            crf_model, np.stack([chains[i] for i in idx]), marginals=marginals
+        )
+        for row, i in enumerate(idx):
+            labels[i] = lab[row]
+            if marginals:
+                g_prob[i] = np.clip(marg[row, :, 0], 0.0, 1.0)
+    return labels, g_prob
 
 
-def _group_slice(ordered: Scene, member_positions: list[int]):
-    """First three left-to-right members and whether the group overflowed."""
-    overflow = len(member_positions) > 3
-    take = member_positions[:3]
-    poses = [ordered.poses[p] for p in take]
-    return poses, overflow
+def _group_positions(labels: np.ndarray) -> list[int]:
+    """Chain positions labelled G, left to right."""
+    return np.flatnonzero(labels == crf_mod.LABEL_INDEX[GROUP]).tolist()
 
 
 def _no_people(scene: Scene) -> Detection:
@@ -146,6 +173,121 @@ def _no_people(scene: Scene) -> Detection:
     )
 
 
+def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
+    """Detections for a list of scenes, plus (features, crf, svm) seconds."""
+    peopled = [i for i, scene in enumerate(scenes) if scene.poses]
+    if not peopled:
+        return [_no_people(scene) for scene in scenes], (0.0, 0.0, 0.0)
+    t0 = time.perf_counter()
+    chains = _ordered_chains([scenes[i] for i in peopled])
+    t1 = time.perf_counter()
+    labels, g_ordered = _decode_chains(
+        crf_model, [feats for _, feats in chains], marginals=True
+    )
+    t2 = time.perf_counter()
+
+    fields = {}  # scene index -> Detection fields
+    groups = []  # (scene index, pose indices of its first 3 members, overflow)
+    for i, (perm, _), lab, g in zip(peopled, chains, labels, g_ordered):
+        membership = np.empty(len(perm), dtype=int)
+        membership[perm] = lab
+        g_prob = np.empty(len(perm))
+        g_prob[perm] = g
+        members = perm[_group_positions(lab)].tolist()
+        fields[i] = dict(
+            frame_id=scenes[i].frame_id,
+            membership=tuple(crf_mod.indices_to_labels(membership)),
+            member_indices=tuple(sorted(members)),
+            scores={"membership_g_prob": g_prob.tolist()},
+            reason=REASON_TOO_SMALL,
+        )
+        if len(members) >= 2:
+            groups.append((i, members[:GROUP_SLOTS], len(members) > GROUP_SLOTS))
+
+    if groups:
+        points = np.zeros((len(groups), GROUP_SLOTS, NUM_KEYPOINTS, 3))
+        for g, (i, members, _) in enumerate(groups):
+            points[g, : len(members)] = [scenes[i].poses[m].points for m in members]
+        X = stacked_group_features(
+            points,
+            [len(members) for _, members, _ in groups],
+            [scenes[i].image_width for i, _, _ in groups],
+            [scenes[i].image_height for i, _, _ in groups],
+        )
+        if formation_svm is not None:
+            formations = svm_mod.predict_many(formation_svm, X)
+            Xa = np.stack([angle_features(x, f) for x, (f, _) in zip(X, formations)])
+            angles = svm_mod.predict_many(angle_svm, Xa)
+        if joint_svm is not None:
+            joints = svm_mod.predict_many(joint_svm, X)
+        for g, (i, _, overflow) in enumerate(groups):
+            det = fields[i]
+            det.update(reason=REASON_OVERFLOW if overflow else None, overflow=overflow)
+            scores = det["scores"]
+            if formation_svm is not None:
+                det["formation"], scores["formation"] = formations[g]
+                angle, scores["angle"] = angles[g]
+                det["angle_deg"] = int(angle)
+            if joint_svm is not None:
+                cls, scores["joint"] = joints[g]
+                det["joint"] = parse_joint_class(cls)
+                if formation_svm is None:
+                    det["formation"], det["angle_deg"] = det["joint"]
+    t3 = time.perf_counter()
+    detections = [
+        Detection(**fields[i]) if i in fields else _no_people(scene)
+        for i, scene in enumerate(scenes)
+    ]
+    return detections, (t1 - t0, t2 - t1, t3 - t2)
+
+
+def detect_many(
+    scenes,
+    crf_model: crf_mod.CrfModel,
+    formation_svm: svm_mod.SvmModel | None = None,
+    angle_svm: svm_mod.SvmModel | None = None,
+    *,
+    joint_svm: svm_mod.SvmModel | None = None,
+    timings: dict | None = None,
+) -> list[Detection]:
+    """Membership by the CRF filter, then the requested heads on its group,
+    for every scene.
+
+    The cascade (formation_svm and angle_svm) predicts the formation, then
+    the angle with the formation fed as a feature. The joint head
+    (joint_svm) predicts one of the 28 (formation, angle) classes into
+    `joint`; without the cascade, formation and angle are its class's.
+
+    Scenes are batched: one Viterbi and one forward-backward per chain
+    length, and one SVM decision per head over all groups. The result for
+    a scene equals detect() on it alone, except that SVM scores can differ
+    in the last bits (see svm.predict_many). `timings`, when given,
+    receives the seconds spent on features, crf and svm.
+    """
+    if (formation_svm is None) != (angle_svm is None):
+        raise ValueError("the cascade needs both formation_svm and angle_svm")
+    heads = [m for m in (formation_svm, angle_svm, joint_svm) if m is not None]
+    if not heads:
+        raise ValueError("detect needs the cascade heads, the joint head or both")
+    _check_bundle_versions(crf_model, *heads)
+    scenes = list(scenes)
+    detections = []
+    spent = np.zeros(3)
+    for start in range(0, len(scenes), DETECT_BATCH):
+        batch, seconds = _detect_batch(
+            scenes[start : start + DETECT_BATCH],
+            crf_model,
+            formation_svm,
+            angle_svm,
+            joint_svm,
+        )
+        detections.extend(batch)
+        spent += seconds
+    if timings is not None:
+        timings.update(zip(("features", "crf", "svm"), spent.tolist()))
+    return detections
+
+
 def detect(
     scene: Scene,
     crf_model: crf_mod.CrfModel,
@@ -155,78 +297,25 @@ def detect(
     joint_svm: svm_mod.SvmModel | None = None,
     timings: dict | None = None,
 ) -> Detection:
-    """Membership by the CRF filter, then the requested heads on its group.
-
-    The cascade (formation_svm and angle_svm) predicts the formation, then
-    the angle with the formation fed as a feature. The joint head
-    (joint_svm) predicts one of the 28 (formation, angle) classes into
-    `joint`; without the cascade, formation and angle are its class's. The
-    CRF runs once whichever heads are filled.
-    """
-    if (formation_svm is None) != (angle_svm is None):
-        raise ValueError("the cascade needs both formation_svm and angle_svm")
-    heads = [m for m in (formation_svm, angle_svm, joint_svm) if m is not None]
-    if not heads:
-        raise ValueError("detect needs the cascade heads, the joint head or both")
-    _check_bundle_versions(crf_model, *heads)
-    if not scene.poses:
-        if timings is not None:
-            timings.update(features=0.0, crf=0.0, svm=0.0)
-        return _no_people(scene)
-    t0 = time.perf_counter()
-    perm, ordered, chain = _ordered_chain(scene)
-    t1 = time.perf_counter()
-    membership, g_prob, member_positions = _membership_from_chain(
-        crf_model, chain, perm
-    )
-    t2 = time.perf_counter()
-    scores = {"membership_g_prob": g_prob}
-    member_indices = tuple(sorted(perm[p] for p in member_positions))
-    if len(member_positions) < 2:
-        if timings is not None:
-            timings["features"] = t1 - t0
-            timings["crf"] = t2 - t1
-            timings["svm"] = 0.0
-        return Detection(
-            frame_id=scene.frame_id,
-            membership=membership,
-            member_indices=member_indices,
-            scores=scores,
-            reason=REASON_TOO_SMALL,
-        )
-    poses, overflow = _group_slice(ordered, member_positions)
-    gfv = group_features(poses, scene.image_width, scene.image_height)
-    formation = angle_deg = joint = None
-    if formation_svm is not None:
-        formation, scores["formation"] = svm_mod.predict(formation_svm, gfv)
-        afv = angle_features(gfv, formation)
-        angle_cls, scores["angle"] = svm_mod.predict(angle_svm, afv)
-        angle_deg = int(angle_cls)
-    if joint_svm is not None:
-        cls, scores["joint"] = svm_mod.predict(joint_svm, gfv)
-        joint = parse_joint_class(cls)
-        if formation_svm is None:
-            formation, angle_deg = joint
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings["features"] = t1 - t0
-        timings["crf"] = t2 - t1
-        timings["svm"] = t3 - t2
-    return Detection(
-        frame_id=scene.frame_id,
-        membership=membership,
-        member_indices=member_indices,
-        formation=formation,
-        angle_deg=angle_deg,
-        joint=joint,
-        scores=scores,
-        reason=REASON_OVERFLOW if overflow else None,
-        overflow=overflow,
-    )
+    """detect_many on one scene: the CRF filter once, then the heads asked for."""
+    return detect_many(
+        [scene],
+        crf_model,
+        formation_svm,
+        angle_svm,
+        joint_svm=joint_svm,
+        timings=timings,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
 # Rule-based baseline: head orientation from eye placement in the face box.
+
+
+_FACE = [
+    KEYPOINT_INDEX[n] for n in ("nose", "leftEye", "rightEye", "leftEar", "rightEar")
+]
+_SHOULDERS = [KEYPOINT_INDEX["leftShoulder"], KEYPOINT_INDEX["rightShoulder"]]
 
 
 def head_orientation(pose: PersonPose) -> str:
@@ -237,30 +326,24 @@ def head_orientation(pose: PersonPose) -> str:
     decides the orientation, with a +-15%-of-width front band. Otherwise the
     head is called front (the rule's stated fallback).
     """
-    face_names = ("nose", "leftEye", "rightEye", "leftEar", "rightEar")
-    face = [pose.kp(n) for n in face_names]
-    confident = [k for k in face if k.confidence >= FACE_CONFIDENCE]
-    le, re = pose.kp("leftEye"), pose.kp("rightEye")
+    face = pose.points[_FACE].tolist()
+    _, left_eye, right_eye, _, _ = face
+    xs = [x for x, _, c in face if c >= FACE_CONFIDENCE]
     if (
-        len(confident) < 2
-        or le.confidence < FACE_CONFIDENCE
-        or re.confidence < FACE_CONFIDENCE
+        len(xs) < 2
+        or left_eye[CONF] < FACE_CONFIDENCE
+        or right_eye[CONF] < FACE_CONFIDENCE
     ):
         return ORIENT_FRONT
-    xs = [k.x for k in confident]
     box_left, box_right = min(xs), max(xs)
     midline = (box_left + box_right) / 2.0
     band = FRONT_BAND_FRACTION * (box_right - box_left)
-    eye_mid = (le.x + re.x) / 2.0
+    eye_mid = (left_eye[X] + right_eye[X]) / 2.0
     if eye_mid < midline - band:
         return ORIENT_LEFT
     if eye_mid > midline + band:
         return ORIENT_RIGHT
     return ORIENT_FRONT
-
-
-def _pixel_shoulder_width(pose: PersonPose) -> float:
-    return abs(pose.kp("leftShoulder").x - pose.kp("rightShoulder").x)
 
 
 def rule_classify(scene: Scene) -> Detection:
@@ -276,11 +359,9 @@ def rule_classify(scene: Scene) -> Detection:
     """
     if len(scene.poses) < 2:
         raise ValueError("rule baseline needs at least two poses")
-    visible = [
-        i
-        for i, p in enumerate(scene.poses)
-        if int(np.sum(p.confidences() >= FACE_CONFIDENCE)) >= MIN_VISIBLE_KEYPOINTS
-    ]
+    points = np.stack([p.points for p in scene.poses])
+    n_confident = (points[:, :, CONF] >= FACE_CONFIDENCE).sum(axis=1)
+    visible = np.flatnonzero(n_confident >= MIN_VISIBLE_KEYPOINTS).tolist()
     if len(visible) < 2:
         membership = tuple(
             GROUP if i in visible else OUTLIER for i in range(len(scene.poses))
@@ -293,17 +374,19 @@ def rule_classify(scene: Scene) -> Detection:
             scores={},
             reason=REASON_TOO_FEW_VISIBLE,
         )
-    widths = [_pixel_shoulder_width(p) for p in scene.poses]
+    shoulders = points[:, _SHOULDERS, X]
+    widths = np.abs(shoulders[:, 0] - shoulders[:, 1]).tolist()
+    anchors = [p.anchor for p in scene.poses]
     k = 3 if len(visible) >= 3 else 2
     largest = sorted(visible, key=lambda i: -widths[i])[:k]
-    selected = sorted(largest, key=lambda i: anchor_x(scene.poses[i]))
+    selected = sorted(largest, key=lambda i: anchors[i])
     orientations = [head_orientation(scene.poses[i]) for i in selected]
 
     matches = set()
     for pos in range(len(selected) - 1):
         a, b = selected[pos], selected[pos + 1]
         oa, ob = orientations[pos], orientations[pos + 1]
-        gap = abs(anchor_x(scene.poses[b]) - anchor_x(scene.poses[a]))
+        gap = abs(anchors[b] - anchors[a])
         mean_sw = (widths[a] + widths[b]) / 2.0
         gap_ok = gap < GAP_SHOULDER_FACTOR * mean_sw
         if oa == ORIENT_RIGHT and ob == ORIENT_LEFT:
@@ -337,62 +420,62 @@ def rule_classify(scene: Scene) -> Detection:
 # Training-set assembly from labeled scenes.
 
 
+def _require_membership(scene: Scene) -> None:
+    if scene.truth is None or scene.truth.membership is None:
+        raise DataError(f"scene {scene.frame_id!r} lacks membership truth")
+
+
 def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
-    chains = []
+    """Left-to-right chains with gold labels, one per scene."""
     for scene in scenes:
-        if scene.truth is None or scene.truth.membership is None:
-            raise DataError(f"scene {scene.frame_id!r} lacks membership truth")
-        ordered = order_left_to_right(scene)
-        chains.append(
-            crf_mod.ChainInstance(
-                features=chain_features(ordered),
-                labels=crf_mod.labels_to_indices(ordered.truth.membership),
-            )
+        _require_membership(scene)
+    return [
+        crf_mod.ChainInstance(
+            feats, crf_mod.labels_to_indices([scene.truth.membership[i] for i in perm])
         )
-    return chains
-
-
-def _gold_group(scene: Scene):
-    """Left-to-right gold members of a labeled scene (at most 3)."""
-    ordered = order_left_to_right(scene)
-    members = [
-        p
-        for p, lab in zip(ordered.poses, ordered.truth.membership)
-        if lab == GROUP
+        for scene, (perm, feats) in zip(scenes, _ordered_chains(scenes))
     ]
-    return members[:3]
 
 
-def predicted_group_poses(scene: Scene, crf_model) -> list[PersonPose] | None:
-    """The left-to-right group the detector would feed the classifiers.
+def filtered_groups(scenes, chains, crf_model) -> list[list[PersonPose] | None]:
+    """Per scene, the left-to-right group (at most three) that the CRF
+    filter keeps, as detect() feeds it to the classifiers; None where fewer
+    than two people survive (detect() names no formation there, so such a
+    scene yields no training sample).
 
-    None when fewer than two people survive the filtering (detect() refuses
-    to name a formation there, so such scenes yield no training sample).
+    `chains` are the scenes' left-to-right chains, build_crf_chains(scenes):
+    computed once, they serve CRF training and this decode. Viterbi only,
+    one batched decode per chain length.
     """
-    perm, ordered, chain = _ordered_chain(scene)
-    _, _, member_positions = _membership_from_chain(crf_model, chain, perm)
-    if len(member_positions) < 2:
-        return None
-    poses, _ = _group_slice(ordered, member_positions)
-    return poses
+    labels, _ = _decode_chains(
+        crf_model, [chain.features for chain in chains], marginals=False
+    )
+    groups = []
+    for scene, lab in zip(scenes, labels, strict=True):
+        positions = _group_positions(lab)
+        if len(positions) < 2:
+            groups.append(None)
+            continue
+        perm = left_to_right_permutation(scene)
+        groups.append([scene.poses[perm[p]] for p in positions[:GROUP_SLOTS]])
+    return groups
 
 
 def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
     """Per scene, the group its classifier training sample is built from.
 
     With a CRF, the filtered group the classifiers will see at detection
-    time (None where fewer than two people survive, a scene that then
-    yields no sample), found with one CRF decode per scene; without one,
-    the gold group.
+    time (see filtered_groups); without one, the gold group: the first
+    three gold members, left to right.
     """
+    if crf_model is not None:
+        return filtered_groups(scenes, build_crf_chains(scenes), crf_model)
     groups = []
     for scene in scenes:
-        if scene.truth is None or scene.truth.membership is None:
-            raise DataError(f"scene {scene.frame_id!r} lacks membership truth")
-        if crf_model is None:
-            groups.append(_gold_group(scene))
-        else:
-            groups.append(predicted_group_poses(scene, crf_model))
+        _require_membership(scene)
+        perm = left_to_right_permutation(scene)
+        members = [scene.poses[i] for i in perm if scene.truth.membership[i] == GROUP]
+        groups.append(members[:3])
     return groups
 
 

@@ -2,13 +2,14 @@
 
 A scene is one image frame's worth of detected people. Every person carries
 exactly 17 named keypoints; keypoints a detector could not see are stored as
-confidence 0 at (0, 0) rather than omitted, so every pose has a fixed shape.
+confidence 0 at (0, 0) rather than omitted, so every pose has a fixed shape:
+one read-only (17, 3) float array of (x, y, confidence) rows.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO, Iterable
 
@@ -37,6 +38,10 @@ KEYPOINT_NAMES = (
 )
 KEYPOINT_INDEX = {name: i for i, name in enumerate(KEYPOINT_NAMES)}
 NUM_KEYPOINTS = len(KEYPOINT_NAMES)
+_SORTED_NAMES = sorted(KEYPOINT_NAMES)
+
+# Columns of a pose's keypoint array.
+X, Y, CONF = 0, 1, 2
 
 GROUP = "G"
 OUTLIER = "O"
@@ -57,6 +62,10 @@ class ConfidenceBin(IntEnum):
     VERY_HIGH = 3
 
 
+# Lower edges of the MEDIUM, HIGH and VERY_HIGH bins.
+CONFIDENCE_BIN_EDGES = (0.25, 0.5, 0.75)
+
+
 def bin_confidence(c: float) -> ConfidenceBin:
     """Quantize a confidence into four bins.
 
@@ -65,17 +74,19 @@ def bin_confidence(c: float) -> ConfidenceBin:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"confidence {c!r} outside [0, 1]")
-    if c < 0.25:
-        return ConfidenceBin.LOW
-    if c < 0.5:
-        return ConfidenceBin.MEDIUM
-    if c < 0.75:
-        return ConfidenceBin.HIGH
-    return ConfidenceBin.VERY_HIGH
+    return ConfidenceBin(sum(c >= edge for edge in CONFIDENCE_BIN_EDGES))
+
+
+def confidence_bins(conf: np.ndarray) -> np.ndarray:
+    """bin_confidence over an array of confidences already known to lie in
+    [0, 1]; integer bin indices of the same shape."""
+    return np.searchsorted(CONFIDENCE_BIN_EDGES, conf, side="right")
 
 
 @dataclass(frozen=True)
 class Keypoint:
+    """One named keypoint: a row of a pose's array, as a value."""
+
     name: str
     x: float
     y: float
@@ -92,37 +103,130 @@ class Keypoint:
             )
 
 
-@dataclass(frozen=True)
+def _canonical_rows(person_id, names: list, rows: list) -> list:
+    """Rows reordered to KEYPOINT_NAMES order; each name must occur once."""
+    if tuple(names) == KEYPOINT_NAMES:
+        return rows
+    if sorted(names) != _SORTED_NAMES:
+        missing = set(KEYPOINT_NAMES) - set(names)
+        extra = [n for n in names if names.count(n) > 1]
+        raise ValueError(
+            f"pose {person_id!r} must contain each keypoint exactly once"
+            f" (missing={sorted(missing)}, duplicated={sorted(set(extra))})"
+        )
+    by_name = dict(zip(names, rows))
+    return [by_name[name] for name in KEYPOINT_NAMES]
+
+
+def _checked_points(person_ids: list, rows) -> np.ndarray:
+    """Keypoint rows of P poses as one read-only (P, 17, 3) float array,
+    after checking every x and y is finite and every confidence in [0, 1]."""
+    pts = np.array(rows, dtype=float)
+    if pts.shape != (len(person_ids), NUM_KEYPOINTS, 3):
+        raise ValueError(
+            f"each pose needs {NUM_KEYPOINTS} keypoint rows of (x, y, confidence),"
+            f" got shape {pts.shape[1:]}"
+        )
+    conf = pts[..., CONF]
+    ok = np.isfinite(pts[..., :CONF]).all(axis=-1)
+    if not ok.all():
+        p, k = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"pose {person_ids[p]!r}: non-finite coordinates for {KEYPOINT_NAMES[k]}"
+        )
+    ok = (conf >= 0.0) & (conf <= 1.0)
+    if not ok.all():
+        p, k = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"pose {person_ids[p]!r}: confidence {float(conf[p, k])!r}"
+            f" for {KEYPOINT_NAMES[k]} outside [0, 1]"
+        )
+    pts.flags.writeable = False
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
 class PersonPose:
-    """One person's 17 keypoints, stored in canonical KEYPOINT_NAMES order."""
+    """One person's 17 keypoints: `points` is a read-only (17, 3) float array
+    of (x, y, confidence) rows in KEYPOINT_NAMES order.
+
+    Equality is value equality (same id, same numbers).
+    """
 
     person_id: str
-    keypoints: tuple[Keypoint, ...]
+    points: np.ndarray
+    # See anchor_x. Computed once, when the pose is made: every ordering
+    # and gap reads it.
+    anchor: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = [k.name for k in self.keypoints]
-        if sorted(names) != sorted(KEYPOINT_NAMES):
-            missing = set(KEYPOINT_NAMES) - set(names)
-            extra = [n for n in names if names.count(n) > 1]
-            raise ValueError(
-                f"pose {self.person_id!r} must contain each keypoint exactly once"
-                f" (missing={sorted(missing)}, duplicated={sorted(set(extra))})"
-            )
-        if names != list(KEYPOINT_NAMES):
-            ordered = tuple(sorted(self.keypoints, key=lambda k: KEYPOINT_INDEX[k.name]))
-            object.__setattr__(self, "keypoints", ordered)
+        self._set_points(_checked_points([self.person_id], [self.points])[0])
+
+    def _set_points(self, points: np.ndarray) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "anchor", _anchor(points))
+
+    @classmethod
+    def _many(cls, person_ids: list, rows) -> tuple[PersonPose, ...]:
+        """Poses from the rows of P poses, checked in one pass over them all."""
+        if not person_ids:
+            return ()
+        poses = []
+        for person_id, points in zip(person_ids, _checked_points(person_ids, rows)):
+            pose = object.__new__(cls)  # the checks above are __post_init__'s
+            object.__setattr__(pose, "person_id", person_id)
+            pose._set_points(points)
+            poses.append(pose)
+        return tuple(poses)
+
+    @classmethod
+    def from_keypoints(cls, person_id: str, keypoints: Iterable[Keypoint]) -> PersonPose:
+        """A pose from named keypoints in any order; each name exactly once."""
+        keypoints = list(keypoints)
+        rows = _canonical_rows(
+            person_id,
+            [k.name for k in keypoints],
+            [(k.x, k.y, k.confidence) for k in keypoints],
+        )
+        return cls(person_id, rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, PersonPose):
+            return NotImplemented
+        return self.person_id == other.person_id and np.array_equal(
+            self.points, other.points
+        )
+
+    def __hash__(self):
+        return hash(self.person_id)
+
+    @property
+    def keypoints(self) -> tuple[Keypoint, ...]:
+        return tuple(
+            Keypoint(name, x, y, c)
+            for name, (x, y, c) in zip(KEYPOINT_NAMES, self.points.tolist())
+        )
 
     def kp(self, name: str) -> Keypoint:
-        return self.keypoints[KEYPOINT_INDEX[name]]
+        x, y, c = self.points[KEYPOINT_INDEX[name]].tolist()
+        return Keypoint(name, x, y, c)
 
     def xs(self) -> np.ndarray:
-        return np.array([k.x for k in self.keypoints])
+        return self.points[:, X]
 
     def ys(self) -> np.ndarray:
-        return np.array([k.y for k in self.keypoints])
+        return self.points[:, Y]
 
     def confidences(self) -> np.ndarray:
-        return np.array([k.confidence for k in self.keypoints])
+        return self.points[:, CONF]
+
+
+def _anchor(points: np.ndarray) -> float:
+    xs = points[:, X]
+    confident = xs[points[:, CONF] >= ANCHOR_CONFIDENCE]
+    if len(confident):
+        xs = confident
+    return float(np.add.reduce(xs)) / len(xs)  # what xs.mean() computes
 
 
 def anchor_x(pose: PersonPose) -> float:
@@ -131,12 +235,7 @@ def anchor_x(pose: PersonPose) -> float:
     Falls back to the mean over all 17 when no keypoint reaches the
     confidence threshold (fully occluded people still need an order).
     """
-    xs = pose.xs()
-    conf = pose.confidences()
-    mask = conf >= ANCHOR_CONFIDENCE
-    if mask.any():
-        return float(xs[mask].mean())
-    return float(xs.mean())
+    return pose.anchor
 
 
 @dataclass(frozen=True)
@@ -180,8 +279,8 @@ class Scene:
 
 def left_to_right_permutation(scene: Scene) -> list[int]:
     """Stable ordering of pose indices by ascending anchor x."""
-    anchors = [anchor_x(p) for p in scene.poses]
-    return list(np.argsort(anchors, kind="stable"))
+    anchors = [p.anchor for p in scene.poses]
+    return np.argsort(anchors, kind="stable").tolist()
 
 
 def order_left_to_right(scene: Scene) -> Scene:
@@ -218,8 +317,8 @@ def scene_to_dict(scene: Scene) -> dict:
             {
                 "person_id": p.person_id,
                 "keypoints": [
-                    {"name": k.name, "x": k.x, "y": k.y, "confidence": k.confidence}
-                    for k in p.keypoints
+                    {"name": name, "x": x, "y": y, "confidence": c}
+                    for name, (x, y, c) in zip(KEYPOINT_NAMES, p.points.tolist())
                 ],
             }
             for p in scene.poses
@@ -237,40 +336,57 @@ def scene_to_dict(scene: Scene) -> dict:
     return doc
 
 
-def scene_from_dict(doc: dict) -> Scene:
-    try:
-        poses = tuple(
-            PersonPose(
-                person_id=str(p["person_id"]),
-                keypoints=tuple(
-                    Keypoint(
-                        name=k["name"],
-                        x=float(k["x"]),
-                        y=float(k["y"]),
-                        confidence=float(k["confidence"]),
-                    )
-                    for k in p["keypoints"]
-                ),
+def _poses_from_dicts(docs) -> tuple[PersonPose, ...]:
+    person_ids, rows = [], []
+    for doc in docs:
+        person_id = str(doc["person_id"])
+        kps = doc["keypoints"]
+        rows.append(
+            _canonical_rows(
+                person_id,
+                [k["name"] for k in kps],
+                [(k["x"], k["y"], k["confidence"]) for k in kps],
             )
-            for p in doc["poses"]
         )
-        truth = None
-        t = doc.get("truth")
-        if t is not None:
-            membership = t.get("membership")
-            truth = SceneTruth(
-                membership=tuple(membership) if membership is not None else None,
-                formation=t.get("formation"),
-                angle_deg=t.get("angle_deg"),
-            )
+        person_ids.append(person_id)
+    return PersonPose._many(person_ids, rows)
+
+
+def _truth_from_dict(doc) -> SceneTruth | None:
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise ValueError(f"truth must be an object or null, not {type(doc).__name__}")
+    membership = doc.get("membership")
+    angle_deg = doc.get("angle_deg")
+    if angle_deg is not None and not isinstance(angle_deg, int):
+        # 30.0 would pass SceneTruth (30.0 == 30) and then miss the "30" class
+        raise ValueError(f"approach angle {angle_deg!r} is not an integer")
+    return SceneTruth(
+        membership=tuple(membership) if membership is not None else None,
+        formation=doc.get("formation"),
+        angle_deg=angle_deg,
+    )
+
+
+def _image_dimension(value) -> int:
+    dim = int(value)  # OverflowError on Infinity
+    float(dim)  # OverflowError beyond float range: features divide by it
+    return dim
+
+
+def scene_from_dict(doc: dict) -> Scene:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scene must be a JSON object, not {type(doc).__name__}")
+    try:
         return Scene(
             frame_id=str(doc["frame_id"]),
-            image_width=int(doc["image_width"]),
-            image_height=int(doc["image_height"]),
-            poses=poses,
-            truth=truth,
+            image_width=_image_dimension(doc["image_width"]),
+            image_height=_image_dimension(doc["image_height"]),
+            poses=_poses_from_dicts(doc["poses"]),
+            truth=_truth_from_dict(doc.get("truth")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"scene object missing or malformed field: {exc}") from exc
 
 
@@ -338,14 +454,12 @@ def convert_ego_group(doc: dict) -> list[Scene]:
             for person in frame["people"]:
                 pid = str(person["id"])
                 kps = person.get("keypoints", {})
-                keypoints = []
-                for name in KEYPOINT_NAMES:
+                points = np.zeros((NUM_KEYPOINTS, 3))
+                for k, name in enumerate(KEYPOINT_NAMES):
                     if name in kps:
                         x, y, c = kps[name]
-                        keypoints.append(Keypoint(name, float(x), float(y), float(c)))
-                    else:
-                        keypoints.append(Keypoint(name, 0.0, 0.0, 0.0))
-                poses.append(PersonPose(pid, tuple(keypoints)))
+                        points[k] = float(x), float(y), float(c)
+                poses.append(PersonPose(pid, points))
                 membership.append(GROUP if pid in grouped else OUTLIER)
             scenes.append(
                 Scene(
@@ -356,7 +470,7 @@ def convert_ego_group(doc: dict) -> list[Scene]:
                     truth=SceneTruth(membership=tuple(membership)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"frame {fidx}: {exc}") from exc
     return scenes
 

@@ -292,11 +292,25 @@ def decision_matrix(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return np.exp(-model.gamma * d2) @ model.dual_coef + model.bias
 
 
+def predict_many(model: SvmModel, X: np.ndarray) -> list[tuple[str, dict[str, float]]]:
+    """Per row of X: the argmax class and every class's score, from one
+    decision_matrix call; ties go to the earlier class.
+
+    A row's scores can differ from predict() on that row alone in the last
+    bits: the kernel block's matrix products sum in another order for many
+    rows than for one.
+    """
+    scores = decision_matrix(model, X)
+    best = np.argmax(scores, axis=1).tolist()
+    return [
+        (model.classes[i], dict(zip(model.classes, row)))
+        for i, row in zip(best, scores.tolist())
+    ]
+
+
 def predict(model: SvmModel, x: np.ndarray) -> tuple[str, dict[str, float]]:
     """Argmax class over the one-vs-rest decisions; ties go to the earlier class."""
-    scores = decision_matrix(model, np.asarray(x, dtype=float)[None, :])[0]
-    idx = int(np.argmax(scores))
-    return model.classes[idx], {c: float(s) for c, s in zip(model.classes, scores)}
+    return predict_many(model, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def predict_batch(model: SvmModel, X: np.ndarray) -> list[str]:

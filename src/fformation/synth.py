@@ -28,11 +28,9 @@ from .pose import (
     GROUP,
     KEYPOINT_NAMES,
     OUTLIER,
-    Keypoint,
     PersonPose,
     Scene,
     SceneTruth,
-    anchor_x,
 )
 
 FORMATION_MEMBER_COUNT = {
@@ -366,17 +364,9 @@ def render_bodies(
         )
         visibility[off_frame] = np.minimum(visibility[off_frame], OCCLUDED_VISIBILITY)
 
-        conf = base * visibility
-        behind = depth <= 0.05
-        keypoints = []
-        for k, name in enumerate(KEYPOINT_NAMES):
-            if behind[k]:
-                keypoints.append(Keypoint(name, 0.0, 0.0, 0.0))
-            else:
-                keypoints.append(
-                    Keypoint(name, float(pix[k, 0]), float(pix[k, 1]), float(conf[k]))
-                )
-        poses.append(PersonPose(body.person_id, tuple(keypoints)))
+        points = np.column_stack([pix, base * visibility])
+        points[depth <= 0.05] = 0.0  # behind the camera
+        poses.append(PersonPose(body.person_id, points))
     return poses
 
 
@@ -507,7 +497,7 @@ def render_scene_with_layout(cfg: SynthConfig) -> tuple[Scene, SceneLayout]:
 
     # Emit in left-to-right order with truth aligned, mirroring the pose
     # ordering used downstream.
-    order = np.argsort([anchor_x(p) for p in poses], kind="stable")
+    order = np.argsort([p.anchor for p in poses], kind="stable")
     poses = [poses[i] for i in order]
     bodies = [bodies[i] for i in order]
     membership = tuple(b.label for b in bodies)

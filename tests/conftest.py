@@ -14,7 +14,7 @@ def make_pose(person_id="p", x=100.0, y=200.0, confidence=0.9, overrides=None):
     for name in KEYPOINT_NAMES:
         kx, ky, kc = overrides.get(name, (x, y, confidence))
         kps.append(Keypoint(name, kx, ky, kc))
-    return PersonPose(person_id, tuple(kps))
+    return PersonPose.from_keypoints(person_id, kps)
 
 
 def make_scene(poses, frame_id="f0", width=640, height=480, truth=None):

@@ -482,3 +482,42 @@ class TestConvertEgoGroup:
             ]
         )
         assert rc == 3
+
+
+def _one_scene(workdir):
+    return json.loads((workdir / "test.jsonl").read_text().splitlines()[0])
+
+
+# Scene files `fformation predict` must refuse with exit 3: scene -> edit.
+MALFORMED_SCENES = {
+    "truth_is_a_list": lambda d: d.update(truth=["G", "O"]),
+    "truth_is_a_string": lambda d: d.update(truth="G"),
+    "angle_is_a_float": lambda d: d["truth"].update(angle_deg=30.0),
+    "image_width_infinity": lambda d: d.update(image_width=float("inf")),
+    "image_width_beyond_float_range": lambda d: d.update(image_width=10**400),
+    "keypoint_x_beyond_float_range": lambda d: d["poses"][0]["keypoints"][0].update(
+        x=10**400
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+def test_malformed_scene_is_data_error(workdir, artifacts, case):
+    doc = _one_scene(workdir)
+    MALFORMED_SCENES[case](doc)
+    data = workdir / f"malformed_scene_{case}.jsonl"
+    data.write_text(json.dumps(doc) + "\n")  # Infinity is written as such
+    rc, err = run_cli(
+        [
+            "predict",
+            "--data",
+            str(data),
+            "--models",
+            str(artifacts["models"]),
+            "--out",
+            str(workdir / "never.jsonl"),
+        ]
+    )
+    assert rc == 3, err
+    assert "data error" in err and "line 1" in err
+    assert "Traceback" not in err

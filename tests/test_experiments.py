@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fformation import crf as crf_mod
-from fformation import experiments
+from fformation import experiments, pipeline
 from fformation.errors import ConfigError
 from fformation.experiments import (
     ExperimentConfig,
@@ -188,6 +188,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_decodes(monkeypatch):
+    """Wrap crf.decode_batch; returns the list of (chains, length, marginals)
+    of its calls."""
+    calls = []
+    fn = crf_mod.decode_batch
+
+    def counted(model, features, *, marginals=False):
+        calls.append((features.shape[0], features.shape[1], marginals))
+        return fn(model, features, marginals=marginals)
+
+    monkeypatch.setattr(crf_mod, "decode_batch", counted)
+    return calls
+
+
 class TestDecodesOncePerScene:
     def test_run_experiment_decodes_each_test_scene_once(
         self, mini, tmp_path, monkeypatch
@@ -210,8 +224,7 @@ class TestDecodesOncePerScene:
         scenes = base + edge_cases
         test_path = tmp_path / "test.jsonl"
         save_scenes(scenes, test_path)
-        viterbi = count_calls(monkeypatch, crf_mod, "viterbi")
-        marginals = count_calls(monkeypatch, crf_mod, "marginals")
+        decodes = count_decodes(monkeypatch)
         rule = count_calls(monkeypatch, experiments, "rule_classify")
         run_experiment(
             ExperimentConfig(
@@ -221,14 +234,30 @@ class TestDecodesOncePerScene:
             )
         )
         with_poses = sum(1 for s in scenes if s.poses)
-        assert len(viterbi) == len(marginals) == with_poses == len(base) + 1
+        assert sum(b for b, _, _ in decodes) == with_poses == len(base) + 1
+        # one batched decode per chain length, marginals included
+        lengths = {len(s.poses) for s in scenes if s.poses}
+        assert sorted(n for _, n, _ in decodes) == sorted(lengths)
+        assert all(marginals for _, _, marginals in decodes)
         assert len(rule) == sum(1 for s in scenes if len(s.poses) >= 2) == len(base)
 
     def test_train_bundle_decodes_each_training_scene_once(self, mini, monkeypatch):
         scenes = mini.train_scenes[:150]
-        viterbi = count_calls(monkeypatch, crf_mod, "viterbi")
+        decodes = count_decodes(monkeypatch)
+        built = []
+        stacked = pipeline.stacked_chain_features
+
+        def counted(points, anchors, widths):
+            built.append(len(anchors))
+            return stacked(points, anchors, widths)
+
+        monkeypatch.setattr(pipeline, "stacked_chain_features", counted)
         train_bundle(scenes, TrainingConfig(crf_max_iters=40), seed=5)
-        assert len(viterbi) == len(scenes)
+        assert sum(b for b, _, _ in decodes) == len(scenes)
+        assert len(decodes) == len({len(s.poses) for s in scenes})
+        # Viterbi only, over the chains built once for CRF training
+        assert not any(marginals for _, _, marginals in decodes)
+        assert sum(built) == len(scenes)
 
 
 def interleaved_ratio(run_a, run_b, rounds=5):

@@ -15,8 +15,16 @@ from fformation.features import (
     group_features,
     node_features,
     pose_stats,
+    stacked_group_features,
 )
-from fformation.pose import FORMATIONS, bin_confidence
+from fformation.pipeline import _ordered_chains
+from fformation.pose import (
+    FORMATIONS,
+    KEYPOINT_NAMES,
+    anchor_x,
+    bin_confidence,
+    order_left_to_right,
+)
 
 from conftest import make_pose, make_scene
 
@@ -223,3 +231,215 @@ class TestAngleFeatures:
     def test_wrong_gfv_length_rejected(self):
         with pytest.raises(ValueError):
             angle_features(np.zeros(10), "triangle")
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the per-keypoint object path the array features replaced.
+# The ref_* functions are that path, kept verbatim as the reference: they
+# read one Keypoint object at a time in Python.
+
+
+def ref_bin_confidence(c):
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"confidence {c!r} outside [0, 1]")
+    if c < 0.25:
+        return 0
+    if c < 0.5:
+        return 1
+    if c < 0.75:
+        return 2
+    return 3
+
+
+def ref_anchor_x(pose):
+    xs = np.array([k.x for k in pose.keypoints])
+    conf = np.array([k.confidence for k in pose.keypoints])
+    mask = conf >= 0.5
+    if mask.any():
+        return float(xs[mask].mean())
+    return float(xs.mean())
+
+
+def ref_pose_stats(pose, image_width):
+    ls = pose.kp("leftShoulder")
+    rs = pose.kp("rightShoulder")
+    nose = pose.kp("nose")
+    span = abs(ls.x - rs.x)
+    facing = (nose.x - 0.5 * (ls.x + rs.x)) / max(span, 1e-6)
+    le, re = pose.kp("leftEye"), pose.kp("rightEye")
+    lear, rear = pose.kp("leftEar"), pose.kp("rightEar")
+    back = float(
+        le.confidence < 0.25
+        and re.confidence < 0.25
+        and lear.confidence >= 0.25
+        and rear.confidence >= 0.25
+    )
+    conf = np.array([k.confidence for k in pose.keypoints])
+    bins = np.zeros(4)
+    for c in conf:
+        bins[ref_bin_confidence(float(c))] += 1.0
+    bins /= 17
+    out = np.empty(8)
+    out[0] = span / image_width
+    out[1] = facing
+    out[2] = back
+    out[3] = conf.mean()
+    out[4:8] = bins
+    return out
+
+
+def ref_node_features(scene, i):
+    n = len(scene.poses)
+    width = scene.image_width
+    out = np.zeros(26)
+    a_i = ref_anchor_x(scene.poses[i])
+    out[0] = (a_i - ref_anchor_x(scene.poses[i - 1])) / width if i > 0 else 2.0
+    out[1] = (ref_anchor_x(scene.poses[i + 1]) - a_i) / width if i < n - 1 else 2.0
+    out[2:10] = ref_pose_stats(scene.poses[i], width)
+    if i > 0:
+        out[10:18] = ref_pose_stats(scene.poses[i - 1], width)
+    if i < n - 1:
+        out[18:26] = ref_pose_stats(scene.poses[i + 1], width)
+    return out
+
+
+def ref_chain_features(scene):
+    return np.stack([ref_node_features(scene, i) for i in range(len(scene.poses))])
+
+
+def ref_group_features(poses, image_width, image_height):
+    half_w = image_width / 2.0
+    half_h = image_height / 2.0
+    out = np.zeros(309)
+    for s, pose in enumerate(poses):
+        base = s * 102
+        for k, kp in enumerate(pose.keypoints):
+            off = base + k * 6
+            out[off] = min(1.0, max(-1.0, (kp.x - half_w) / half_w))
+            out[off + 1] = min(1.0, max(-1.0, (kp.y - half_h) / half_h))
+            out[off + 2 + ref_bin_confidence(kp.confidence)] = 1.0
+        out[306 + s] = 1.0
+    return out
+
+
+def _degenerate_scenes():
+    """Poses that stress the arithmetic: no confident keypoint (anchor
+    fallback), coincident shoulders (span floor), off-frame and negative
+    coordinates, confidences on every bin edge, and 1- to 6-person scenes."""
+    rng = np.random.default_rng(7)
+    edges = (0.0, 0.25, 0.5, 0.75, 1.0, 0.2499999999, 0.7500000001)
+
+    def random_pose(pid, **kw):
+        overrides = {
+            name: (
+                float(rng.uniform(-200.0, 900.0)),
+                float(rng.uniform(-200.0, 700.0)),
+                float(rng.choice(edges)) if rng.random() < 0.5 else float(rng.random()),
+            )
+            for name in KEYPOINT_NAMES
+        }
+        overrides.update(kw.get("overrides", {}))
+        return make_pose(pid, overrides=overrides)
+
+    unseen = make_pose("unseen", x=123.456, confidence=0.0)
+    unseen_spread = make_pose(
+        "unseen-spread",
+        overrides={
+            n: (float(i) * 37.1 - 50.0, 3.0 * i, 0.1) for i, n in enumerate(KEYPOINT_NAMES)
+        },
+    )
+    coincident = make_pose(
+        "coincident",
+        overrides={
+            "leftShoulder": (300.0, 100.0, 0.9),
+            "rightShoulder": (300.0, 100.0, 0.9),
+            "nose": (310.0, 80.0, 0.9),
+        },
+    )
+    off_frame = make_pose("off", x=-75.5, y=2000.25, confidence=0.6)
+    scenes = [
+        make_scene([unseen]),
+        make_scene([unseen_spread, coincident]),
+        make_scene([off_frame, coincident, unseen]),
+        make_scene([random_pose("solo")]),
+        make_scene([random_pose(f"p{i}") for i in range(6)], width=1280, height=720),
+        make_scene([random_pose(f"q{i}") for i in range(4)] + [unseen, coincident]),
+        make_scene([make_pose("twin-a", x=50.0), make_pose("twin-b", x=50.0)]),
+    ]
+    for n in range(1, 7):
+        poses = [random_pose(f"r{n}-{i}") for i in range(n)]
+        scenes.append(make_scene(poses, width=333, height=201))
+    return scenes
+
+
+def _generated_scenes():
+    from fformation.synth import SynthConfig, render_scene
+
+    scenes = []
+    for seed in range(24):
+        scenes.append(
+            render_scene(
+                SynthConfig(
+                    formation=FORMATIONS[seed % 4],
+                    angle_deg=(-90, -60, -30, 0, 30, 60, 90)[seed % 7],
+                    outlier_count=seed % 4,
+                    seed=9_000 + seed,
+                )
+            )
+        )
+    return scenes
+
+
+EQUIVALENCE_SCENES = _degenerate_scenes() + _generated_scenes()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestMatchesObjectPath:
+    @pytest.mark.parametrize("k", range(len(EQUIVALENCE_SCENES)))
+    def test_chain_and_stats_bit_identical(self, k):
+        scene = order_left_to_right(EQUIVALENCE_SCENES[k])
+        assert _bits(chain_features(scene)) == _bits(ref_chain_features(scene))
+        for pose in scene.poses:
+            assert anchor_x(pose) == ref_anchor_x(pose)
+            assert _bits(pose_stats(pose, scene.image_width)) == _bits(
+                ref_pose_stats(pose, scene.image_width)
+            )
+
+    @pytest.mark.parametrize("k", range(len(EQUIVALENCE_SCENES)))
+    def test_group_features_bit_identical(self, k):
+        scene = EQUIVALENCE_SCENES[k]
+        for size in range(1, min(3, len(scene.poses)) + 1):
+            poses = scene.poses[-size:]
+            got = group_features(poses, scene.image_width, scene.image_height)
+            want = ref_group_features(poses, scene.image_width, scene.image_height)
+            assert _bits(got) == _bits(want)
+
+    def test_detection_batch_features_bit_identical(self):
+        # The chains detect_many and training build, one batch per pose
+        # count over scenes of every length at once.
+        chains = _ordered_chains(EQUIVALENCE_SCENES)
+        for scene, (perm, feats) in zip(EQUIVALENCE_SCENES, chains):
+            ordered = order_left_to_right(scene)
+            assert [scene.poses[i] for i in perm] == list(ordered.poses)
+            assert _bits(feats) == _bits(ref_chain_features(ordered))
+
+    def test_stacked_group_features_bit_identical(self):
+        groups = [s.poses[:3] for s in EQUIVALENCE_SCENES] + [
+            s.poses[-2:] for s in EQUIVALENCE_SCENES if len(s.poses) >= 2
+        ]
+        points = np.zeros((len(groups), 3, 17, 3))
+        for g, poses in enumerate(groups):
+            points[g, : len(poses)] = [p.points for p in poses]
+        scenes = EQUIVALENCE_SCENES + [s for s in EQUIVALENCE_SCENES if len(s.poses) >= 2]
+        got = stacked_group_features(
+            points,
+            [len(p) for p in groups],
+            [s.image_width for s in scenes],
+            [s.image_height for s in scenes],
+        )
+        for row, poses, scene in zip(got, groups, scenes):
+            want = ref_group_features(poses, scene.image_width, scene.image_height)
+            assert _bits(row) == _bits(want)

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fformation.crf import ChainInstance, CrfModel, marginals, weight_dim
+from fformation import pipeline
+from fformation.crf import ChainInstance, CrfModel, marginals, viterbi, weight_dim
 from fformation.errors import DataError, VersionMismatchError
-from fformation.features import F_NODE
+from fformation.features import F_NODE, chain_features
 from fformation.pipeline import (
     JOINT_CLASSES,
     REASON_NO_PEOPLE,
@@ -18,19 +19,27 @@ from fformation.pipeline import (
     REASON_TOO_SMALL,
     Detection,
     ModelBundle,
-    _membership_from_chain,
+    _decode_chains,
     detect,
+    detect_many,
     detection_to_dict,
     head_orientation,
     joint_class,
     load_models,
     parse_joint_class,
-    predicted_group_poses,
     rule_classify,
     save_models,
+    training_groups,
     write_detections,
 )
-from fformation.pose import APPROACH_ANGLES, FORMATIONS, GROUP, OUTLIER
+from fformation.pose import (
+    APPROACH_ANGLES,
+    FORMATIONS,
+    GROUP,
+    OUTLIER,
+    left_to_right_permutation,
+    order_left_to_right,
+)
 from fformation.synth import SynthConfig, render_scene
 
 from conftest import make_pose, make_scene
@@ -371,16 +380,84 @@ class TestDetect:
         assert pairs >= 5
         assert agreements == pairs
 
-    def test_predicted_group_poses_matches_detect_members(self, mini):
+    def test_training_groups_match_detect_members(self, mini):
         scene = render_scene(
             SynthConfig(formation="L-shaped", angle_deg=-30, outlier_count=1, seed=37_000)
         )
-        poses = predicted_group_poses(scene, mini.bundle.crf)
+        [poses] = training_groups([scene], mini.bundle.crf)
         det = detect(
             scene, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
         assert poses is not None
-        assert len(poses) == len(det.member_indices)
+        members = sorted(
+            (scene.poses[i] for i in det.member_indices), key=lambda p: p.anchor
+        )
+        assert poses == members
+
+
+def _mixed_scenes():
+    """Chains of 1-6 poses with empty frames interleaved."""
+    scenes = []
+    for k in range(28):
+        scene = render_scene(
+            SynthConfig(
+                formation=FORMATIONS[k % 4],
+                angle_deg=APPROACH_ANGLES[k % 7],
+                outlier_count=(k // 4) % 4,
+                seed=39_000 + k,
+            )
+        )
+        if k % 5 == 1:
+            scene = replace(scene, poses=scene.poses[-1:], truth=None)
+        scenes.append(scene)
+        if k % 6 == 0:
+            scenes.append(make_scene([], frame_id=f"empty{k}"))
+    return scenes
+
+
+def _heads(bundle):
+    cascade = {"formation_svm": bundle.formation_svm, "angle_svm": bundle.angle_svm}
+    joint = {"joint_svm": bundle.joint_svm}
+    return {"cascade": cascade, "joint": joint, "both": {**cascade, **joint}}
+
+
+class TestDetectMany:
+    def test_mixed_lengths_cover_one_to_six(self):
+        assert {len(s.poses) for s in _mixed_scenes()} == {0, 1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("heads", ["cascade", "joint", "both"])
+    @pytest.mark.parametrize("batch", [512, 4])
+    def test_equals_detect_scene_by_scene(self, mini, monkeypatch, heads, batch):
+        monkeypatch.setattr(pipeline, "DETECT_BATCH", batch)
+        scenes = _mixed_scenes()
+        kwargs = _heads(mini.bundle)[heads]
+        many = detect_many(scenes, mini.bundle.crf, **kwargs)
+        assert len(many) == len(scenes)
+        for scene, got in zip(scenes, many):
+            want = detect(scene, mini.bundle.crf, **kwargs)
+            assert replace(got, scores={}) == replace(want, scores={})
+            assert list(got.scores) == list(want.scores)
+            assert got.scores["membership_g_prob"] == want.scores["membership_g_prob"]
+            for head in set(got.scores) - {"membership_g_prob"}:
+                assert list(got.scores[head]) == list(want.scores[head])
+                for cls, value in want.scores[head].items():
+                    assert got.scores[head][cls] == pytest.approx(value, rel=0, abs=1e-12)
+
+    def test_decode_matches_per_chain_viterbi_and_marginals(self, mini):
+        model = mini.bundle.crf
+        scenes = [s for s in _mixed_scenes() if s.poses]
+        many = detect_many(scenes, model, joint_svm=mini.bundle.joint_svm)
+        for scene, det in zip(scenes, many):
+            ordered = order_left_to_right(scene)
+            perm = left_to_right_permutation(scene)
+            chain = ChainInstance(chain_features(ordered))
+            labels = viterbi(model, chain)
+            g = np.clip(marginals(model, chain)[0][:, 0], 0.0, 1.0)
+            assert [det.membership[src] for src in perm] == labels
+            assert [det.scores["membership_g_prob"][src] for src in perm] == g.tolist()
+
+    def test_empty_input(self, mini):
+        assert detect_many([], mini.bundle.crf, joint_svm=mini.bundle.joint_svm) == []
 
 
 class TestGroupProbabilities:
@@ -395,9 +472,8 @@ class TestGroupProbabilities:
             chain = ChainInstance(rng.normal(0.0, 50.0, size=(n, F_NODE)))
             raw = marginals(model, chain)[0][:, 0]
             raw_outside += int(np.any((raw < 0.0) | (raw > 1.0)))
-            perm = list(rng.permutation(n))
-            _, g_prob, _ = _membership_from_chain(model, chain, perm)
-            assert all(0.0 <= p <= 1.0 for p in g_prob)
+            _, [g_prob] = _decode_chains(model, [chain.features], marginals=True)
+            assert np.all((g_prob >= 0.0) & (g_prob <= 1.0))
         assert raw_outside > 0
 
 

@@ -73,21 +73,22 @@ class TestTypes:
     def test_pose_requires_all_17(self):
         kps = tuple(Keypoint(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1])
         with pytest.raises(ValueError, match="exactly once"):
-            PersonPose("p", kps)
+            PersonPose.from_keypoints("p", kps)
 
     def test_pose_rejects_duplicates(self):
         kps = tuple(Keypoint(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1])
         kps = kps + (Keypoint("nose", 1.0, 1.0, 0.5),)
         with pytest.raises(ValueError):
-            PersonPose("p", kps)
+            PersonPose.from_keypoints("p", kps)
 
     def test_pose_normalizes_keypoint_order(self):
         shuffled = tuple(
             Keypoint(n, float(i), 0.0, 0.5)
             for i, n in enumerate(reversed(KEYPOINT_NAMES))
         )
-        pose = PersonPose("p", shuffled)
+        pose = PersonPose.from_keypoints("p", shuffled)
         assert [k.name for k in pose.keypoints] == list(KEYPOINT_NAMES)
+        assert pose.points[:, 0].tolist() == [16.0 - i for i in range(17)]
 
     def test_scene_membership_length_mismatch(self):
         with pytest.raises(ValueError, match="membership"):
@@ -96,6 +97,50 @@ class TestTypes:
     def test_scene_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             Scene("f", 0, 480, (make_pose(),))
+
+
+class TestPoseArray:
+    def test_points_are_a_read_only_copy(self):
+        rows = np.full((17, 3), 0.5)
+        pose = PersonPose("p", rows)
+        rows[0, 0] = 99.0
+        assert pose.points[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            pose.points[0, 0] = 1.0
+
+    def test_value_equality(self):
+        a = make_pose("p", x=10.0)
+        assert a == PersonPose("p", a.points.copy())
+        assert a != make_pose("q", x=10.0)
+        assert a != make_pose("p", x=10.5)
+        assert len({a, PersonPose("p", a.points.copy())}) == 1
+
+    @pytest.mark.parametrize(
+        "row,value,match",
+        [
+            (5, (float("nan"), 0.0, 0.5), "leftShoulder"),
+            (16, (0.0, 0.0, 1.5), "rightAnkle"),
+        ],
+    )
+    def test_rejects_bad_row_naming_its_keypoint(self, row, value, match):
+        rows = np.full((17, 3), 0.5)
+        rows[row] = value
+        with pytest.raises(ValueError, match=match):
+            PersonPose("p", rows)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="17 keypoint rows"):
+            PersonPose("p", np.zeros((16, 3)))
+
+    def test_parsed_keypoints_in_any_order_land_in_canonical_rows(self, two_person_scene):
+        doc = scene_to_dict(two_person_scene)
+        doc["poses"][0]["keypoints"].reverse()
+        [scene] = parse_scenes(io.StringIO(json.dumps(doc) + "\n"))
+        assert scene == two_person_scene
+
+    def test_anchor_is_computed_with_the_pose(self):
+        pose = make_pose("p", x=40.0, overrides={"nose": (400.0, 0.0, 0.9)})
+        assert pose.anchor == anchor_x(pose) == (40.0 * 16 + 400.0) / 17
 
 
 class TestOrdering:
