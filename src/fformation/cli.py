@@ -23,13 +23,10 @@ from .experiments import (
     run_experiment,
 )
 from .pipeline import (
-    ANGLE_CLASSES,
-    JOINT_CLASSES,
-    build_angle_data,
+    HEADS,
     build_crf_chains,
-    build_formation_data,
-    build_joint_data,
     detect_many,
+    head_data,
     load_models,
     rule_classify,
     training_groups,
@@ -141,18 +138,11 @@ def cmd_train_crf(args) -> int:
     return 0
 
 
-_TASKS = {
-    "formation": (build_formation_data, FORMATIONS),
-    "angle": (build_angle_data, ANGLE_CLASSES),
-    "joint": (build_joint_data, JOINT_CLASSES),
-}
-
-
 def cmd_train_svm(args) -> int:
     scenes = load_scenes(args.train)
-    builder, classes = _TASKS[args.task]
     crf_model = crf_mod.load_crf(args.crf) if args.crf else None
-    X, y = builder(scenes, training_groups(scenes, crf_model))
+    X, y = head_data(args.task, scenes, training_groups(scenes, crf_model))
+    classes = HEADS[args.task][1]
     training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
     gamma = resolve_gamma(training, X, y, args.seed)
     model = svm_mod.train_one_vs_rest(
@@ -256,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="F-formation and approach-angle recognition from 2D keypoints",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    training = TrainingConfig()  # the defaults of the training flags
 
     p = sub.add_parser("generate", help="render a labeled synthetic dataset")
     p.add_argument("--formations", default=",".join(FORMATIONS))
@@ -290,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_crf)
 
     p = sub.add_parser("train-svm", help="train a formation, angle, or joint classifier")
-    p.add_argument("--task", choices=sorted(_TASKS), required=True)
+    p.add_argument("--task", choices=sorted(HEADS), required=True)
     p.add_argument("--train", required=True, help="labeled scene JSONL")
     p.add_argument(
         "--crf",
@@ -298,9 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="trained crf model; train on its filtered groups instead of gold ones",
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--C", type=float, default=10.0)
-    p.add_argument("--gamma", default="0.125", help="RBF gamma or 'auto' for CV selection")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--C", type=float, default=training.svm_c)
+    p.add_argument(
+        "--gamma",
+        default=str(training.svm_gamma),
+        help="RBF gamma or 'auto' for CV selection",
+    )
+    p.add_argument("--tol", type=float, default=training.svm_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_svm)
 
@@ -319,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-models", default=None, help="write trained models here")
     p.add_argument("--tables", default="1,2,3,4")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--crf-l2", type=float, default=0.003)
-    p.add_argument("--crf-max-iters", type=int, default=3000)
-    p.add_argument("--crf-tol", type=float, default=1e-4)
-    p.add_argument("--C", type=float, default=10.0)
-    p.add_argument("--gamma", default="0.125")
-    p.add_argument("--svm-tol", type=float, default=1e-3)
+    p.add_argument("--crf-l2", type=float, default=training.crf_l2)
+    p.add_argument("--crf-max-iters", type=int, default=training.crf_max_iters)
+    p.add_argument("--crf-tol", type=float, default=training.crf_tol)
+    p.add_argument("--C", type=float, default=training.svm_c)
+    p.add_argument("--gamma", default=str(training.svm_gamma))
+    p.add_argument("--svm-tol", type=float, default=training.svm_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 

@@ -19,16 +19,15 @@ from .errors import ConfigError, DataError
 from .metrics import report, report_to_dict
 from .pipeline import (
     ANGLE_CLASSES,
+    HEADS,
     JOINT_CLASSES,
     Detection,
     ModelBundle,
-    build_angle_data,
     build_crf_chains,
-    build_formation_data,
-    build_joint_data,
     detect,
     detect_many,
     filtered_groups,
+    head_data,
     joint_class,
     load_models,
     rule_classify,
@@ -169,24 +168,19 @@ def train_bundle(
         )
     crf_model = crf_result.model
     groups = filtered_groups(train_scenes, chains, crf_model)
-    Xf, yf = build_formation_data(train_scenes, groups)
-    gamma = resolve_gamma(training, Xf, yf, seed)
-    formation_svm = svm_mod.train_one_vs_rest(
-        Xf, yf, FORMATIONS, C=training.svm_c, gamma=gamma, tol=training.svm_tol
-    )
-    Xa, ya = build_angle_data(train_scenes, groups)
-    angle_svm = svm_mod.train_one_vs_rest(
-        Xa, ya, ANGLE_CLASSES, C=training.svm_c, gamma=gamma, tol=training.svm_tol
-    )
-    Xj, yj = build_joint_data(train_scenes, groups)
-    joint_svm = svm_mod.train_one_vs_rest(
-        Xj, yj, JOINT_CLASSES, C=training.svm_c, gamma=gamma, tol=training.svm_tol
-    )
+    data = {head: head_data(head, train_scenes, groups) for head in HEADS}
+    gamma = resolve_gamma(training, *data["formation"], seed)
+    svms = {
+        head: svm_mod.train_one_vs_rest(
+            X, y, HEADS[head][1], C=training.svm_c, gamma=gamma, tol=training.svm_tol
+        )
+        for head, (X, y) in data.items()
+    }
     return ModelBundle(
         crf=crf_model,
-        formation_svm=formation_svm,
-        angle_svm=angle_svm,
-        joint_svm=joint_svm,
+        formation_svm=svms["formation"],
+        angle_svm=svms["angle"],
+        joint_svm=svms["joint"],
         crf_training={
             "converged": crf_result.converged,
             "n_iters": crf_result.n_iters,
@@ -195,10 +189,13 @@ def train_bundle(
     )
 
 
-def _require_truth(scenes: list[Scene], what: str) -> None:
+def _require_truth(scenes: list[Scene], tables) -> None:
+    """Every scene carries the truth fields the requested tables read."""
+    fields = dict.fromkeys(f for t in tables for f in _TABLE_BUILDERS[t][2])
     for s in scenes:
-        if s.truth is None or s.truth.membership is None:
-            raise DataError(f"scene {s.frame_id!r} lacks truth needed for {what}")
+        for f in fields:
+            if s.truth is None or getattr(s.truth, f) is None:
+                raise DataError(f"scene {s.frame_id!r} lacks {f} truth for evaluation")
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +224,40 @@ def _decode_scenes(scenes, bundle) -> tuple[list[Detection], list[str | None]]:
     return detections, rules
 
 
+def _report_rows(first_column, rep, classes, extra=None) -> list[list]:
+    """Header, one row per class of `classes` and the weighted_avg row of a
+    report. `extra`, when given, is (column name, one value per class, the
+    overall value): one more column."""
+    rows = [[first_column, "precision", "recall", "f1", "support"]]
+    for c in classes:
+        pc = rep.per_class(c)
+        rows.append([c, pc["precision"], pc["recall"], pc["f1"], pc["support"]])
+    rows.append(
+        [
+            "weighted_avg",
+            rep.weighted_precision,
+            rep.weighted_recall,
+            rep.weighted_f1,
+            int(rep.support.sum()),
+        ]
+    )
+    for row in rows[1:]:
+        row[1:4] = [f"{v:.6f}" for v in row[1:4]]
+    if extra is not None:
+        column, values, overall = extra
+        rows[0].append(column)
+        for row, value in zip(rows[1:], [*values, overall], strict=True):
+            row.append(f"{value:.6f}")
+    return rows
+
+
 def membership_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold, pred = [], []
     for scene, det in zip(scenes, detections):
         gold.extend(scene.truth.membership)
         pred.extend(det.membership)
     rep = report(gold, pred, GROUP_LABELS)
-    rows = [["class", "precision", "recall", "f1", "support"]]
-    for c in GROUP_LABELS:
-        pc = rep.per_class(c)
-        rows.append(
-            [c, f"{pc['precision']:.6f}", f"{pc['recall']:.6f}", f"{pc['f1']:.6f}", pc["support"]]
-        )
-    rows.append(
-        [
-            "weighted_avg",
-            f"{rep.weighted_precision:.6f}",
-            f"{rep.weighted_recall:.6f}",
-            f"{rep.weighted_f1:.6f}",
-            int(rep.support.sum()),
-        ]
-    )
+    rows = _report_rows("class", rep, GROUP_LABELS)
     return rows, {"report": report_to_dict(rep)}
 
 
@@ -255,35 +265,16 @@ def formation_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold = [s.truth.formation for s in scenes]
     learned = [d.formation if d.formation is not None else NONE_CLASS for d in detections]
     rule = [r if r is not None else NONE_CLASS for r in rules]
-    classes = FORMATIONS + (NONE_CLASS,)
-    rep = report(gold, learned, classes)
-    rows = [["formation", "precision", "recall", "f1", "support", "rule_accuracy"]]
+    rep = report(gold, learned, FORMATIONS + (NONE_CLASS,))
+    rule_acc = []
     for c in FORMATIONS:
-        pc = rep.per_class(c)
         in_class = [i for i, g in enumerate(gold) if g == c]
-        rule_acc = (
+        rule_acc.append(
             float(np.mean([rule[i] == c for i in in_class])) if in_class else 0.0
         )
-        rows.append(
-            [
-                c,
-                f"{pc['precision']:.6f}",
-                f"{pc['recall']:.6f}",
-                f"{pc['f1']:.6f}",
-                pc["support"],
-                f"{rule_acc:.6f}",
-            ]
-        )
     rule_overall = float(np.mean([r == g for r, g in zip(rule, gold)]))
-    rows.append(
-        [
-            "weighted_avg",
-            f"{rep.weighted_precision:.6f}",
-            f"{rep.weighted_recall:.6f}",
-            f"{rep.weighted_f1:.6f}",
-            int(rep.support.sum()),
-            f"{rule_overall:.6f}",
-        ]
+    rows = _report_rows(
+        "formation", rep, FORMATIONS, ("rule_accuracy", rule_acc, rule_overall)
     )
     payload = {"report": report_to_dict(rep), "rule_accuracy_overall": rule_overall}
     return rows, payload
@@ -292,24 +283,8 @@ def formation_table(scenes, detections, rules) -> tuple[list[list], dict]:
 def angle_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold = [str(s.truth.angle_deg) for s in scenes]
     pred = [str(d.angle_deg) if d.angle_deg is not None else NONE_CLASS for d in detections]
-    classes = ANGLE_CLASSES + (NONE_CLASS,)
-    rep = report(gold, pred, classes)
-    rows = [["angle_deg", "precision", "recall", "f1", "support"]]
-    for c in ANGLE_CLASSES:
-        pc = rep.per_class(c)
-        rows.append(
-            [c, f"{pc['precision']:.6f}", f"{pc['recall']:.6f}", f"{pc['f1']:.6f}", pc["support"]]
-        )
-    rows.append(
-        [
-            "weighted_avg",
-            f"{rep.weighted_precision:.6f}",
-            f"{rep.weighted_recall:.6f}",
-            f"{rep.weighted_f1:.6f}",
-            int(rep.support.sum()),
-        ]
-    )
-    return rows, {"report": report_to_dict(rep)}
+    rep = report(gold, pred, ANGLE_CLASSES + (NONE_CLASS,))
+    return _report_rows("angle_deg", rep, ANGLE_CLASSES), {"report": report_to_dict(rep)}
 
 
 def joint_table(scenes, detections, rules) -> tuple[list[list], dict]:
@@ -352,11 +327,12 @@ def joint_table(scenes, detections, rules) -> tuple[list[list], dict]:
     return rows, payload
 
 
+# Table number -> (output stem, builder, the truth fields it reads).
 _TABLE_BUILDERS = {
-    1: ("table1_membership", membership_table),
-    2: ("table2_formation", formation_table),
-    3: ("table3_angle", angle_table),
-    4: ("table4_joint", joint_table),
+    1: ("table1_membership", membership_table, ("membership",)),
+    2: ("table2_formation", formation_table, ("formation",)),
+    3: ("table3_angle", angle_table, ("angle_deg",)),
+    4: ("table4_joint", joint_table, ("formation", "angle_deg")),
 }
 
 
@@ -388,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         train_scenes = load_scenes(cfg.train_path) if cfg.train_path else []
     else:
         raise ConfigError("experiment needs either a synthetic spec or a test path")
-    _require_truth(test_scenes, "evaluation")
+    _require_truth(test_scenes, cfg.tables)
 
     if cfg.models_dir is not None:
         bundle = load_models(cfg.models_dir)
@@ -403,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     detections, rules = _decode_scenes(test_scenes, bundle)
     outputs = {}
     for t in cfg.tables:
-        stem, builder = _TABLE_BUILDERS[t]
+        stem, builder, _ = _TABLE_BUILDERS[t]
         rows, payload = builder(test_scenes, detections, rules)
         outputs[stem] = _write_outputs(cfg.out_dir, stem, rows, payload, cfg.seed)
 

@@ -158,8 +158,9 @@ def stacked_group_features(points: np.ndarray, sizes, widths, heights) -> np.nda
     slots[..., 2:] = confidence_bins(points[..., CONF])[..., None] == _BINS
     slots[~present] = 0.0
     out = np.empty((len(points), F_GROUP))
-    out[:, : GROUP_SLOTS * SLOT_WIDTH] = slots.reshape(len(points), -1)
-    out[:, GROUP_SLOTS * SLOT_WIDTH :] = present
+    entries = GROUP_SLOTS * SLOT_WIDTH  # slot entries, then presence flags
+    out[:, :entries] = slots.reshape(len(points), entries)
+    out[:, entries:] = present
     return out
 
 

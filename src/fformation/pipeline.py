@@ -19,7 +19,6 @@ from .features import (
     FEATURE_CATALOG_VERSION,
     GROUP_SLOTS,
     angle_features,
-    group_features,
     stacked_chain_features,
     stacked_group_features,
 )
@@ -51,6 +50,7 @@ MIN_VISIBLE_KEYPOINTS = 5
 REASON_TOO_FEW_VISIBLE = "too_few_visible_poses"
 
 JOINT_CLASSES = tuple(f"{f}@{a}" for f in FORMATIONS for a in APPROACH_ANGLES)
+ANGLE_CLASSES = tuple(str(a) for a in APPROACH_ANGLES)
 
 REASON_NO_PEOPLE = "no_people"
 REASON_TOO_SMALL = "group_too_small"
@@ -157,9 +157,27 @@ def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, mar
     return labels, g_prob
 
 
-def _group_positions(labels: np.ndarray) -> list[int]:
-    """Chain positions labelled G, left to right."""
-    return np.flatnonzero(labels == crf_mod.LABEL_INDEX[GROUP]).tolist()
+def _members(perm: np.ndarray, labels: np.ndarray) -> list[int]:
+    """Pose indices of the chain positions labelled G, left to right."""
+    return perm[labels == crf_mod.LABEL_INDEX[GROUP]].tolist()
+
+
+def _group_rows(scenes, groups) -> np.ndarray:
+    """Classifier rows (len(groups), F_GROUP) in one batch: groups[g] holds
+    the poses of a group of scenes[g], left to right, and its first
+    GROUP_SLOTS poses fill the slots. Detection and training both build
+    their rows here, so the heads train on the rows they classify.
+    """
+    sizes = [min(len(poses), GROUP_SLOTS) for poses in groups]
+    points = np.zeros((len(groups), GROUP_SLOTS, NUM_KEYPOINTS, 3))
+    for g, (poses, size) in enumerate(zip(groups, sizes)):
+        points[g, :size] = [p.points for p in poses[:size]]
+    return stacked_group_features(
+        points,
+        sizes,
+        [s.image_width for s in scenes],
+        [s.image_height for s in scenes],
+    )
 
 
 def _no_people(scene: Scene) -> Detection:
@@ -187,13 +205,13 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
     t2 = time.perf_counter()
 
     fields = {}  # scene index -> Detection fields
-    groups = []  # (scene index, pose indices of its first 3 members, overflow)
+    kept = []  # (scene index, member pose indices left to right), 2+ members
     for i, (perm, _), lab, g in zip(peopled, chains, labels, g_ordered):
         membership = np.empty(len(perm), dtype=int)
         membership[perm] = lab
         g_prob = np.empty(len(perm))
         g_prob[perm] = g
-        members = perm[_group_positions(lab)].tolist()
+        members = _members(perm, lab)
         fields[i] = dict(
             frame_id=scenes[i].frame_id,
             membership=tuple(crf_mod.indices_to_labels(membership)),
@@ -202,17 +220,12 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
             reason=REASON_TOO_SMALL,
         )
         if len(members) >= 2:
-            groups.append((i, members[:GROUP_SLOTS], len(members) > GROUP_SLOTS))
+            kept.append((i, members))
 
-    if groups:
-        points = np.zeros((len(groups), GROUP_SLOTS, NUM_KEYPOINTS, 3))
-        for g, (i, members, _) in enumerate(groups):
-            points[g, : len(members)] = [scenes[i].poses[m].points for m in members]
-        X = stacked_group_features(
-            points,
-            [len(members) for _, members, _ in groups],
-            [scenes[i].image_width for i, _, _ in groups],
-            [scenes[i].image_height for i, _, _ in groups],
+    if kept:
+        X = _group_rows(
+            [scenes[i] for i, _ in kept],
+            [[scenes[i].poses[m] for m in members] for i, members in kept],
         )
         if formation_svm is not None:
             formations = svm_mod.predict_many(formation_svm, X)
@@ -220,7 +233,8 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
             angles = svm_mod.predict_many(angle_svm, Xa)
         if joint_svm is not None:
             joints = svm_mod.predict_many(joint_svm, X)
-        for g, (i, _, overflow) in enumerate(groups):
+        for g, (i, members) in enumerate(kept):
+            overflow = len(members) > GROUP_SLOTS
             det = fields[i]
             det.update(reason=REASON_OVERFLOW if overflow else None, overflow=overflow)
             scores = det["scores"]
@@ -437,11 +451,20 @@ def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
     ]
 
 
+def _kept_groups(scenes, labels) -> list[list[PersonPose] | None]:
+    """Per scene, the poses its left-to-right chain labels G (`labels`), left
+    to right; None where fewer than two, as detection then names no
+    formation and such a scene yields no training row."""
+    groups = []
+    for scene, lab in zip(scenes, labels, strict=True):
+        members = _members(np.asarray(left_to_right_permutation(scene)), lab)
+        groups.append([scene.poses[m] for m in members] if len(members) >= 2 else None)
+    return groups
+
+
 def filtered_groups(scenes, chains, crf_model) -> list[list[PersonPose] | None]:
-    """Per scene, the left-to-right group (at most three) that the CRF
-    filter keeps, as detect() feeds it to the classifiers; None where fewer
-    than two people survive (detect() names no formation there, so such a
-    scene yields no training sample).
+    """Per scene, the group the CRF filter keeps, as detect() finds it
+    (see _kept_groups).
 
     `chains` are the scenes' left-to-right chains, build_crf_chains(scenes):
     computed once, they serve CRF training and this decode. Viterbi only,
@@ -450,78 +473,73 @@ def filtered_groups(scenes, chains, crf_model) -> list[list[PersonPose] | None]:
     labels, _ = _decode_chains(
         crf_model, [chain.features for chain in chains], marginals=False
     )
-    groups = []
-    for scene, lab in zip(scenes, labels, strict=True):
-        positions = _group_positions(lab)
-        if len(positions) < 2:
-            groups.append(None)
-            continue
-        perm = left_to_right_permutation(scene)
-        groups.append([scene.poses[perm[p]] for p in positions[:GROUP_SLOTS]])
-    return groups
+    return _kept_groups(scenes, labels)
 
 
 def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
-    """Per scene, the group its classifier training sample is built from.
+    """Per scene, the group its classifier training row is built from.
 
     With a CRF, the filtered group the classifiers will see at detection
-    time (see filtered_groups); without one, the gold group: the first
-    three gold members, left to right.
+    time (see filtered_groups); without one, the gold group, read from the
+    gold labels of the scene's chain. Either way the poses left to right,
+    or None below two members.
     """
+    chains = build_crf_chains(scenes)
     if crf_model is not None:
-        return filtered_groups(scenes, build_crf_chains(scenes), crf_model)
-    groups = []
+        return filtered_groups(scenes, chains, crf_model)
+    return _kept_groups(scenes, [chain.labels for chain in chains])
+
+
+def _training_rows(scenes, groups, fields, head):
+    """The rows of the scenes with a group, built as detection builds them
+    (_group_rows), and those scenes' truths. Every scene must carry its
+    membership and each truth field in `fields`."""
     for scene in scenes:
-        _require_membership(scene)
-        perm = left_to_right_permutation(scene)
-        members = [scene.poses[i] for i in perm if scene.truth.membership[i] == GROUP]
-        groups.append(members[:3])
-    return groups
+        t = scene.truth
+        if t is None or any(getattr(t, f) is None for f in ("membership", *fields)):
+            raise DataError(f"scene {scene.frame_id!r} lacks {head} truth")
+    pairs = zip(scenes, groups, strict=True)
+    kept = [i for i, (_, poses) in enumerate(pairs) if poses is not None]
+    X = _group_rows([scenes[i] for i in kept], [groups[i] for i in kept])
+    return X, [scenes[i].truth for i in kept]
 
 
 def build_formation_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """Formation training rows from `training_groups(scenes, ...)`."""
-    X, y = [], []
-    for scene, members in zip(scenes, groups, strict=True):
-        t = scene.truth
-        if t is None or t.membership is None or t.formation is None:
-            raise DataError(f"scene {scene.frame_id!r} lacks formation truth")
-        if members is None:
-            continue
-        X.append(group_features(members, scene.image_width, scene.image_height))
-        y.append(t.formation)
-    return np.array(X), np.array(y)
+    X, truths = _training_rows(scenes, groups, ("formation",), "formation")
+    return X, np.array([t.formation for t in truths])
 
 
 def build_angle_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """Angle training vectors use the gold formation one-hot (teacher forcing)."""
-    X, y = [], []
-    for scene, members in zip(scenes, groups, strict=True):
-        t = scene.truth
-        if t is None or t.membership is None or t.formation is None or t.angle_deg is None:
-            raise DataError(f"scene {scene.frame_id!r} lacks angle truth")
-        if members is None:
-            continue
-        gfv = group_features(members, scene.image_width, scene.image_height)
-        X.append(angle_features(gfv, t.formation))
-        y.append(str(t.angle_deg))
-    return np.array(X), np.array(y)
+    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"), "angle")
+    Xa = np.array([angle_features(x, t.formation) for x, t in zip(X, truths)])
+    return Xa, np.array([str(t.angle_deg) for t in truths])
 
 
 def build_joint_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    X, y = [], []
-    for scene, members in zip(scenes, groups, strict=True):
-        t = scene.truth
-        if t is None or t.membership is None or t.formation is None or t.angle_deg is None:
-            raise DataError(f"scene {scene.frame_id!r} lacks joint truth")
-        if members is None:
-            continue
-        X.append(group_features(members, scene.image_width, scene.image_height))
-        y.append(joint_class(t.formation, t.angle_deg))
-    return np.array(X), np.array(y)
+    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"), "joint")
+    return X, np.array([joint_class(t.formation, t.angle_deg) for t in truths])
 
 
-ANGLE_CLASSES = tuple(str(a) for a in APPROACH_ANGLES)
+# Classifier head -> (training-set builder, its classes in score order).
+HEADS = {
+    "formation": (build_formation_data, FORMATIONS),
+    "angle": (build_angle_data, ANGLE_CLASSES),
+    "joint": (build_joint_data, JOINT_CLASSES),
+}
+
+
+def head_data(head: str, scenes, groups) -> tuple[np.ndarray, np.ndarray]:
+    """A head's training rows and labels (HEADS[head]); DataError, before
+    any training, when one of the head's classes has no row."""
+    build, classes = HEADS[head]
+    X, y = build(scenes, groups)
+    present = set(y.tolist())
+    missing = [c for c in classes if c not in present]
+    if missing:
+        raise DataError(f"the {head} training data has no sample of {missing}")
+    return X, y
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,29 @@ class TestTraining:
         assert rc == 0
         assert os.path.exists(workdir / "svm_formation.json")
 
+    def test_gold_groups_below_two_members_are_skipped(self, workdir, capsys):
+        lines = (workdir / "train.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines[:2]]
+        for doc, n_members in zip(docs, (0, 1)):
+            n = len(doc["truth"]["membership"])
+            doc["truth"]["membership"] = ["G"] * n_members + ["O"] * (n - n_members)
+        data = workdir / "few_members.jsonl"
+        data.write_text("\n".join([json.dumps(d) for d in docs] + lines[2:]) + "\n")
+        capsys.readouterr()
+        rc = main(
+            [
+                "train-svm",
+                "--task",
+                "formation",
+                "--train",
+                str(data),
+                "--out",
+                str(workdir / "svm_gold.json"),
+            ]
+        )
+        assert rc == 0
+        assert f"on {len(lines) - 2} samples" in capsys.readouterr().out
+
     def test_missing_input_file_is_config_error(self, workdir):
         rc = main(
             [
@@ -189,6 +212,41 @@ class TestTraining:
             ["train-crf", "--train", str(bad), "--out", str(workdir / "nope.json")]
         )
         assert rc == 3
+
+
+@pytest.fixture(scope="module")
+def triangle_only(workdir):
+    """A training set whose scenes are all triangles."""
+    path = workdir / "triangle.jsonl"
+    rc = main(
+        ["generate", "--formations", "triangle", "--count", "2", "--out", str(path)]
+    )
+    assert rc == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["train-svm", "evaluate"])
+def test_class_missing_from_training_data_is_data_error(workdir, triangle_only, command):
+    train = str(triangle_only)
+    never = str(workdir / "never_svm.json")
+    args = {
+        "train-svm": ["--task", "formation", "--train", train, "--out", never],
+        "evaluate": [
+            "--train",
+            train,
+            "--test",
+            train,
+            "--crf-max-iters",
+            "50",
+            "--out-dir",
+            str(workdir / "never_reports"),
+        ],
+    }[command]
+    rc, err = run_cli([command, *args])
+    assert rc == 3, err
+    assert "data error: the formation training data has no sample of" in err
+    assert "'face-to-face', 'side-by-side', 'L-shaped'" in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +526,41 @@ class TestConvertEgoGroup:
         assert rc == 0
         [scene] = load_scenes(workdir / "ego.jsonl")
         assert scene.truth.membership == ("G", "O")
+
+    @pytest.mark.parametrize("tables, code", [("1", 0), ("1,2,3,4", 3)])
+    def test_evaluate_needs_the_truth_its_tables_read(
+        self, workdir, artifacts, tables, code
+    ):
+        people = [
+            {"id": pid, "keypoints": {"nose": [x, 100, 0.9], "leftEye": [x + 5, 95, 0.9]}}
+            for pid, x in (("a", 100), ("b", 250), ("c", 500))
+        ]
+        frame = {"frame": "0", "width": 640, "height": 480, "people": people}
+        ann = {"frames": [{**frame, "groups": [["a", "b"]]}]}
+        path = workdir / "ego_membership_only.json"
+        path.write_text(json.dumps(ann))
+        converted = workdir / "ego_membership_only.jsonl"
+        rc = main(
+            ["convert-ego-group", "--annotations", str(path), "--out", str(converted)]
+        )
+        assert rc == 0
+        rc, err = run_cli(
+            [
+                "evaluate",
+                "--test",
+                str(converted),
+                "--models",
+                str(artifacts["models"]),
+                "--tables",
+                tables,
+                "--out-dir",
+                str(workdir / f"ego_reports_{code}"),
+            ]
+        )
+        assert rc == code, err
+        assert "Traceback" not in err
+        if code:
+            assert "data error: scene '0' lacks formation truth" in err
 
     def test_invalid_annotation_is_data_error(self, workdir):
         path = workdir / "bad_ego.json"

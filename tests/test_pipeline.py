@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from fformation import pipeline
+from fformation import svm as svm_mod
 from fformation.crf import ChainInstance, CrfModel, marginals, viterbi, weight_dim
 from fformation.errors import DataError, VersionMismatchError
-from fformation.features import F_NODE, chain_features
+from fformation.features import (
+    F_GROUP,
+    F_NODE,
+    GROUP_SLOTS,
+    chain_features,
+    group_features,
+)
 from fformation.pipeline import (
     JOINT_CLASSES,
     REASON_NO_PEOPLE,
@@ -20,6 +27,7 @@ from fformation.pipeline import (
     Detection,
     ModelBundle,
     _decode_chains,
+    build_formation_data,
     detect,
     detect_many,
     detection_to_dict,
@@ -37,6 +45,7 @@ from fformation.pose import (
     FORMATIONS,
     GROUP,
     OUTLIER,
+    SceneTruth,
     left_to_right_permutation,
     order_left_to_right,
 )
@@ -393,6 +402,85 @@ class TestDetect:
             (scene.poses[i] for i in det.member_indices), key=lambda p: p.anchor
         )
         assert poses == members
+
+
+class TestTrainingGroups:
+    def _scene(self, membership):
+        poses = [make_pose(f"p{i}", x=500.0 - 100.0 * i) for i in range(len(membership))]
+        truth = SceneTruth(membership=membership, formation="triangle", angle_deg=0)
+        return make_scene(poses, truth=truth)
+
+    def test_gold_groups_below_two_members_are_none(self):
+        scenes = [self._scene(m) for m in (("O", "O", "O"), ("O", "G", "O"))]
+        assert training_groups(scenes) == [None, None]
+        X, y = build_formation_data(scenes, training_groups(scenes))
+        assert X.shape == (0, F_GROUP) and len(y) == 0
+
+    def test_gold_group_is_every_member_left_to_right(self):
+        scene = self._scene(("G", "O", "G", "G", "G"))
+        [poses] = training_groups([scene])
+        # poses were placed right to left
+        assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
+
+
+def _capture_rows(monkeypatch, model):
+    """The rows every svm.predict_many call on `model` receives."""
+    rows = []
+    predict_many = svm_mod.predict_many
+
+    def capture(m, X):
+        if m is model:
+            rows.append(np.array(X))
+        return predict_many(m, X)
+
+    monkeypatch.setattr(svm_mod, "predict_many", capture)
+    return rows
+
+
+class TestTrainingRowsAreDetectionRows:
+    def test_formation_rows_match_bit_for_bit(self, mini, monkeypatch):
+        scenes = [
+            render_scene(
+                SynthConfig(
+                    formation=FORMATIONS[k % 4],
+                    angle_deg=APPROACH_ANGLES[k % 7],
+                    outlier_count=k % 3,
+                    seed=41_000 + k,
+                )
+            )
+            for k in range(50)
+        ]
+        # one-person scenes: detection keeps no group, training no row
+        scenes[::10] = [
+            replace(s, poses=s.poses[:1], truth=replace(s.truth, membership=("G",)))
+            for s in scenes[::10]
+        ]
+        rows = _capture_rows(monkeypatch, mini.bundle.formation_svm)
+        detections = detect_many(
+            scenes, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
+        )
+        [X_detect] = rows
+        X_train, _ = build_formation_data(
+            scenes, training_groups(scenes, mini.bundle.crf)
+        )
+        kept = sum(len(d.member_indices) >= 2 for d in detections)
+        assert len(X_train) == len(X_detect) == kept >= 40
+        assert X_train.tobytes() == X_detect.tobytes()
+
+    def test_overflow_fills_slots_with_first_three(self, mini, monkeypatch):
+        all_g_crf = CrfModel(np.zeros(weight_dim(F_NODE)))
+        poses = [make_pose(f"p{i}", x=500.0 - 110.0 * i, y=150.0 + i) for i in range(4)]
+        truth = SceneTruth(membership=("G",) * 4, formation="triangle", angle_deg=0)
+        scene = make_scene(poses, truth=truth)
+        rows = _capture_rows(monkeypatch, mini.bundle.formation_svm)
+        det = detect(scene, all_g_crf, mini.bundle.formation_svm, mini.bundle.angle_svm)
+        assert det.overflow
+        [[X_detect]] = rows
+        leftmost = [poses[3], poses[2], poses[1]]
+        assert len(leftmost) == GROUP_SLOTS
+        assert X_detect.tobytes() == group_features(leftmost, 640, 480).tobytes()
+        X_train, _ = build_formation_data([scene], training_groups([scene], all_g_crf))
+        assert X_train.tobytes() == X_detect[None].tobytes()
 
 
 def _mixed_scenes():
