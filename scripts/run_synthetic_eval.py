@@ -9,6 +9,8 @@ import argparse
 import sys
 import time
 
+from fformation.cli import _parse_gamma
+from fformation.errors import ConfigError
 from fformation.experiments import ExperimentConfig, SynthSpec, TrainingConfig, run_experiment
 
 
@@ -18,10 +20,15 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=100, help="scenes per (formation, angle) cell")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--save-models", default=None, help="also write the trained bundle here")
-    parser.add_argument("--gamma", default="0.125", help="RBF gamma or 'auto'")
+    parser.add_argument(
+        "--gamma", default=str(TrainingConfig().svm_gamma), help="RBF gamma or 'auto'"
+    )
     args = parser.parse_args()
 
-    gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
+    try:
+        gamma = _parse_gamma(args.gamma)
+    except ConfigError as exc:
+        parser.error(str(exc))  # exits 2
     cfg = ExperimentConfig(
         out_dir=args.out_dir,
         synth=SynthSpec(count_per_cell=args.count, seed=args.seed),

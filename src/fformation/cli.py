@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
+from dataclasses import asdict
 
 from . import crf as crf_mod
 from . import svm as svm_mod
@@ -18,7 +19,6 @@ from .experiments import (
     SynthSpec,
     TrainingConfig,
     bench_latency,
-    latency_stats_to_dict,
     resolve_gamma,
     run_experiment,
 )
@@ -37,7 +37,9 @@ from .pose import (
     FORMATIONS,
     convert_ego_group_file,
     load_scenes,
+    read_json,
     save_scenes,
+    write_json,
 )
 from .synth import generate_dataset, split_train_test, synth_config_from_dict
 
@@ -77,23 +79,21 @@ def _parse_gamma(text: str):
     if text == "auto":
         return "auto"
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"gamma must be a float or 'auto', got {text!r}") from exc
+        gamma = float(text)
+    except ValueError:
+        gamma = math.nan
+    if not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be a positive float or 'auto', got {text!r}")
+    return gamma
 
 
 def cmd_generate(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fp:
-            try:
-                doc = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid config JSON {args.config}: {exc}") from exc
+        doc = read_json(args.config, "synth config")
         try:
-            cfg = synth_config_from_dict(doc)
+            configs = [(synth_config_from_dict(doc), args.count)]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synth config: {exc}") from exc
-        configs = [(cfg, args.count)]
     else:
         spec = SynthSpec(
             count_per_cell=args.count,
@@ -109,7 +109,10 @@ def cmd_generate(args) -> int:
             scale_jitter=args.scale_jitter,
             seed=args.seed,
         )
-        configs = spec.configs()
+        try:
+            configs = spec.configs()
+        except ValueError as exc:
+            raise ConfigError(f"bad scene options: {exc}") from exc
     scenes = generate_dataset(configs, shuffle_seed=args.seed)
     save_scenes(scenes, args.out)
     print(f"wrote {len(scenes)} scenes to {args.out}")
@@ -223,10 +226,7 @@ def cmd_bench(args) -> int:
         )
     bundle = load_models(args.models)
     stats = bench_latency(bundle, scenes, repetitions=args.repetitions)
-    payload = latency_stats_to_dict(stats)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(payload, fp, indent=1, sort_keys=True)
-        fp.write("\n")
+    write_json(args.out, asdict(stats), indent=1, sort_keys=True)
     print(
         f"detect() latency over {stats.n_measurements} runs: "
         f"p50={stats.p50_ms:.2f} ms p95={stats.p95_ms:.2f} ms max={stats.max_ms:.2f} ms"

@@ -11,15 +11,14 @@ L2-regularized conditional log-likelihood; the objective is convex.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConvergenceError, DataError, VersionMismatchError
-from .features import F_NODE, FEATURE_CATALOG_VERSION
-from .pose import GROUP, GROUP_LABELS, OUTLIER
+from .errors import ConvergenceError, DataError
+from .features import F_NODE, FEATURE_CATALOG_VERSION, check_catalog
+from .pose import GROUP, GROUP_LABELS, OUTLIER, check_header, read_json, write_json
 
 NUM_LABELS = 2
 LABEL_INDEX = {GROUP: 0, OUTLIER: 1}
@@ -92,17 +91,9 @@ def indices_to_labels(indices) -> list[str]:
     return [GROUP_LABELS[i] for i in indices]
 
 
-def _check_version(model: CrfModel) -> None:
-    if model.feature_catalog_version != FEATURE_CATALOG_VERSION:
-        raise VersionMismatchError(
-            f"model built for catalog {model.feature_catalog_version!r}, "
-            f"library provides {FEATURE_CATALOG_VERSION!r}"
-        )
-
-
 def _node_potentials(model: CrfModel, features: np.ndarray) -> np.ndarray:
     """Node scores (..., n, 2) of node features (..., n, F)."""
-    _check_version(model)
+    check_catalog(model.feature_catalog_version, "crf model")
     if features.shape[-2] == 0:
         raise ValueError("chain must contain at least one node")
     if features.shape[-1] != model.f_node:
@@ -411,36 +402,24 @@ def crf_to_dict(model: CrfModel) -> dict:
 
 
 def crf_from_dict(doc: dict) -> CrfModel:
-    if not isinstance(doc, dict):
-        raise DataError(f"malformed crf model file: a {type(doc).__name__}, not an object")
+    check_header(doc, "crf", CRF_FORMAT_VERSION)
     try:
-        if doc.get("kind") != "crf":
-            raise ValueError(f"not a crf model file (kind={doc.get('kind')!r})")
-        if doc["format_version"] != CRF_FORMAT_VERSION:
-            raise ValueError(f"unsupported crf format_version {doc['format_version']}")
         return CrfModel(
             weights=np.array(doc["weights"], dtype=float),
             feature_catalog_version=doc["feature_catalog_version"],
             l2=float(doc["l2"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed crf model file: {exc}") from exc
 
 
 def save_crf(model: CrfModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(crf_to_dict(model), fp)
-        fp.write("\n")
+    write_json(path, crf_to_dict(model))
 
 
 def load_crf(path) -> CrfModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"corrupt crf model file {path}: {exc}") from exc
-    model = crf_from_dict(doc)
-    _check_version(model)
+    model = crf_from_dict(read_json(path, "crf model file"))
+    check_catalog(model.feature_catalog_version, f"crf model file {path}")
     if model.f_node != F_NODE:
         raise DataError(
             f"crf model file {path} has weights for {model.f_node} node features, "

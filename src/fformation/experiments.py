@@ -5,7 +5,6 @@ reruns with the same configuration produce identical CSV/JSON files.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import os
 import time
@@ -33,7 +32,14 @@ from .pipeline import (
     rule_classify,
     save_models,
 )
-from .pose import APPROACH_ANGLES, FORMATIONS, GROUP_LABELS, Scene, load_scenes
+from .pose import (
+    APPROACH_ANGLES,
+    FORMATIONS,
+    GROUP_LABELS,
+    Scene,
+    load_scenes,
+    write_json,
+)
 from .synth import SynthConfig, generate_dataset, split_train_test
 
 NONE_CLASS = "(none)"
@@ -342,9 +348,7 @@ def _write_outputs(out_dir, stem, rows, payload, seed) -> dict:
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerows(rows)
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump({"seed": seed, **payload}, fp, indent=1, sort_keys=True)
-        fp.write("\n")
+    write_json(json_path, {"seed": seed, **payload}, indent=1, sort_keys=True)
     return {"csv": csv_path, "json": json_path}
 
 
@@ -392,9 +396,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "synth": asdict(cfg.synth) if cfg.synth is not None else None,
     }
     meta_path = os.path.join(cfg.out_dir, "meta.json")
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(meta, fp, indent=1, sort_keys=True)
-        fp.write("\n")
+    write_json(meta_path, meta, indent=1, sort_keys=True)
     outputs["meta"] = meta_path
     return outputs
 
@@ -414,17 +416,6 @@ class LatencyStats:
     # when it is not installed and BLAS ran with the threads its environment
     # allows (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before numpy loads).
     blas_threads_limited: bool
-
-
-def latency_stats_to_dict(stats: LatencyStats) -> dict:
-    return {
-        "n_measurements": stats.n_measurements,
-        "p50_ms": stats.p50_ms,
-        "p95_ms": stats.p95_ms,
-        "max_ms": stats.max_ms,
-        "stages_ms": stats.stages_ms,
-        "blas_threads_limited": stats.blas_threads_limited,
-    }
 
 
 def bench_latency(

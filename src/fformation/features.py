@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, VersionMismatchError
 from .pose import (
     CONF,
     FORMATIONS,
@@ -28,6 +28,17 @@ from .pose import (
 )
 
 FEATURE_CATALOG_VERSION = "node26-group309-v1"
+
+
+def check_catalog(version, source: str) -> None:
+    """VersionMismatchError unless `source` (a model, model file or bundle)
+    was built for this library's feature catalog."""
+    if version != FEATURE_CATALOG_VERSION:
+        raise VersionMismatchError(
+            f"{source} built for catalog {version!r}, "
+            f"library provides {FEATURE_CATALOG_VERSION!r}"
+        )
+
 
 # Shoulder-span denominator floor: avoids division by zero when both
 # shoulders project to the same pixel column under extreme occlusion.

@@ -12,13 +12,14 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import svm as svm_mod
-from .errors import DataError, VersionMismatchError
+from .errors import DataError
 from .features import (
     F_ANGLE,
     F_GROUP,
     FEATURE_CATALOG_VERSION,
     GROUP_SLOTS,
     angle_features,
+    check_catalog,
     stacked_chain_features,
     stacked_group_features,
 )
@@ -34,6 +35,8 @@ from .pose import (
     PersonPose,
     Scene,
     left_to_right_permutation,
+    read_json,
+    write_json,
 )
 
 ORIENT_LEFT = "left"
@@ -283,7 +286,8 @@ def detect_many(
     heads = [m for m in (formation_svm, angle_svm, joint_svm) if m is not None]
     if not heads:
         raise ValueError("detect needs the cascade heads, the joint head or both")
-    _check_bundle_versions(crf_model, *heads)
+    for model in (crf_model, *heads):
+        check_catalog(model.feature_catalog_version, "model")
     scenes = list(scenes)
     detections = []
     spent = np.zeros(3)
@@ -440,24 +444,32 @@ def _require_membership(scene: Scene) -> None:
 
 
 def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
-    """Left-to-right chains with gold labels, one per scene."""
+    """Left-to-right chains with gold labels, one per scene with a pose: a
+    scene without one has no chain and is skipped. DataError when no scene
+    has a pose."""
     for scene in scenes:
         _require_membership(scene)
+    peopled = [scene for scene in scenes if scene.poses]
+    if not peopled:
+        raise DataError("no training scene has a pose")
     return [
         crf_mod.ChainInstance(
             feats, crf_mod.labels_to_indices([scene.truth.membership[i] for i in perm])
         )
-        for scene, (perm, feats) in zip(scenes, _ordered_chains(scenes))
+        for scene, (perm, feats) in zip(peopled, _ordered_chains(peopled))
     ]
 
 
 def _kept_groups(scenes, labels) -> list[list[PersonPose] | None]:
-    """Per scene, the poses its left-to-right chain labels G (`labels`), left
-    to right; None where fewer than two, as detection then names no
-    formation and such a scene yields no training row."""
+    """Per scene, the poses its left-to-right chain labels G, left to right;
+    None where fewer than two, as detection then names no formation and
+    such a scene yields no training row. `labels` are those of the chains
+    of build_crf_chains(scenes): one per scene with a pose, in order."""
+    labels = iter(labels)
     groups = []
-    for scene, lab in zip(scenes, labels, strict=True):
-        members = _members(np.asarray(left_to_right_permutation(scene)), lab)
+    for scene in scenes:
+        perm = np.asarray(left_to_right_permutation(scene))
+        members = _members(perm, next(labels)) if scene.poses else []
         groups.append([scene.poses[m] for m in members] if len(members) >= 2 else None)
     return groups
 
@@ -522,18 +534,19 @@ def build_joint_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     return X, np.array([joint_class(t.formation, t.angle_deg) for t in truths])
 
 
-# Classifier head -> (training-set builder, its classes in score order).
+# Classifier head -> (training-set builder, its classes in score order, the
+# width of its feature rows).
 HEADS = {
-    "formation": (build_formation_data, FORMATIONS),
-    "angle": (build_angle_data, ANGLE_CLASSES),
-    "joint": (build_joint_data, JOINT_CLASSES),
+    "formation": (build_formation_data, FORMATIONS, F_GROUP),
+    "angle": (build_angle_data, ANGLE_CLASSES, F_ANGLE),
+    "joint": (build_joint_data, JOINT_CLASSES, F_GROUP),
 }
 
 
 def head_data(head: str, scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """A head's training rows and labels (HEADS[head]); DataError, before
     any training, when one of the head's classes has no row."""
-    build, classes = HEADS[head]
+    build, classes, _ = HEADS[head]
     X, y = build(scenes, groups)
     present = set(y.tolist())
     missing = [c for c in classes if c not in present]
@@ -543,15 +556,11 @@ def head_data(head: str, scenes, groups) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Model bundle persistence: one directory, one manifest, atomic loading.
+# Model bundle persistence: one directory of fixed file names, one manifest.
 
 BUNDLE_FORMAT_VERSION = 1
-_BUNDLE_FILES = {
-    "crf": "crf.json",
-    "formation": "svm_formation.json",
-    "angle": "svm_angle.json",
-    "joint": "svm_joint.json",
-}
+MANIFEST_FILE = "manifest.json"
+CRF_FILE = "crf.json"
 
 
 @dataclass
@@ -565,99 +574,70 @@ class ModelBundle:
     crf_training: dict | None = None
 
 
-def _check_bundle_versions(*models) -> None:
-    versions = {m.feature_catalog_version for m in models}
-    versions.add(FEATURE_CATALOG_VERSION)
-    if len(versions) != 1:
-        raise VersionMismatchError(
-            f"feature catalog versions disagree: {sorted(versions)}"
-        )
+def _svm_file(head: str) -> str:
+    return f"svm_{head}.json"
 
 
-def _training_record(bundle: ModelBundle) -> dict:
-    """How the bundle was trained. No wall times: bundles must stay
-    byte-identical across reruns with the same seed."""
-    svms = {
-        "formation": bundle.formation_svm,
-        "angle": bundle.angle_svm,
-        "joint": bundle.joint_svm,
-    }
-    return {
-        "crf": bundle.crf_training,
-        "svm": {
-            name: {"gamma": m.gamma, "n_support_vectors": m.n_support_vectors}
-            for name, m in svms.items()
-        },
-    }
+def _bundle_file(path, name: str) -> str:
+    """The path of one of a bundle's files; DataError naming it when absent."""
+    file = os.path.join(path, name)
+    if not os.path.isfile(file):
+        raise DataError(f"model bundle {path} has no {name}")
+    return file
 
 
 def save_models(bundle: ModelBundle, path) -> None:
     os.makedirs(path, exist_ok=True)
+    svms = {head: getattr(bundle, f"{head}_svm") for head in HEADS}
+    crf_mod.save_crf(bundle.crf, os.path.join(path, CRF_FILE))
+    for head, model in svms.items():
+        svm_mod.save_svm(model, os.path.join(path, _svm_file(head)))
+    # How the bundle was trained. No wall times: bundles must stay
+    # byte-identical across reruns with the same seed.
+    training = {
+        "crf": bundle.crf_training,
+        "svm": {
+            head: {"gamma": m.gamma, "n_support_vectors": m.n_support_vectors}
+            for head, m in svms.items()
+        },
+    }
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "feature_catalog_version": FEATURE_CATALOG_VERSION,
-        "files": dict(_BUNDLE_FILES),
-        "training": _training_record(bundle),
+        "training": training,
     }
-    crf_mod.save_crf(bundle.crf, os.path.join(path, _BUNDLE_FILES["crf"]))
-    svm_mod.save_svm(bundle.formation_svm, os.path.join(path, _BUNDLE_FILES["formation"]))
-    svm_mod.save_svm(bundle.angle_svm, os.path.join(path, _BUNDLE_FILES["angle"]))
-    svm_mod.save_svm(bundle.joint_svm, os.path.join(path, _BUNDLE_FILES["joint"]))
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(manifest, fp)
-        fp.write("\n")
+    write_json(os.path.join(path, MANIFEST_FILE), manifest)
 
 
 def load_models(path) -> ModelBundle:
-    manifest_path = os.path.join(path, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fp:
-            manifest = json.load(fp)
-    except FileNotFoundError:
-        raise DataError(f"no model bundle manifest at {manifest_path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt bundle manifest {manifest_path}: {exc}") from exc
+    """The bundle saved at `path`: manifest.json, crf.json and
+    svm_<head>.json for each head of HEADS, whose classes and feature
+    width each SVM must have. A `files` map in the manifest is ignored."""
+    manifest = read_json(_bundle_file(path, MANIFEST_FILE), "bundle manifest")
     if not isinstance(manifest, dict):
-        raise DataError(f"bundle manifest {manifest_path} is not a JSON object")
+        raise DataError(f"bundle manifest of {path} is not a JSON object")
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise DataError(
             f"unsupported bundle format_version {manifest.get('format_version')!r}"
         )
-    catalog = manifest.get("feature_catalog_version")
-    if catalog != FEATURE_CATALOG_VERSION:
-        raise VersionMismatchError(
-            f"bundle built for catalog {catalog!r}, "
-            f"library provides {FEATURE_CATALOG_VERSION!r}"
-        )
-    files = manifest.get("files")
-    if not isinstance(files, dict) or not all(
-        isinstance(files.get(key), str) for key in _BUNDLE_FILES
-    ):
-        raise DataError(
-            f"bundle manifest {manifest_path} must name a file for each of "
-            f"{sorted(_BUNDLE_FILES)}, got {files!r}"
-        )
+    check_catalog(manifest.get("feature_catalog_version"), f"bundle {path}")
     training = manifest.get("training", {})
     if not isinstance(training, dict):
-        raise DataError(f"bundle manifest {manifest_path}: malformed training block")
-    bundle = ModelBundle(
-        crf=crf_mod.load_crf(os.path.join(path, files["crf"])),
-        formation_svm=svm_mod.load_svm(os.path.join(path, files["formation"])),
-        angle_svm=svm_mod.load_svm(os.path.join(path, files["angle"])),
-        joint_svm=svm_mod.load_svm(os.path.join(path, files["joint"])),
-        crf_training=training.get("crf"),
-    )
-    _check_bundle_versions(
-        bundle.crf, bundle.formation_svm, bundle.angle_svm, bundle.joint_svm
-    )
-    for key, model, width in (
-        ("formation", bundle.formation_svm, F_GROUP),
-        ("angle", bundle.angle_svm, F_ANGLE),
-        ("joint", bundle.joint_svm, F_GROUP),
-    ):
+        raise DataError(f"bundle manifest of {path}: malformed training block")
+    crf_model = crf_mod.load_crf(_bundle_file(path, CRF_FILE))
+    svms = {}
+    for head, (_, classes, width) in HEADS.items():
+        name = _svm_file(head)
+        model = svm_mod.load_svm(_bundle_file(path, name))
+        if model.classes != classes:
+            raise DataError(
+                f"{name} has classes {list(model.classes)}, "
+                f"the {head} head has {list(classes)}"
+            )
         if model.support_vectors.shape[1] != width:
             raise DataError(
-                f"{key} svm {files[key]!r} has {model.support_vectors.shape[1]}-wide "
-                f"support vectors, its features are {width} wide"
+                f"{name} has {model.support_vectors.shape[1]}-wide support "
+                f"vectors, the {head} head's features are {width} wide"
             )
-    return bundle
+        svms[f"{head}_svm"] = model
+    return ModelBundle(crf=crf_model, **svms, crf_training=training.get("crf"))

@@ -1,4 +1,6 @@
-"""Skeleton and scene domain types, confidence binning, pose ordering, JSONL I/O.
+"""Skeleton and scene domain types, confidence binning, pose ordering, and
+the package's JSON I/O: Scene JSONL and the one reader and writer of JSON
+documents (model files, manifests, reports, configs, annotations).
 
 A scene is one image frame's worth of detected people. Every person carries
 exactly 17 named keypoints; keypoints a detector could not see are stored as
@@ -155,8 +157,10 @@ class PersonPose:
 
     person_id: str
     points: np.ndarray
-    # See anchor_x. Computed once, when the pose is made: every ordering
-    # and gap reads it.
+    # Horizontal anchor: the mean x of the keypoints at or above
+    # ANCHOR_CONFIDENCE, or of all 17 when none reaches it (fully occluded
+    # people still need an order). Computed once, when the pose is made:
+    # every ordering and gap reads it.
     anchor: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -211,15 +215,6 @@ class PersonPose:
         x, y, c = self.points[KEYPOINT_INDEX[name]].tolist()
         return Keypoint(name, x, y, c)
 
-    def xs(self) -> np.ndarray:
-        return self.points[:, X]
-
-    def ys(self) -> np.ndarray:
-        return self.points[:, Y]
-
-    def confidences(self) -> np.ndarray:
-        return self.points[:, CONF]
-
 
 def _anchor(points: np.ndarray) -> float:
     xs = points[:, X]
@@ -227,15 +222,6 @@ def _anchor(points: np.ndarray) -> float:
     if len(confident):
         xs = confident
     return float(np.add.reduce(xs)) / len(xs)  # what xs.mean() computes
-
-
-def anchor_x(pose: PersonPose) -> float:
-    """Horizontal anchor of a pose: mean x of confident keypoints.
-
-    Falls back to the mean over all 17 when no keypoint reaches the
-    confidence threshold (fully occluded people still need an order).
-    """
-    return pose.anchor
 
 
 @dataclass(frozen=True)
@@ -429,6 +415,44 @@ def save_scenes(scenes: Iterable[Scene], path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents: every model file, manifest, report, config and annotation
+# file is read and written here.
+
+
+def read_json(path, what: str):
+    """The JSON document at `path`; DataError naming `what` when it does not
+    parse. A missing file raises FileNotFoundError."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise DataError(f"corrupt {what} {path}: {exc}") from exc
+
+
+def write_json(path, doc, **dump_options) -> None:
+    """`doc` as one UTF-8 JSON document at `path`, LF-terminated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+        json.dump(doc, fp, **dump_options)
+        fp.write("\n")
+
+
+def check_header(doc, kind: str, format_version: int) -> None:
+    """DataError unless `doc` is a JSON object of this model kind and file
+    format version."""
+    if not isinstance(doc, dict):
+        raise DataError(
+            f"malformed {kind} model file: a {type(doc).__name__}, not an object"
+        )
+    if doc.get("kind") != kind:
+        raise DataError(f"not a {kind} model file (kind={doc.get('kind')!r})")
+    if doc.get("format_version") != format_version:
+        raise DataError(
+            f"unsupported {kind} format_version {doc.get('format_version')!r} "
+            f"(this library reads version {format_version}); retrain the model"
+        )
+
+
+# ---------------------------------------------------------------------------
 # EGO-GROUP-style annotation adapter.
 #
 # Annotation schema (documented in README.md; the dataset itself is not
@@ -441,19 +465,25 @@ def save_scenes(scenes: Iterable[Scene], path) -> None:
 
 
 def convert_ego_group(doc: dict) -> list[Scene]:
+    frames = doc.get("frames") if isinstance(doc, dict) else None
+    if not isinstance(frames, list):
+        raise DataError("annotation document has no 'frames' list")
     scenes = []
-    try:
-        frames = doc["frames"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"annotation document has no 'frames' list: {exc}") from exc
     for fidx, frame in enumerate(frames):
         try:
-            grouped = {pid for group in frame.get("groups", []) for pid in group}
+            if not isinstance(frame, dict):
+                raise ValueError(f"a frame must be an object, not {type(frame).__name__}")
+            groups = frame.get("groups", [])
+            if not (isinstance(groups, list) and all(isinstance(g, list) for g in groups)):
+                raise ValueError("'groups' must be a list of person-id lists")
+            grouped = {pid for group in groups for pid in group}
             poses = []
             membership = []
             for person in frame["people"]:
                 pid = str(person["id"])
                 kps = person.get("keypoints", {})
+                if not isinstance(kps, dict):
+                    raise ValueError(f"person {pid!r}: keypoints must be an object")
                 points = np.zeros((NUM_KEYPOINTS, 3))
                 for k, name in enumerate(KEYPOINT_NAMES):
                     if name in kps:
@@ -464,8 +494,8 @@ def convert_ego_group(doc: dict) -> list[Scene]:
             scenes.append(
                 Scene(
                     frame_id=str(frame["frame"]),
-                    image_width=int(frame["width"]),
-                    image_height=int(frame["height"]),
+                    image_width=_image_dimension(frame["width"]),
+                    image_height=_image_dimension(frame["height"]),
                     poses=tuple(poses),
                     truth=SceneTruth(membership=tuple(membership)),
                 )
@@ -476,11 +506,6 @@ def convert_ego_group(doc: dict) -> list[Scene]:
 
 
 def convert_ego_group_file(in_path, out_path) -> int:
-    with open(in_path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid annotation JSON: {exc}") from exc
-    scenes = convert_ego_group(doc)
+    scenes = convert_ego_group(read_json(in_path, "annotation file"))
     save_scenes(scenes, out_path)
     return len(scenes)

@@ -11,13 +11,13 @@ bias b = (m + M) / 2 then satisfies every point's KKT condition within tol.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, VersionMismatchError
-from .features import FEATURE_CATALOG_VERSION
+from .errors import ConvergenceError, DataError
+from .features import FEATURE_CATALOG_VERSION, check_catalog
+from .pose import check_header, read_json, write_json
 
 SVM_FORMAT_VERSION = 2
 
@@ -42,15 +42,6 @@ def pairwise_sq_dists(
         z_sq_norms = (Z * Z).sum(axis=1)
     d = (X * X).sum(axis=1)[:, None] + z_sq_norms[None, :] - 2.0 * (X @ Z.T)
     return np.maximum(d, 0.0)
-
-
-def rbf_kernel(x: np.ndarray, z: np.ndarray, gamma: float) -> float:
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape:
-        raise ValueError(f"kernel arguments differ in shape: {x.shape} vs {z.shape}")
-    d = x - z
-    return float(np.exp(-gamma * (d @ d)))
 
 
 def rbf_gram(X: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
@@ -233,14 +224,6 @@ class SvmModel:
         return len(self.support_vectors)
 
 
-def _check_version(model: SvmModel) -> None:
-    if model.feature_catalog_version != FEATURE_CATALOG_VERSION:
-        raise VersionMismatchError(
-            f"model built for catalog {model.feature_catalog_version!r}, "
-            f"library provides {FEATURE_CATALOG_VERSION!r}"
-        )
-
-
 def _fit_ovr(X, labels, classes, *, C, gamma, tol, max_iter, K) -> SvmModel:
     """One SMO binary per class over a shared Gram matrix K; the stored
     support vectors are the training rows where any class has alpha > 0."""
@@ -286,7 +269,7 @@ def train_one_vs_rest(
 
 def decision_matrix(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """(n, n_classes) one-vs-rest decision values: one kernel block, one matmul."""
-    _check_version(model)
+    check_catalog(model.feature_catalog_version, "svm model")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d2 = pairwise_sq_dists(X, model.support_vectors, model.sv_sq_norms)
     return np.exp(-model.gamma * d2) @ model.dual_coef + model.bias
@@ -434,14 +417,8 @@ def svm_to_dict(model: SvmModel) -> dict:
 
 
 def svm_from_dict(doc: dict) -> SvmModel:
+    check_header(doc, "svm-ovr", SVM_FORMAT_VERSION)
     try:
-        if doc.get("kind") != "svm-ovr":
-            raise DataError(f"not an svm model file (kind={doc.get('kind')!r})")
-        if doc["format_version"] != SVM_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported svm format_version {doc['format_version']!r} "
-                f"(this library reads version {SVM_FORMAT_VERSION}); retrain the model"
-            )
         return SvmModel(
             classes=tuple(doc["classes"]),
             support_vectors=np.array(doc["support_vectors"], dtype=float),
@@ -451,22 +428,15 @@ def svm_from_dict(doc: dict) -> SvmModel:
             gamma=float(doc["gamma"]),
             feature_catalog_version=doc["feature_catalog_version"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed svm model file: {exc}") from exc
 
 
 def save_svm(model: SvmModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(svm_to_dict(model), fp)
-        fp.write("\n")
+    write_json(path, svm_to_dict(model))
 
 
 def load_svm(path) -> SvmModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"corrupt svm model file {path}: {exc}") from exc
-    model = svm_from_dict(doc)
-    _check_version(model)
+    model = svm_from_dict(read_json(path, "svm model file"))
+    check_catalog(model.feature_catalog_version, f"svm model file {path}")
     return model

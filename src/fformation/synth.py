@@ -17,7 +17,7 @@ members with or without outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -174,13 +174,17 @@ class SynthConfig:
             raise ValueError("noise sigma must be >= 0")
         if self.outlier_count < 0:
             raise ValueError("outlier count must be >= 0")
-
-
-def synth_config_to_dict(cfg: SynthConfig) -> dict:
-    doc = asdict(cfg)
-    if isinstance(cfg.distance_m, tuple):
-        doc["distance_m"] = list(cfg.distance_m)
-    return doc
+        d = self.distance_m
+        lo, hi = d if isinstance(d, (tuple, list)) and len(d) == 2 else (d, d)
+        try:
+            ok = 0 < lo <= hi < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"distance_m must be a positive distance or an ordered (lo, hi) "
+                f"pair of them, got {d!r}"
+            )
 
 
 def synth_config_from_dict(doc: dict) -> SynthConfig:

@@ -137,6 +137,54 @@ class TestGenerate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("distance", ["x", -1.0, [5.0, 2.0], [2.0, "x"]])
+    def test_config_with_bad_distance_is_config_error(self, workdir, distance):
+        cfg_path = workdir / "bad_distance.json"
+        cfg = {"formation": "triangle", "angle_deg": 60, "distance_m": distance}
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(
+            ["generate", "--config", str(cfg_path), "--out", str(workdir / "never.jsonl")]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--distance", "5:2"), ("--noise-px", "-1")])
+    def test_bad_scene_option_is_config_error(self, workdir, flag, value):
+        rc = main(["generate", flag, value, "--count", "1", "--out", str(workdir / "z.jsonl")])
+        assert rc == 2
+
+
+@pytest.mark.parametrize("gamma", ["abc", "-1", "nan"])
+def test_reproduction_script_bad_gamma_is_usage_error(gamma):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_synthetic_eval.py")
+    src = os.path.dirname(os.path.dirname(fformation.__file__))
+    proc = subprocess.run(
+        [sys.executable, script, "--gamma", gamma],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "gamma must be a positive float or 'auto'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_positive_gamma_is_config_error(workdir):
+    rc = main(
+        [
+            "train-svm",
+            "--task",
+            "formation",
+            "--train",
+            str(workdir / "train.jsonl"),
+            "--gamma",
+            "-1",
+            "--out",
+            str(workdir / "never_svm.json"),
+        ]
+    )
+    assert rc == 2
+
 
 class TestTraining:
     def test_train_crf_and_svms_and_predict(self, workdir):
@@ -247,6 +295,47 @@ def test_class_missing_from_training_data_is_data_error(workdir, triangle_only, 
     assert "data error: the formation training data has no sample of" in err
     assert "'face-to-face', 'side-by-side', 'L-shaped'" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def poseless_train(workdir):
+    """The training set with one more labelled scene, which has no pose."""
+    lines = (workdir / "train.jsonl").read_text().splitlines()
+    doc = json.loads(lines[0])
+    doc.update(frame_id="nobody", poses=[])
+    doc["truth"]["membership"] = []
+    path = workdir / "poseless.jsonl"
+    path.write_text("\n".join([json.dumps(doc)] + lines) + "\n")
+    return path, len(lines)
+
+
+@pytest.mark.parametrize("command", ["train-crf", "train-svm", "train-svm-crf", "evaluate"])
+def test_scene_without_a_pose_is_skipped_in_training(
+    workdir, artifacts, poseless_train, command, capsys
+):
+    train, n_with_poses = poseless_train
+    out = str(workdir / f"poseless_{command}")
+    svm = ["train-svm", "--task", "formation", "--train", str(train), "--out", out]
+    args = {
+        "train-crf": ["train-crf", "--train", str(train), "--out", out, "--max-iters", "50"],
+        "train-svm": svm,
+        "train-svm-crf": svm + ["--crf", str(artifacts["models"] / "crf.json")],
+        "evaluate": [
+            "evaluate",
+            "--train",
+            str(train),
+            "--test",
+            str(workdir / "test.jsonl"),
+            "--crf-max-iters",
+            "50",
+            "--out-dir",
+            out,
+        ],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 0
+    if command == "train-crf":
+        assert f"on {n_with_poses} chains" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -427,16 +516,10 @@ class TestEvaluatePredictBaselineBench:
         assert "config error" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("drop", ["files", "joint"])
-    def test_manifest_without_files_is_data_error(self, workdir, artifacts, drop):
-        broken = workdir / f"no_{drop}_models"
-        broken.mkdir(exist_ok=True)
-        manifest = json.loads((artifacts["models"] / "manifest.json").read_text())
-        if drop == "files":
-            del manifest["files"]
-        else:
-            del manifest["files"][drop]
-        (broken / "manifest.json").write_text(json.dumps(manifest))
+    def test_missing_bundle_file_is_data_error(self, workdir, artifacts):
+        broken = workdir / "no_joint_models"
+        shutil.copytree(artifacts["models"], broken, dirs_exist_ok=True)
+        (broken / "svm_joint.json").unlink()
         rc, err = run_cli(
             [
                 "predict",
@@ -449,12 +532,50 @@ class TestEvaluatePredictBaselineBench:
             ]
         )
         assert rc == 3
-        assert "data error" in err
+        assert "data error" in err and "svm_joint.json" in err
         assert "Traceback" not in err
+
+    def test_manifest_files_map_is_ignored(self, workdir, artifacts):
+        """A `files` map (older manifests carry one) cannot point the bundle
+        at model files outside it: the fixed names are read."""
+        bundle = workdir / "files_map_models"
+        shutil.copytree(artifacts["models"], bundle, dirs_exist_ok=True)
+        outside = workdir / "outside_models"
+        outside.mkdir(exist_ok=True)
+        (outside / "crf.json").write_text("{}")
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["files"] = {"crf": "../outside_models/crf.json"}
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        outputs = []
+        for models in (artifacts["models"], bundle):
+            out = workdir / f"det_{models.name}.jsonl"
+            rc, err = run_cli(
+                [
+                    "predict",
+                    "--data",
+                    str(workdir / "test.jsonl"),
+                    "--models",
+                    str(models),
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert rc == 0, err
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
 
 
 def _sv_308_wide(doc):
     doc["support_vectors"] = [row[:-1] for row in doc["support_vectors"]]
+
+
+def _three_angle_classes(doc):
+    """A consistent angle model that knows only the first 3 of the 7 angles."""
+    doc.update(
+        classes=doc["classes"][:3],
+        bias=doc["bias"][:3],
+        dual_coefs=[row[:3] for row in doc["dual_coefs"]],
+    )
 
 
 # Model files `fformation predict` must refuse with exit 3: (file, edit).
@@ -469,6 +590,15 @@ MALFORMED_MODELS = {
     "crf_l2_not_a_number": ("crf.json", lambda d: d.update(l2="x")),
     "crf_27_node_features": ("crf.json", lambda d: d.update(weights=[0.0] * (2 * 27 + 4))),
     "svm_308_wide": ("svm_formation.json", _sv_308_wide),
+    "svm_formation_renamed_classes": (
+        "svm_formation.json",
+        lambda d: d.update(classes=["a", "b", "c", "d"]),
+    ),
+    "svm_joint_integer_classes": (
+        "svm_joint.json",
+        lambda d: d.update(classes=list(range(len(d["classes"])))),
+    ),
+    "svm_angle_three_of_seven_classes": ("svm_angle.json", _three_angle_classes),
 }
 
 
@@ -561,6 +691,31 @@ class TestConvertEgoGroup:
         assert "Traceback" not in err
         if code:
             assert "data error: scene '0' lacks formation truth" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"frames": {"a": 1}},
+            {"frames": ["x"]},
+            {
+                "frames": [
+                    {
+                        "frame": "0",
+                        "width": 640,
+                        "height": 480,
+                        "people": [{"id": "a", "keypoints": [1, 2]}],
+                    }
+                ]
+            },
+        ],
+        ids=["frames_an_object", "frame_a_string", "keypoints_a_list"],
+    )
+    def test_malformed_annotation_is_data_error(self, workdir, doc):
+        path = workdir / "malformed_ego.json"
+        path.write_text(json.dumps(doc))
+        out = workdir / "malformed_ego.jsonl"
+        rc = main(["convert-ego-group", "--annotations", str(path), "--out", str(out)])
+        assert rc == 3
 
     def test_invalid_annotation_is_data_error(self, workdir):
         path = workdir / "bad_ego.json"

@@ -4,7 +4,7 @@ import json
 import logging
 import os
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from fformation.experiments import (
     SynthSpec,
     TrainingConfig,
     bench_latency,
-    latency_stats_to_dict,
     resolve_gamma,
     run_experiment,
     train_bundle,
@@ -313,7 +312,7 @@ class TestBenchLatency:
         stats = bench_latency(mini.bundle, scenes, repetitions=1)
         has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
         assert stats.blas_threads_limited is has_threadpoolctl
-        doc = latency_stats_to_dict(stats)
+        doc = asdict(stats)
         assert doc["blas_threads_limited"] is has_threadpoolctl
 
     def test_requires_100_scenes(self, mini, scenes):
@@ -322,6 +321,6 @@ class TestBenchLatency:
 
     def test_stats_serializable(self, mini, scenes):
         stats = bench_latency(mini.bundle, scenes, repetitions=1)
-        doc = latency_stats_to_dict(stats)
+        doc = asdict(stats)
         json.dumps(doc)
         assert set(doc["stages_ms"]) == {"features", "crf", "svm"}

@@ -21,7 +21,6 @@ from fformation.pipeline import _ordered_chains
 from fformation.pose import (
     FORMATIONS,
     KEYPOINT_NAMES,
-    anchor_x,
     bin_confidence,
     order_left_to_right,
 )
@@ -403,7 +402,7 @@ class TestMatchesObjectPath:
         scene = order_left_to_right(EQUIVALENCE_SCENES[k])
         assert _bits(chain_features(scene)) == _bits(ref_chain_features(scene))
         for pose in scene.poses:
-            assert anchor_x(pose) == ref_anchor_x(pose)
+            assert pose.anchor == ref_anchor_x(pose)
             assert _bits(pose_stats(pose, scene.image_width)) == _bits(
                 ref_pose_stats(pose, scene.image_width)
             )

@@ -422,6 +422,15 @@ class TestTrainingGroups:
         # poses were placed right to left
         assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
 
+    def test_scene_without_a_pose_has_no_chain_and_no_group(self):
+        empty, scene = self._scene(()), self._scene(("G", "O", "G"))
+        assert len(pipeline.build_crf_chains([empty, scene, empty])) == 1
+        groups = training_groups([empty, scene, empty])
+        assert groups[0] is None and groups[2] is None
+        assert [p.person_id for p in groups[1]] == ["p2", "p0"]
+        with pytest.raises(DataError, match="no training scene has a pose"):
+            training_groups([empty])
+
 
 def _capture_rows(monkeypatch, model):
     """The rows every svm.predict_many call on `model` receives."""
@@ -667,15 +676,26 @@ class TestModelBundle:
         assert loaded.crf_training is None
         assert loaded.joint_svm.n_support_vectors == mini.bundle.joint_svm.n_support_vectors
 
-    @pytest.mark.parametrize("drop", ["files", "crf", "formation", "angle", "joint"])
-    def test_manifest_missing_files_entry_is_data_error(self, mini, tmp_path, drop):
+    @pytest.mark.parametrize("drop", ["crf", "formation", "angle", "joint"])
+    def test_missing_bundle_file_is_data_error(self, mini, tmp_path, drop):
+        path = tmp_path / "bundle"
+        save_models(mini.bundle, path)
+        name = "crf.json" if drop == "crf" else f"svm_{drop}.json"
+        (path / name).unlink()
+        with pytest.raises(DataError, match=f"has no {name}"):
+            load_models(path)
+
+    def test_manifest_files_map_is_ignored(self, mini, tmp_path):
+        """Bundles are read from their fixed file names: a `files` map, which
+        older manifests carry, is ignored, wherever it points."""
         path = tmp_path / "bundle"
         save_models(mini.bundle, path)
         manifest = json.loads((path / "manifest.json").read_text())
-        if drop == "files":
-            del manifest["files"]
-        else:
-            del manifest["files"][drop]
+        assert "files" not in manifest
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        (outside / "crf.json").write_text("not json")
+        manifest["files"] = {"crf": "../elsewhere/crf.json", "joint": 7}
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="must name a file"):
-            load_models(path)
+        loaded = load_models(path)
+        np.testing.assert_array_equal(loaded.crf.weights, mini.bundle.crf.weights)

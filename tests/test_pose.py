@@ -14,7 +14,6 @@ from fformation.pose import (
     PersonPose,
     Scene,
     SceneTruth,
-    anchor_x,
     bin_confidence,
     convert_ego_group,
     left_to_right_permutation,
@@ -140,7 +139,7 @@ class TestPoseArray:
 
     def test_anchor_is_computed_with_the_pose(self):
         pose = make_pose("p", x=40.0, overrides={"nose": (400.0, 0.0, 0.9)})
-        assert pose.anchor == anchor_x(pose) == (40.0 * 16 + 400.0) / 17
+        assert pose.anchor == (40.0 * 16 + 400.0) / 17
 
 
 class TestOrdering:
@@ -203,7 +202,7 @@ class TestOrdering:
 
     def test_anchor_falls_back_to_all_keypoints(self):
         pose = make_pose("low", x=250.0, confidence=0.1)
-        assert anchor_x(pose) == pytest.approx(250.0)
+        assert pose.anchor == pytest.approx(250.0)
 
     def test_permutation_helper_matches(self):
         scene = make_scene([make_pose("b", x=300.0), make_pose("a", x=10.0)])

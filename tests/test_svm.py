@@ -20,7 +20,6 @@ from fformation.svm import (
     predict,
     predict_batch,
     rbf_gram,
-    rbf_kernel,
     save_svm,
     select_gamma,
     smo_solve,
@@ -44,30 +43,33 @@ def blobs(rng, n_per=30, sep=4.0, dim=2, noise=0.4):
 class TestRbfKernel:
     def test_identical_inputs_give_one(self, rng):
         x = rng.normal(size=7)
-        assert rbf_kernel(x, x, gamma=0.3) == 1.0
+        assert rbf_gram(x[None], x[None], gamma=0.3)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_known_value(self):
         # gamma = 0.5 and squared distance 2 evaluate to exp(-1).
         x = np.array([0.0, 0.0])
         z = np.array([1.0, 1.0])
-        assert rbf_kernel(x, z, gamma=0.5) == pytest.approx(math.exp(-1), rel=1e-12)
-        assert rbf_kernel(x, z, gamma=0.5) == pytest.approx(0.36787944117, rel=1e-9)
+        [[k]] = rbf_gram(x[None], z[None], gamma=0.5)
+        assert k == pytest.approx(math.exp(-1), rel=1e-12)
+        assert k == pytest.approx(0.36787944117, rel=1e-9)
 
     def test_symmetric(self, rng):
-        x, z = rng.normal(size=5), rng.normal(size=5)
-        assert rbf_kernel(x, z, 0.7) == rbf_kernel(z, x, 0.7)
+        X, Z = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+        np.testing.assert_allclose(
+            rbf_gram(X, Z, 0.7), rbf_gram(Z, X, 0.7).T, rtol=1e-15, atol=0
+        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
+            rbf_gram(np.zeros((1, 3)), np.zeros((1, 4)), 1.0)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_range_is_zero_one(self, seed):
         r = np.random.default_rng(seed)
-        x, z = r.normal(size=4), r.normal(size=4)
-        v = rbf_kernel(x, z, gamma=float(r.uniform(0.01, 5.0)))
-        assert 0.0 < v <= 1.0
+        X, Z = r.normal(size=(3, 4)), r.normal(size=(2, 4))
+        K = rbf_gram(X, Z, gamma=float(r.uniform(0.01, 5.0)))
+        assert np.all((K > 0.0) & (K <= 1.0))
 
     def test_gram_psd_on_random_sets(self, rng):
         # Independent eigensolver check on 50 random small sets.

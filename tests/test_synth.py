@@ -1,16 +1,16 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from fformation.errors import PlacementError
 from fformation.pose import (
+    CONF,
     GROUP,
     OUTLIER,
     ConfidenceBin,
-    anchor_x,
     bin_confidence,
     scene_to_dict,
 )
@@ -34,7 +34,6 @@ from fformation.synth import (
     render_scene_with_layout,
     split_train_test,
     synth_config_from_dict,
-    synth_config_to_dict,
 )
 
 
@@ -148,7 +147,7 @@ class TestRenderScene:
         )
         scene = render_scene(cfg)
         far = next(p for p in scene.poses if p.person_id == "m0")
-        confs = far.confidences()
+        confs = far.points[:, CONF]
         low = sum(bin_confidence(float(c)) is ConfidenceBin.LOW for c in confs)
         assert low >= 14  # most far-member keypoints land in the Low bin
 
@@ -310,8 +309,15 @@ class TestRenderScene:
             outlier_count=1,
             seed=9,
         )
-        doc = json.loads(json.dumps(synth_config_to_dict(cfg)))
+        doc = json.loads(json.dumps(asdict(cfg)))
         assert synth_config_from_dict(doc) == cfg
+
+    @pytest.mark.parametrize(
+        "distance", ["x", 0.0, -1.0, float("nan"), math.inf, (5.0, 2.0), (1.0, 2.0, 3.0)]
+    )
+    def test_distance_must_be_positive_and_ordered(self, distance):
+        with pytest.raises(ValueError, match="distance_m"):
+            SynthConfig(formation="triangle", angle_deg=0, distance_m=distance)
 
     def test_config_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
