@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from fformation.cli import _parse_gamma
+from fformation.cli import _check_flag_ranges, _parse_gamma
 from fformation.errors import ConfigError
 from fformation.experiments import ExperimentConfig, SynthSpec, TrainingConfig, run_experiment
 
@@ -26,6 +26,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        _check_flag_ranges(args)
         gamma = _parse_gamma(args.gamma)
     except ConfigError as exc:
         parser.error(str(exc))  # exits 2

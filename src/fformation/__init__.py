@@ -11,13 +11,11 @@ from .pose import (
     KEYPOINT_NAMES,
     OUTLIER,
     ConfidenceBin,
-    Keypoint,
     PersonPose,
     Scene,
     SceneTruth,
     bin_confidence,
     load_scenes,
-    order_left_to_right,
     parse_scenes,
     save_scenes,
     write_scenes,
@@ -35,13 +33,11 @@ __all__ = [
     "F_GROUP",
     "F_NODE",
     "FEATURE_CATALOG_VERSION",
-    "Keypoint",
     "PersonPose",
     "Scene",
     "SceneTruth",
     "bin_confidence",
     "load_scenes",
-    "order_left_to_right",
     "parse_scenes",
     "save_scenes",
     "write_scenes",

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 from . import crf as crf_mod
 from . import svm as svm_mod
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PlacementError
 from .experiments import (
     ExperimentConfig,
     SynthSpec,
@@ -87,33 +87,63 @@ def _parse_gamma(text: str):
     return gamma
 
 
+# Numeric flags checked before any command runs: flag destination ->
+# (test, what the value must be).
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_FLAG_RANGES = {
+    "seed": _NON_NEGATIVE,
+    "count": _AT_LEAST_ONE,
+    "repetitions": _AT_LEAST_ONE,
+    "max_iters": _AT_LEAST_ONE,
+    "crf_max_iters": _AT_LEAST_ONE,
+    "l2": _NON_NEGATIVE,
+    "crf_l2": _NON_NEGATIVE,
+    "C": _POSITIVE,
+    "tol": _POSITIVE,
+    "crf_tol": _POSITIVE,
+    "svm_tol": _POSITIVE,
+}
+
+
+def _check_flag_ranges(args) -> None:
+    """ConfigError naming the first flag of `args` outside its range."""
+    for dest, (ok, what) in _FLAG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be {what}, got {value!r}")
+
+
 def cmd_generate(args) -> int:
-    if args.config:
-        doc = read_json(args.config, "synth config")
-        try:
+    try:
+        if args.config:
+            doc = read_json(args.config, "synth config")
             configs = [(synth_config_from_dict(doc), args.count)]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synth config: {exc}") from exc
-    else:
-        spec = SynthSpec(
-            count_per_cell=args.count,
-            formations=_parse_formations(args.formations),
-            angles=_parse_angles(args.angles),
-            outlier_fraction=args.outlier_frac,
-            distance_m=_parse_distance(args.distance),
-            image_width=args.width,
-            image_height=args.height,
-            noise_px=args.noise_px,
-            formation_scale=args.formation_scale,
-            angle_jitter_deg=args.angle_jitter,
-            scale_jitter=args.scale_jitter,
-            seed=args.seed,
-        )
-        try:
-            configs = spec.configs()
-        except ValueError as exc:
-            raise ConfigError(f"bad scene options: {exc}") from exc
-    scenes = generate_dataset(configs, shuffle_seed=args.seed)
+        else:
+            configs = SynthSpec(
+                count_per_cell=args.count,
+                formations=_parse_formations(args.formations),
+                angles=_parse_angles(args.angles),
+                outlier_fraction=args.outlier_frac,
+                distance_m=_parse_distance(args.distance),
+                image_width=args.width,
+                image_height=args.height,
+                noise_px=args.noise_px,
+                formation_scale=args.formation_scale,
+                angle_jitter_deg=args.angle_jitter,
+                scale_jitter=args.scale_jitter,
+                seed=args.seed,
+            ).configs()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scene options: {exc}") from exc
+    try:
+        scenes = generate_dataset(configs, shuffle_seed=args.seed)
+    except (ValueError, PlacementError) as exc:
+        # Options that pass the checks can still be too extreme to render:
+        # non-finite keypoints, or a camera too close to the bodies.
+        raise ConfigError(f"cannot render these scene options: {exc}") from exc
     save_scenes(scenes, args.out)
     print(f"wrote {len(scenes)} scenes to {args.out}")
     if args.train_out or args.test_out:
@@ -352,6 +382,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_ranges(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

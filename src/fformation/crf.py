@@ -105,11 +105,16 @@ def _node_potentials(model: CrfModel, features: np.ndarray) -> np.ndarray:
 
 
 def log_potentials(model: CrfModel, chain: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Node scores (n, 2) and the shared transition score table (2, 2)."""
+    """Node scores (n, 2) and the shared transition score table (2, 2).
+
+    One chain: the per-chain reference (nll_and_gradient) and the
+    benchmark's output checks score a chain with it."""
     return _node_potentials(model, chain.features), model.transition_weights()
 
 
 def sequence_score(node: np.ndarray, trans: np.ndarray, labels: np.ndarray) -> float:
+    """Score of one labelling of one chain: the per-chain reference's gold
+    term, and what the tests' enumeration oracle sums."""
     s = float(node[np.arange(len(labels)), labels].sum())
     if len(labels) > 1:
         s += float(trans[labels[:-1], labels[1:]].sum())
@@ -171,19 +176,6 @@ def _posteriors(
     return _node_marginals(alpha, beta, log_z), np.exp(log_edge), log_z
 
 
-def forward(model: CrfModel, chain: ChainInstance) -> float:
-    """log Z: log-partition over all 2^n labelings."""
-    node, trans = log_potentials(model, chain)
-    return float(_forward_backward(node[None], trans)[2][0])
-
-
-def marginals(model: CrfModel, chain: ChainInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Node marginals (n, 2) and edge marginals (n-1, 2, 2)."""
-    node, trans = log_potentials(model, chain)
-    node_marg, edge_marg, _ = _posteriors(node[None], trans)
-    return node_marg[0], edge_marg[0]
-
-
 def nll_and_gradient(
     model: CrfModel, batch: list[ChainInstance], l2: float = 0.0
 ) -> tuple[float, np.ndarray]:
@@ -191,7 +183,7 @@ def nll_and_gradient(
 
     grad = sum over chains (expected - empirical feature counts) + l2 * w.
     One chain at a time: the reference the batched training objective is
-    checked against.
+    checked against, here and by the benchmark's traced gradient check.
     """
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
@@ -304,6 +296,12 @@ def train(
     """
     if not batch:
         raise ValueError("training batch is empty")
+    if not 0 <= config.l2 < np.inf:
+        raise ValueError(f"l2 must be non-negative and finite, got {config.l2!r}")
+    if config.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {config.max_iters!r}")
+    if not 0 < config.tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {config.tol!r}")
     f = batch[0].features.shape[1]
     k = weight_dim(f)
     groups = _group_by_length(batch)
@@ -362,20 +360,15 @@ def _viterbi(node: np.ndarray, trans: np.ndarray) -> np.ndarray:
     return labels
 
 
-def viterbi(model: CrfModel, chain: ChainInstance) -> list[str]:
-    """Max-scoring label sequence; ties prefer G at the first differing position."""
-    node, trans = log_potentials(model, chain)
-    return indices_to_labels(_viterbi(node[None], trans)[0])
-
-
 def decode_batch(
     model: CrfModel, features: np.ndarray, *, marginals: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Viterbi label indices (B, n) of B equal-length chains (B, n, F), and
     with marginals=True their node marginals (B, n, 2), else None.
 
-    Row b equals what viterbi and marginals return for chain b alone, bit
-    for bit: every step is elementwise across the batch.
+    Ties prefer G at the first differing position. Row b equals what a
+    one-chain batch of chain b returns, bit for bit: every step is
+    elementwise across the batch.
     """
     node = _node_potentials(model, features)
     trans = model.transition_weights()

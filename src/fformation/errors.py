@@ -20,10 +20,6 @@ class VersionMismatchError(DataError):
     """A serialized model was built against a different feature catalog."""
 
 
-class CapacityError(ValueError):
-    """More items than a fixed-size container can hold (e.g. >3 group members)."""
-
-
 class PlacementError(RuntimeError):
     """Synthetic camera placement collided with a body and retries ran out."""
 

@@ -64,6 +64,16 @@ class SynthSpec:
     scale_jitter: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count_per_cell < 1:
+            raise ValueError(
+                f"count_per_cell must be at least 1, got {self.count_per_cell}"
+            )
+        if not 0 <= self.outlier_fraction <= 1:
+            raise ValueError(
+                f"outlier_fraction must be in [0, 1], got {self.outlier_fraction}"
+            )
+
     def configs(self) -> list[tuple[SynthConfig, int]]:
         """Per-cell configs; the outlier fraction becomes a second config.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, VersionMismatchError
+from .errors import VersionMismatchError
 from .pose import (
     CONF,
     FORMATIONS,
@@ -22,7 +22,6 @@ from .pose import (
     X,
     Y,
     ConfidenceBin,
-    PersonPose,
     Scene,
     confidence_bins,
 )
@@ -107,11 +106,6 @@ def _stats(points: np.ndarray, image_width) -> np.ndarray:
     return out
 
 
-def pose_stats(pose: PersonPose, image_width: int) -> np.ndarray:
-    """The 8 per-pose statistics shared by a node and its neighbor blocks."""
-    return _stats(pose.points, image_width)
-
-
 def stacked_chain_features(points: np.ndarray, anchors: np.ndarray, widths) -> np.ndarray:
     """Node features (B, n, F_NODE) of B chains of n poses each.
 
@@ -135,7 +129,9 @@ def stacked_chain_features(points: np.ndarray, anchors: np.ndarray, widths) -> n
 
 
 def chain_features(scene: Scene) -> np.ndarray:
-    """Node features, shape (n, F_NODE), of a left-to-right ordered scene."""
+    """Node features, shape (n, F_NODE), of a left-to-right ordered scene.
+
+    One scene: the benchmark's output checks score a scene's chain with it."""
     if not scene.poses:
         raise ValueError("a chain needs at least one pose")
     return stacked_chain_features(
@@ -145,20 +141,14 @@ def chain_features(scene: Scene) -> np.ndarray:
     )[0]
 
 
-def node_features(scene: Scene, i: int) -> np.ndarray:
-    """Observation features for pose i of a left-to-right ordered scene."""
-    n = len(scene.poses)
-    if not 0 <= i < n:
-        raise ValueError(f"pose index {i} out of range for {n} poses")
-    return chain_features(scene)[i]
-
-
 def stacked_group_features(points: np.ndarray, sizes, widths, heights) -> np.ndarray:
     """Group vectors (G, F_GROUP) of G groups of 1-3 poses.
 
     points (G, GROUP_SLOTS, 17, 3): slot s of group g holds its s-th member
     left to right for s < sizes[g]; later slots are ignored. widths and
-    heights (G,) are the image sizes.
+    heights (G,) are the image sizes. Coordinates are centered and scaled by
+    the image half-extent and clamped to [-1, 1] (projections may land
+    slightly off-frame). Empty slots stay zero with presence flag 0.
     """
     present = np.arange(GROUP_SLOTS) < np.asarray(sizes)[:, None]
     half_w = (np.asarray(widths, dtype=float) / 2.0)[:, None, None]
@@ -175,38 +165,10 @@ def stacked_group_features(points: np.ndarray, sizes, widths, heights) -> np.nda
     return out
 
 
-def group_features(
-    poses: list[PersonPose] | tuple[PersonPose, ...],
-    image_width: int,
-    image_height: int,
-) -> np.ndarray:
-    """Fixed 309-entry vector for a group of 1-3 left-to-right ordered poses.
-
-    Coordinates are centered and scaled by the image half-extent and clamped
-    to [-1, 1] (projections may land slightly off-frame). Empty slots stay
-    zero with presence flag 0.
-    """
-    if len(poses) == 0:
-        raise ValueError("group must contain at least one pose")
-    if len(poses) > GROUP_SLOTS:
-        raise CapacityError(
-            f"group of {len(poses)} exceeds the {GROUP_SLOTS}-slot feature layout"
-        )
-    points = np.zeros((1, GROUP_SLOTS, NUM_KEYPOINTS, 3))
-    points[0, : len(poses)] = [p.points for p in poses]
-    return stacked_group_features(points, [len(poses)], [image_width], [image_height])[0]
-
-
-def formation_one_hot(formation: str) -> np.ndarray:
-    out = np.zeros(len(FORMATIONS))
-    out[FORMATIONS.index(formation)] = 1.0
-    return out
-
-
 def angle_features(gfv: np.ndarray, formation: str) -> np.ndarray:
     """Group vector plus the (predicted or gold) formation as a one-hot suffix."""
     if len(gfv) != F_GROUP:
         raise ValueError(f"expected a {F_GROUP}-entry group vector, got {len(gfv)}")
     if formation not in FORMATIONS:
         raise ValueError(f"unknown formation {formation!r}")
-    return np.concatenate([gfv, formation_one_hot(formation)])
+    return np.concatenate([gfv, np.eye(len(FORMATIONS))[FORMATIONS.index(formation)]])

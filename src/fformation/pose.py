@@ -10,7 +10,6 @@ one read-only (17, 3) float array of (x, y, confidence) rows.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO, Iterable
@@ -72,7 +71,8 @@ def bin_confidence(c: float) -> ConfidenceBin:
     """Quantize a confidence into four bins.
 
     Bins are lower-inclusive, upper-exclusive, with the last bin closed:
-    [0, 0.25) [0.25, 0.5) [0.5, 0.75) [0.75, 1.0].
+    [0, 0.25) [0.25, 0.5) [0.5, 0.75) [0.75, 1.0]. One value: the tests'
+    oracle for confidence_bins, which the program runs.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"confidence {c!r} outside [0, 1]")
@@ -83,26 +83,6 @@ def confidence_bins(conf: np.ndarray) -> np.ndarray:
     """bin_confidence over an array of confidences already known to lie in
     [0, 1]; integer bin indices of the same shape."""
     return np.searchsorted(CONFIDENCE_BIN_EDGES, conf, side="right")
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """One named keypoint: a row of a pose's array, as a value."""
-
-    name: str
-    x: float
-    y: float
-    confidence: float
-
-    def __post_init__(self):
-        if self.name not in KEYPOINT_INDEX:
-            raise ValueError(f"unknown keypoint name {self.name!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates for {self.name}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(
-                f"confidence {self.confidence!r} for {self.name} outside [0, 1]"
-            )
 
 
 def _canonical_rows(person_id, names: list, rows: list) -> list:
@@ -183,17 +163,6 @@ class PersonPose:
             poses.append(pose)
         return tuple(poses)
 
-    @classmethod
-    def from_keypoints(cls, person_id: str, keypoints: Iterable[Keypoint]) -> PersonPose:
-        """A pose from named keypoints in any order; each name exactly once."""
-        keypoints = list(keypoints)
-        rows = _canonical_rows(
-            person_id,
-            [k.name for k in keypoints],
-            [(k.x, k.y, k.confidence) for k in keypoints],
-        )
-        return cls(person_id, rows)
-
     def __eq__(self, other):
         if not isinstance(other, PersonPose):
             return NotImplemented
@@ -203,17 +172,6 @@ class PersonPose:
 
     def __hash__(self):
         return hash(self.person_id)
-
-    @property
-    def keypoints(self) -> tuple[Keypoint, ...]:
-        return tuple(
-            Keypoint(name, x, y, c)
-            for name, (x, y, c) in zip(KEYPOINT_NAMES, self.points.tolist())
-        )
-
-    def kp(self, name: str) -> Keypoint:
-        x, y, c = self.points[KEYPOINT_INDEX[name]].tolist()
-        return Keypoint(name, x, y, c)
 
 
 def _anchor(points: np.ndarray) -> float:
@@ -267,27 +225,6 @@ def left_to_right_permutation(scene: Scene) -> list[int]:
     """Stable ordering of pose indices by ascending anchor x."""
     anchors = [p.anchor for p in scene.poses]
     return np.argsort(anchors, kind="stable").tolist()
-
-
-def order_left_to_right(scene: Scene) -> Scene:
-    """Return the scene with poses sorted left to right (stable).
-
-    Truth membership labels are permuted along with the poses.
-    """
-    if not scene.poses:
-        raise ValueError("cannot order an empty scene")
-    perm = left_to_right_permutation(scene)
-    if perm == list(range(len(scene.poses))):
-        return scene
-    poses = tuple(scene.poses[i] for i in perm)
-    truth = scene.truth
-    if truth is not None and truth.membership is not None:
-        truth = SceneTruth(
-            membership=tuple(truth.membership[i] for i in perm),
-            formation=truth.formation,
-            angle_deg=truth.angle_deg,
-        )
-    return Scene(scene.frame_id, scene.image_width, scene.image_height, poses, truth)
 
 
 # ---------------------------------------------------------------------------

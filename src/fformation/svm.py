@@ -48,27 +48,10 @@ def rbf_gram(X: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * pairwise_sq_dists(X, Z))
 
 
-@dataclass(frozen=True)
-class BinarySvm:
-    """Soft-margin RBF SVM as smo_solve returns it: only support vectors
-    (alpha > 0) are stored. One-vs-rest models use SvmModel's shared layout."""
-
-    support_vectors: np.ndarray  # (m, d)
-    dual_coef: np.ndarray  # (m,), entries alpha_i * y_i
-    bias: float
-    C: float
-    gamma: float
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = rbf_gram(X, self.support_vectors, self.gamma)
-        return K @ self.dual_coef + self.bias
-
-
 @dataclass
 class SmoSolution:
-    model: BinarySvm
     alpha: np.ndarray
+    bias: float
     kkt_gap: float
     iterations: int
     objective_history: list[float] = field(default_factory=list)
@@ -84,10 +67,11 @@ def smo_solve(
     K: np.ndarray | None = None,
     record_objective: bool = False,
 ) -> SmoSolution:
-    """Run SMO to tolerance and return the model plus solver state.
+    """Run SMO to tolerance and return the dual solution and solver state.
 
-    y must contain both -1 and +1. Pass a precomputed Gram matrix K to share
-    it across one-vs-rest binaries.
+    The decision value of x is sum_i alpha_i y_i K(x_i, x) + bias. y must
+    contain both -1 and +1. Pass a precomputed Gram matrix K to share it
+    across one-vs-rest binaries.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -96,8 +80,10 @@ def smo_solve(
         raise ValueError("X and y lengths differ")
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("training data must contain both classes")
-    if C <= 0 or gamma <= 0:
-        raise ValueError("C and gamma must be positive")
+    if not (0 < C < np.inf and 0 < gamma < np.inf):
+        raise ValueError("C and gamma must be positive and finite")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if K is None:
         K = rbf_gram(X, X, gamma)
 
@@ -140,18 +126,9 @@ def smo_solve(
             history.append(dual_objective)
         it += 1
 
-    bias = float((v_up[i] + v_low[j]) / 2.0)
-    sv = alpha > 0
-    model = BinarySvm(
-        support_vectors=X[sv].copy(),
-        dual_coef=(alpha[sv] * y[sv]),
-        bias=bias,
-        C=C,
-        gamma=gamma,
-    )
     return SmoSolution(
-        model=model,
         alpha=alpha,
+        bias=float((v_up[i] + v_low[j]) / 2.0),
         kkt_gap=float(gap),
         iterations=it,
         objective_history=history,
@@ -159,7 +136,8 @@ def smo_solve(
 
 
 def kkt_violations(alpha: np.ndarray, margins: np.ndarray, C: float) -> np.ndarray:
-    """Per-point violation of the margin KKT conditions.
+    """Per-point violation of the margin KKT conditions: the tests' oracle
+    for smo_solve's stopping rule.
 
     alpha = 0      requires y f(x) >= 1
     0 < alpha < C  requires y f(x) == 1
@@ -233,7 +211,7 @@ def _fit_ovr(X, labels, classes, *, C, gamma, tol, max_iter, K) -> SvmModel:
         sol = smo_solve(X, y, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K)
         alphas.append(sol.alpha)
         coefs.append(sol.alpha * y)
-        biases.append(sol.model.bias)
+        biases.append(sol.bias)
     sv = np.any(np.column_stack(alphas) > 0, axis=1)
     return SvmModel(
         classes=tuple(classes),
@@ -279,9 +257,9 @@ def predict_many(model: SvmModel, X: np.ndarray) -> list[tuple[str, dict[str, fl
     """Per row of X: the argmax class and every class's score, from one
     decision_matrix call; ties go to the earlier class.
 
-    A row's scores can differ from predict() on that row alone in the last
-    bits: the kernel block's matrix products sum in another order for many
-    rows than for one.
+    A row's scores can differ from a one-row call on that row alone in the
+    last bits: the kernel block's matrix products sum in another order for
+    many rows than for one.
     """
     scores = decision_matrix(model, X)
     best = np.argmax(scores, axis=1).tolist()
@@ -289,16 +267,6 @@ def predict_many(model: SvmModel, X: np.ndarray) -> list[tuple[str, dict[str, fl
         (model.classes[i], dict(zip(model.classes, row)))
         for i, row in zip(best, scores.tolist())
     ]
-
-
-def predict(model: SvmModel, x: np.ndarray) -> tuple[str, dict[str, float]]:
-    """Argmax class over the one-vs-rest decisions; ties go to the earlier class."""
-    return predict_many(model, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def predict_batch(model: SvmModel, X: np.ndarray) -> list[str]:
-    scores = decision_matrix(model, X)
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +329,8 @@ def cv_gamma_accuracy(
             max_iter=DEFAULT_MAX_ITER,
             K=K_train,
         )
-        pred = predict_batch(sub, X[test_idx])
+        best = np.argmax(decision_matrix(sub, X[test_idx]), axis=1)
+        pred = np.asarray(classes)[best]  # ties go to the earlier class
         accs.append(float(np.mean(pred == labels[test_idx])))
     return float(np.mean(accs))
 

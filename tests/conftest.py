@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fformation.pose import KEYPOINT_NAMES, Keypoint, PersonPose, Scene, SceneTruth
+from fformation.pose import (
+    KEYPOINT_NAMES,
+    PersonPose,
+    Scene,
+    SceneTruth,
+    left_to_right_permutation,
+)
 
 
 def make_pose(person_id="p", x=100.0, y=200.0, confidence=0.9, overrides=None):
@@ -10,15 +16,19 @@ def make_pose(person_id="p", x=100.0, y=200.0, confidence=0.9, overrides=None):
     overrides maps keypoint name -> (x, y, confidence).
     """
     overrides = overrides or {}
-    kps = []
-    for name in KEYPOINT_NAMES:
-        kx, ky, kc = overrides.get(name, (x, y, confidence))
-        kps.append(Keypoint(name, kx, ky, kc))
-    return PersonPose.from_keypoints(person_id, kps)
+    rows = [overrides.get(name, (x, y, confidence)) for name in KEYPOINT_NAMES]
+    return PersonPose(person_id, np.array(rows, dtype=float))
 
 
 def make_scene(poses, frame_id="f0", width=640, height=480, truth=None):
     return Scene(frame_id, width, height, tuple(poses), truth)
+
+
+def ordered(scene):
+    """The scene's poses left to right, without its truth: the chain that
+    detection and training build for it."""
+    poses = tuple(scene.poses[i] for i in left_to_right_permutation(scene))
+    return Scene(scene.frame_id, scene.image_width, scene.image_height, poses)
 
 
 @pytest.fixture

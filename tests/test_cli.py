@@ -147,10 +147,43 @@ class TestGenerate:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("flag, value", [("--distance", "5:2"), ("--noise-px", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--distance", "5:2"),
+            ("--noise-px", "-1"),
+            ("--noise-px", "nan"),
+            ("--outlier-frac", "2"),
+            ("--width", "0"),
+            ("--count", "0"),
+            ("--count", "-1"),
+        ],
+    )
     def test_bad_scene_option_is_config_error(self, workdir, flag, value):
-        rc = main(["generate", flag, value, "--count", "1", "--out", str(workdir / "z.jsonl")])
-        assert rc == 2
+        out = str(workdir / "z.jsonl")
+        assert main(["generate", "--count", "1", flag, value, "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("image_width", "x"),
+            ("image_width", 0),
+            ("image_height", -5),
+            ("seed", "x"),
+            ("outlier_count", 1.5),
+            ("formation_scale", "x"),
+            ("angle_jitter_deg", "x"),
+            ("scale_jitter", "x"),
+            ("angle_deg", 30.0),
+        ],
+    )
+    def test_config_with_bad_field_is_config_error(self, workdir, field, value):
+        cfg_path = workdir / "bad_field.json"
+        cfg = {"formation": "triangle", "angle_deg": 30, field: value}
+        cfg_path.write_text(json.dumps(cfg))
+        out = str(workdir / "never.jsonl")
+        args = ["generate", "--config", str(cfg_path), "--count", "1", "--out", out]
+        assert main(args) == 2
 
 
 @pytest.mark.parametrize("gamma", ["abc", "-1", "nan"])
@@ -169,6 +202,22 @@ def test_reproduction_script_bad_gamma_is_usage_error(gamma):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--seed", "-1")])
+def test_reproduction_script_out_of_range_flag_is_usage_error(flag, value):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_synthetic_eval.py")
+    src = os.path.dirname(os.path.dirname(fformation.__file__))
+    proc = subprocess.run(
+        [sys.executable, script, flag, value],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"{flag} must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_positive_gamma_is_config_error(workdir):
     rc = main(
         [
@@ -184,6 +233,29 @@ def test_non_positive_gamma_is_config_error(workdir):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("train-svm", "--C", v) for v in ("0", "-1", "nan", "inf")]
+    + [("evaluate", "--C", v) for v in ("0", "-1", "nan", "inf")]
+    + [("train-svm", "--tol", v) for v in ("0", "-1", "nan")]
+    + [("train-crf", "--l2", "-1")]
+    + [("train-crf", "--max-iters", v) for v in ("0", "-1")]
+    + [("evaluate", "--crf-max-iters", "0")]
+    + [("bench", "--repetitions", "0")],
+)
+def test_out_of_range_flag_is_config_error(workdir, capsys, command, flag, value):
+    train, test = str(workdir / "train.jsonl"), str(workdir / "test.jsonl")
+    out = str(workdir / "never")
+    args = {
+        "train-svm": ["--task", "formation", "--train", train, "--out", out],
+        "evaluate": ["--train", train, "--test", test, "--out-dir", out],
+        "train-crf": ["--train", train, "--out", out],
+        "bench": ["--data", str(workdir / "all.jsonl"), "--models", out, "--out", out],
+    }[command]
+    assert main([command, *args, flag, value]) == 2
+    assert f"config error: {flag} must be" in capsys.readouterr().err
 
 
 class TestTraining:

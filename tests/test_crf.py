@@ -14,19 +14,18 @@ from fformation.crf import (
     _forward_backward,
     _group_by_length,
     _log_add,
+    _posteriors,
     crf_from_dict,
     crf_to_dict,
-    forward,
+    decode_batch,
     indices_to_labels,
     labels_to_indices,
     load_crf,
     log_potentials,
-    marginals,
     nll_and_gradient,
     save_crf,
     sequence_score,
     train,
-    viterbi,
     weight_dim,
 )
 from fformation.errors import DataError, VersionMismatchError
@@ -44,6 +43,20 @@ def random_instance(rng, n=None, labeled=False):
 
 def random_model(rng, scale=1.0):
     return CrfModel(scale * rng.normal(size=weight_dim(F)))
+
+
+def posteriors(model, chain):
+    """Node marginals (n, 2), edge marginals (n-1, 2, 2) and log Z of one
+    chain, as a one-chain batch of the kernel decoding and training run."""
+    node, trans = log_potentials(model, chain)
+    node_marg, edge_marg, log_z = _posteriors(node[None], trans)
+    return node_marg[0], edge_marg[0], float(log_z[0])
+
+
+def decode(model, chain):
+    """Viterbi label indices (n,) of one chain: a one-chain decode_batch."""
+    labels, _ = decode_batch(model, chain.features[None])
+    return labels[0]
 
 
 def brute_force(model, chain):
@@ -117,13 +130,13 @@ class TestForward:
     def test_uniform_model_log_partition(self):
         model = CrfModel(np.zeros(weight_dim(F)))
         chain = ChainInstance(np.random.default_rng(0).normal(size=(3, F)))
-        assert forward(model, chain) == pytest.approx(3 * math.log(2))
+        assert posteriors(model, chain)[2] == pytest.approx(3 * math.log(2))
 
     def test_single_node_is_logsumexp(self, rng):
         model = random_model(rng)
         chain = random_instance(rng, n=1)
         node, _ = log_potentials(model, chain)
-        assert forward(model, chain) == pytest.approx(
+        assert posteriors(model, chain)[2] == pytest.approx(
             float(logsumexp(node[0])), rel=1e-12
         )
 
@@ -132,19 +145,19 @@ class TestForward:
             model = random_model(rng)
             chain = random_instance(rng)
             log_z, _, _, _ = brute_force(model, chain)
-            assert forward(model, chain) == pytest.approx(log_z, rel=1e-10)
+            assert posteriors(model, chain)[2] == pytest.approx(log_z, rel=1e-10)
 
     def test_large_scores_stay_finite(self, rng):
         model = random_model(rng, scale=200.0)
         chain = random_instance(rng, n=6)
-        assert np.isfinite(forward(model, chain))
+        assert np.isfinite(posteriors(model, chain)[2])
 
 
 class TestMarginals:
     def test_uniform_model_marginals_are_half(self):
         model = CrfModel(np.zeros(weight_dim(F)))
         chain = ChainInstance(np.random.default_rng(1).normal(size=(4, F)))
-        node_marg, edge_marg = marginals(model, chain)
+        node_marg, edge_marg, _ = posteriors(model, chain)
         np.testing.assert_allclose(node_marg, 0.5, atol=1e-12)
         np.testing.assert_allclose(edge_marg, 0.25, atol=1e-12)
 
@@ -152,14 +165,14 @@ class TestMarginals:
         for _ in range(10):
             model = random_model(rng)
             chain = random_instance(rng)
-            node_marg, _ = marginals(model, chain)
+            node_marg, _, _ = posteriors(model, chain)
             np.testing.assert_allclose(node_marg.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_enumeration(self, rng):
         for _ in range(25):
             model = random_model(rng)
             chain = random_instance(rng)
-            node_marg, edge_marg = marginals(model, chain)
+            node_marg, edge_marg, _ = posteriors(model, chain)
             _, nm_bf, em_bf, _ = brute_force(model, chain)
             np.testing.assert_allclose(node_marg, nm_bf, atol=1e-9)
             np.testing.assert_allclose(edge_marg, em_bf, atol=1e-9)
@@ -167,7 +180,7 @@ class TestMarginals:
     def test_edge_marginals_consistent_with_node_marginals(self, rng):
         model = random_model(rng)
         chain = random_instance(rng, n=5)
-        node_marg, edge_marg = marginals(model, chain)
+        node_marg, edge_marg, _ = posteriors(model, chain)
         np.testing.assert_allclose(edge_marg.sum(axis=2), node_marg[:-1], atol=1e-9)
         np.testing.assert_allclose(edge_marg.sum(axis=1), node_marg[1:], atol=1e-9)
 
@@ -176,7 +189,7 @@ class TestMarginals:
         model = random_model(rng)
         chain = random_instance(rng, n=7)
         node, trans = log_potentials(model, chain)
-        log_z = forward(model, chain)
+        log_z = posteriors(model, chain)[2]
         total = sum(
             math.exp(sequence_score(node, trans, np.array(l)) - log_z)
             for l in itertools.product([0, 1], repeat=7)
@@ -340,8 +353,7 @@ class TestTrain:
         result = train(chains, CrfTrainConfig(l2=0.01, max_iters=300, tol=1e-5))
         correct = total = 0
         for c in chains:
-            pred = labels_to_indices(viterbi(result.model, c))
-            correct += int(np.sum(np.array(pred) == c.labels))
+            correct += int(np.sum(decode(result.model, c) == c.labels))
             total += c.n
         assert correct == total
 
@@ -373,6 +385,22 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([])
 
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            (CrfTrainConfig(l2=-1.0), "l2"),
+            (CrfTrainConfig(l2=math.nan), "l2"),
+            (CrfTrainConfig(l2=math.inf), "l2"),
+            (CrfTrainConfig(max_iters=0), "max_iters"),
+            (CrfTrainConfig(max_iters=-1), "max_iters"),
+            (CrfTrainConfig(tol=0.0), "tol"),
+            (CrfTrainConfig(tol=math.nan), "tol"),
+        ],
+    )
+    def test_bad_config_rejected(self, rng, config, match):
+        with pytest.raises(ValueError, match=match):
+            train(separable_chains(rng, n_chains=3), config)
+
     def test_training_is_deterministic(self, rng):
         chains = separable_chains(rng, n_chains=10)
         a = train(chains, CrfTrainConfig(l2=0.1, max_iters=100, tol=1e-6))
@@ -384,29 +412,27 @@ class TestViterbi:
     def test_zero_weights_decode_all_g(self):
         model = CrfModel(np.zeros(weight_dim(F)))
         chain = ChainInstance(np.random.default_rng(3).normal(size=(5, F)))
-        assert viterbi(model, chain) == ["G"] * 5
+        assert indices_to_labels(decode(model, chain)) == ["G"] * 5
 
     def test_single_node_takes_larger_score(self, rng):
         model = random_model(rng)
         chain = random_instance(rng, n=1)
         node, _ = log_potentials(model, chain)
         expected = "G" if node[0, 0] >= node[0, 1] else "O"
-        assert viterbi(model, chain) == [expected]
+        assert indices_to_labels(decode(model, chain)) == [expected]
 
     def test_matches_enumeration_argmax(self, rng):
         for _ in range(40):
             model = random_model(rng)
             chain = random_instance(rng)
             _, _, _, best = brute_force(model, chain)
-            assert tuple(labels_to_indices(viterbi(model, chain))) == best
+            assert tuple(decode(model, chain)) == best
 
     def test_beats_random_labelings(self, rng):
         model = random_model(rng)
         chain = random_instance(rng, n=6)
         node, trans = log_potentials(model, chain)
-        best = sequence_score(
-            node, trans, np.array(labels_to_indices(viterbi(model, chain)))
-        )
+        best = sequence_score(node, trans, decode(model, chain))
         for _ in range(1000):
             labels = rng.integers(0, 2, size=6)
             assert best >= sequence_score(node, trans, labels) - 1e-12

@@ -3,37 +3,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fformation.errors import CapacityError
 from fformation.features import (
     F_ANGLE,
     F_GROUP,
     F_NODE,
+    GROUP_SLOTS,
     NO_NEIGHBOR_GAP,
     NODE_FEATURE_NAMES,
     angle_features,
     chain_features,
-    group_features,
-    node_features,
-    pose_stats,
     stacked_group_features,
 )
 from fformation.pipeline import _ordered_chains
-from fformation.pose import (
-    FORMATIONS,
-    KEYPOINT_NAMES,
-    bin_confidence,
-    order_left_to_right,
-)
+from fformation.pose import FORMATIONS, KEYPOINT_INDEX, KEYPOINT_NAMES, bin_confidence
 
-from conftest import make_pose, make_scene
+from conftest import make_pose, make_scene, ordered
 
 IDX = {name: i for i, name in enumerate(NODE_FEATURE_NAMES)}
+STATS = slice(2, 10)  # a node's own 8 per-pose statistics
+
+
+def own_stats(pose, image_width):
+    """One pose's statistics: the own-pose block of a one-pose chain."""
+    return chain_features(make_scene([pose], width=image_width))[0, STATS]
+
+
+def group_vector(poses, image_width, image_height):
+    """The group row of 1-3 poses: a one-group stacked_group_features batch."""
+    points = np.zeros((1, GROUP_SLOTS, len(KEYPOINT_NAMES), 3))
+    points[0, : len(poses)] = [p.points for p in poses]
+    return stacked_group_features(
+        points, [len(poses)], [image_width], [image_height]
+    )[0]
 
 
 class TestNodeFeatures:
     def test_single_person_has_sentinel_gaps_and_zero_neighbor_blocks(self):
         scene = make_scene([make_pose("solo", x=320.0)])
-        f = node_features(scene, 0)
+        f = chain_features(scene)[0]
         assert f[IDX["gap_left"]] == NO_NEIGHBOR_GAP
         assert f[IDX["gap_right"]] == NO_NEIGHBOR_GAP
         assert not f[10:26].any()
@@ -48,7 +55,7 @@ class TestNodeFeatures:
             },
         )
         scene = make_scene([pose])
-        f = node_features(scene, 0)
+        f = chain_features(scene)[0]
         assert f[IDX["facing_score"]] == pytest.approx(0.0)
 
     def test_back_facing_indicator(self):
@@ -61,16 +68,15 @@ class TestNodeFeatures:
                 "rightEar": (107.0, 92.0, 0.85),
             },
         )
-        f = node_features(make_scene([pose]), 0)
+        f = chain_features(make_scene([pose]))[0]
         assert f[IDX["back_facing"]] == 1.0
 
     def test_back_facing_indicator_fires_on_generator_back_views(self):
         # side-by-side at -90 renders both members with their backs to the
         # camera: the generator hides their eyes but keeps the ears.
-        from fformation.pose import order_left_to_right
         from fformation.synth import SynthConfig, render_scene
 
-        scene = order_left_to_right(
+        scene = ordered(
             render_scene(
                 SynthConfig(
                     formation="side-by-side",
@@ -83,8 +89,7 @@ class TestNodeFeatures:
                 )
             )
         )
-        for i in range(len(scene.poses)):
-            assert node_features(scene, i)[IDX["back_facing"]] == 1.0
+        assert (chain_features(scene)[:, IDX["back_facing"]] == 1.0).all()
 
     def test_back_facing_requires_both_ears(self):
         pose = make_pose(
@@ -96,19 +101,19 @@ class TestNodeFeatures:
                 "rightEar": (107.0, 92.0, 0.9),
             },
         )
-        f = node_features(make_scene([pose]), 0)
+        f = chain_features(make_scene([pose]))[0]
         assert f[IDX["back_facing"]] == 0.0
 
     def test_gaps_use_anchor_difference_over_width(self):
         scene = make_scene(
             [make_pose("a", x=100.0), make_pose("b", x=420.0)], width=640
         )
-        f = node_features(scene, 1)
+        f = chain_features(scene)[1]
         assert f[IDX["gap_left"]] == pytest.approx(320.0 / 640.0)
         assert f[IDX["gap_right"]] == NO_NEIGHBOR_GAP
 
     def test_bin_fractions_sum_to_one(self):
-        f = pose_stats(make_pose("p", confidence=0.6), 640)
+        f = own_stats(make_pose("p", confidence=0.6), 640)
         assert f[4:8].sum() == pytest.approx(1.0)
 
     def test_neighbor_blocks_are_the_neighbors_stats(self):
@@ -116,9 +121,9 @@ class TestNodeFeatures:
         mid = make_pose("m", x=300.0, confidence=0.9)
         right = make_pose("r", x=500.0, confidence=0.7)
         scene = make_scene([left, mid, right])
-        f = node_features(scene, 1)
-        np.testing.assert_allclose(f[10:18], pose_stats(left, 640))
-        np.testing.assert_allclose(f[18:26], pose_stats(right, 640))
+        f = chain_features(scene)[1]
+        np.testing.assert_allclose(f[10:18], own_stats(left, 640))
+        np.testing.assert_allclose(f[18:26], own_stats(right, 640))
 
     def test_locality_far_pose_does_not_matter(self):
         poses = [make_pose(f"p{i}", x=100.0 * (i + 1)) for i in range(4)]
@@ -127,10 +132,7 @@ class TestNodeFeatures:
         mutated[3] = make_pose("p3-moved", x=600.0, confidence=0.2)
         scene_b = make_scene(mutated)
         np.testing.assert_array_equal(
-            node_features(scene_a, 0), node_features(scene_b, 0)
-        )
-        np.testing.assert_array_equal(
-            node_features(scene_a, 1), node_features(scene_b, 1)
+            chain_features(scene_a)[:2], chain_features(scene_b)[:2]
         )
 
     def test_dimension_constant(self):
@@ -139,26 +141,28 @@ class TestNodeFeatures:
         assert chain_features(scene).shape == (2, F_NODE)
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            node_features(make_scene([make_pose()]), 1)
+        feats = chain_features(make_scene([make_pose()]))
+        assert feats.shape == (1, F_NODE)
+        with pytest.raises(IndexError):
+            feats[1]
 
 
 class TestGroupFeatures:
     def test_padding_slot_zeroed_with_presence_zero(self):
-        gfv = group_features([make_pose("a")], 640, 480)
+        gfv = group_vector([make_pose("a")], 640, 480)
         assert len(gfv) == F_GROUP == 309
         assert not gfv[102:306].any()
         assert gfv[306] == 1.0 and gfv[307] == 0.0 and gfv[308] == 0.0
 
     def test_center_keypoint_normalizes_to_zero(self):
         pose = make_pose("c", x=320.0, y=240.0, confidence=0.9)
-        gfv = group_features([pose], 640, 480)
+        gfv = group_vector([pose], 640, 480)
         assert gfv[0] == pytest.approx(0.0)
         assert gfv[1] == pytest.approx(0.0)
 
     def test_off_frame_coordinates_clamped(self):
         pose = make_pose("c", x=-50.0, y=1000.0, confidence=0.9)
-        gfv = group_features([pose], 640, 480)
+        gfv = group_vector([pose], 640, 480)
         assert gfv[0] == -1.0
         assert gfv[1] == 1.0
 
@@ -167,26 +171,17 @@ class TestGroupFeatures:
         # arithmetic, keypoint by keypoint.
         a = make_pose("a", x=160.0, y=120.0, confidence=0.30)
         b = make_pose("b", x=480.0, y=360.0, confidence=0.80)
-        gfv = group_features([a, b], 640, 480)
+        gfv = group_vector([a, b], 640, 480)
 
         expected = np.zeros(309)
         for slot, pose in enumerate([a, b]):
-            for k, kp in enumerate(pose.keypoints):
+            for k, (x, y, c) in enumerate(pose.points.tolist()):
                 off = slot * 102 + k * 6
-                expected[off] = (kp.x - 320.0) / 320.0
-                expected[off + 1] = (kp.y - 240.0) / 240.0
-                expected[off + 2 + int(bin_confidence(kp.confidence))] = 1.0
+                expected[off] = (x - 320.0) / 320.0
+                expected[off + 1] = (y - 240.0) / 240.0
+                expected[off + 2 + int(bin_confidence(c))] = 1.0
         expected[306] = expected[307] = 1.0
         np.testing.assert_allclose(gfv, expected)
-
-    def test_capacity_error_beyond_three(self):
-        poses = [make_pose(f"p{i}", x=10.0 * i) for i in range(4)]
-        with pytest.raises(CapacityError):
-            group_features(poses, 640, 480)
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            group_features([], 640, 480)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-50.0, max_value=50.0))
@@ -196,8 +191,8 @@ class TestGroupFeatures:
             make_pose("a", x=200.0 + delta, y=100.0),
             make_pose("b", x=400.0 + delta, y=300.0),
         ]
-        g0 = group_features(base, 640, 480)
-        g1 = group_features(moved, 640, 480)
+        g0 = group_vector(base, 640, 480)
+        g1 = group_vector(moved, 640, 480)
         diff = g1 - g0
         for slot in range(2):
             for k in range(17):
@@ -209,12 +204,12 @@ class TestGroupFeatures:
 
 class TestAngleFeatures:
     def test_face_to_face_one_hot(self):
-        gfv = group_features([make_pose("a")], 640, 480)
+        gfv = group_vector([make_pose("a")], 640, 480)
         afv = angle_features(gfv, "face-to-face")
         assert list(afv[-4:]) == [1.0, 0.0, 0.0, 0.0]
 
     def test_triangle_one_hot(self):
-        gfv = group_features([make_pose("a")], 640, 480)
+        gfv = group_vector([make_pose("a")], 640, 480)
         afv = angle_features(gfv, "triangle")
         assert list(afv[-4:]) == [0.0, 0.0, 0.0, 1.0]
 
@@ -234,8 +229,8 @@ class TestAngleFeatures:
 
 # ---------------------------------------------------------------------------
 # Bit identity with the per-keypoint object path the array features replaced.
-# The ref_* functions are that path, kept verbatim as the reference: they
-# read one Keypoint object at a time in Python.
+# The ref_* functions are that path, kept as the reference: they read one
+# keypoint row at a time in Python.
 
 
 def ref_bin_confidence(c):
@@ -250,9 +245,14 @@ def ref_bin_confidence(c):
     return 3
 
 
+def ref_keypoint(pose, name):
+    """(x, y, confidence) of one named keypoint, as Python floats."""
+    return pose.points[KEYPOINT_INDEX[name]].tolist()
+
+
 def ref_anchor_x(pose):
-    xs = np.array([k.x for k in pose.keypoints])
-    conf = np.array([k.confidence for k in pose.keypoints])
+    xs = np.array([x for x, _, _ in pose.points.tolist()])
+    conf = np.array([c for _, _, c in pose.points.tolist()])
     mask = conf >= 0.5
     if mask.any():
         return float(xs[mask].mean())
@@ -260,20 +260,18 @@ def ref_anchor_x(pose):
 
 
 def ref_pose_stats(pose, image_width):
-    ls = pose.kp("leftShoulder")
-    rs = pose.kp("rightShoulder")
-    nose = pose.kp("nose")
-    span = abs(ls.x - rs.x)
-    facing = (nose.x - 0.5 * (ls.x + rs.x)) / max(span, 1e-6)
-    le, re = pose.kp("leftEye"), pose.kp("rightEye")
-    lear, rear = pose.kp("leftEar"), pose.kp("rightEar")
+    ls_x, _, _ = ref_keypoint(pose, "leftShoulder")
+    rs_x, _, _ = ref_keypoint(pose, "rightShoulder")
+    nose_x, _, _ = ref_keypoint(pose, "nose")
+    span = abs(ls_x - rs_x)
+    facing = (nose_x - 0.5 * (ls_x + rs_x)) / max(span, 1e-6)
     back = float(
-        le.confidence < 0.25
-        and re.confidence < 0.25
-        and lear.confidence >= 0.25
-        and rear.confidence >= 0.25
+        ref_keypoint(pose, "leftEye")[2] < 0.25
+        and ref_keypoint(pose, "rightEye")[2] < 0.25
+        and ref_keypoint(pose, "leftEar")[2] >= 0.25
+        and ref_keypoint(pose, "rightEar")[2] >= 0.25
     )
-    conf = np.array([k.confidence for k in pose.keypoints])
+    conf = np.array([c for _, _, c in pose.points.tolist()])
     bins = np.zeros(4)
     for c in conf:
         bins[ref_bin_confidence(float(c))] += 1.0
@@ -312,11 +310,11 @@ def ref_group_features(poses, image_width, image_height):
     out = np.zeros(309)
     for s, pose in enumerate(poses):
         base = s * 102
-        for k, kp in enumerate(pose.keypoints):
+        for k, (x, y, c) in enumerate(pose.points.tolist()):
             off = base + k * 6
-            out[off] = min(1.0, max(-1.0, (kp.x - half_w) / half_w))
-            out[off + 1] = min(1.0, max(-1.0, (kp.y - half_h) / half_h))
-            out[off + 2 + ref_bin_confidence(kp.confidence)] = 1.0
+            out[off] = min(1.0, max(-1.0, (x - half_w) / half_w))
+            out[off + 1] = min(1.0, max(-1.0, (y - half_h) / half_h))
+            out[off + 2 + ref_bin_confidence(c)] = 1.0
         out[306 + s] = 1.0
     return out
 
@@ -399,11 +397,11 @@ def _bits(a):
 class TestMatchesObjectPath:
     @pytest.mark.parametrize("k", range(len(EQUIVALENCE_SCENES)))
     def test_chain_and_stats_bit_identical(self, k):
-        scene = order_left_to_right(EQUIVALENCE_SCENES[k])
+        scene = ordered(EQUIVALENCE_SCENES[k])
         assert _bits(chain_features(scene)) == _bits(ref_chain_features(scene))
         for pose in scene.poses:
             assert pose.anchor == ref_anchor_x(pose)
-            assert _bits(pose_stats(pose, scene.image_width)) == _bits(
+            assert _bits(own_stats(pose, scene.image_width)) == _bits(
                 ref_pose_stats(pose, scene.image_width)
             )
 
@@ -412,7 +410,7 @@ class TestMatchesObjectPath:
         scene = EQUIVALENCE_SCENES[k]
         for size in range(1, min(3, len(scene.poses)) + 1):
             poses = scene.poses[-size:]
-            got = group_features(poses, scene.image_width, scene.image_height)
+            got = group_vector(poses, scene.image_width, scene.image_height)
             want = ref_group_features(poses, scene.image_width, scene.image_height)
             assert _bits(got) == _bits(want)
 
@@ -421,9 +419,9 @@ class TestMatchesObjectPath:
         # count over scenes of every length at once.
         chains = _ordered_chains(EQUIVALENCE_SCENES)
         for scene, (perm, feats) in zip(EQUIVALENCE_SCENES, chains):
-            ordered = order_left_to_right(scene)
-            assert [scene.poses[i] for i in perm] == list(ordered.poses)
-            assert _bits(feats) == _bits(ref_chain_features(ordered))
+            chain = ordered(scene)
+            assert [scene.poses[i] for i in perm] == list(chain.poses)
+            assert _bits(feats) == _bits(ref_chain_features(chain))
 
     def test_stacked_group_features_bit_identical(self):
         groups = [s.poses[:3] for s in EQUIVALENCE_SCENES] + [

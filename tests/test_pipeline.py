@@ -8,14 +8,14 @@ import pytest
 
 from fformation import pipeline
 from fformation import svm as svm_mod
-from fformation.crf import ChainInstance, CrfModel, marginals, viterbi, weight_dim
+from fformation.crf import CrfModel, decode_batch, indices_to_labels, weight_dim
 from fformation.errors import DataError, VersionMismatchError
 from fformation.features import (
     F_GROUP,
     F_NODE,
     GROUP_SLOTS,
     chain_features,
-    group_features,
+    stacked_group_features,
 )
 from fformation.pipeline import (
     JOINT_CLASSES,
@@ -47,11 +47,10 @@ from fformation.pose import (
     OUTLIER,
     SceneTruth,
     left_to_right_permutation,
-    order_left_to_right,
 )
 from fformation.synth import SynthConfig, render_scene
 
-from conftest import make_pose, make_scene
+from conftest import make_pose, make_scene, ordered
 
 
 def facing_pose(pid, x, direction, width=60.0):
@@ -487,7 +486,9 @@ class TestTrainingRowsAreDetectionRows:
         [[X_detect]] = rows
         leftmost = [poses[3], poses[2], poses[1]]
         assert len(leftmost) == GROUP_SLOTS
-        assert X_detect.tobytes() == group_features(leftmost, 640, 480).tobytes()
+        points = np.stack([p.points for p in leftmost])[None]
+        [want] = stacked_group_features(points, [GROUP_SLOTS], [640], [480])
+        assert X_detect.tobytes() == want.tobytes()
         X_train, _ = build_formation_data([scene], training_groups([scene], all_g_crf))
         assert X_train.tobytes() == X_detect[None].tobytes()
 
@@ -545,12 +546,12 @@ class TestDetectMany:
         scenes = [s for s in _mixed_scenes() if s.poses]
         many = detect_many(scenes, model, joint_svm=mini.bundle.joint_svm)
         for scene, det in zip(scenes, many):
-            ordered = order_left_to_right(scene)
             perm = left_to_right_permutation(scene)
-            chain = ChainInstance(chain_features(ordered))
-            labels = viterbi(model, chain)
-            g = np.clip(marginals(model, chain)[0][:, 0], 0.0, 1.0)
-            assert [det.membership[src] for src in perm] == labels
+            [labels], [marg] = decode_batch(
+                model, chain_features(ordered(scene))[None], marginals=True
+            )
+            g = np.clip(marg[:, 0], 0.0, 1.0)
+            assert [det.membership[src] for src in perm] == indices_to_labels(labels)
             assert [det.scores["membership_g_prob"][src] for src in perm] == g.tolist()
 
     def test_empty_input(self, mini):
@@ -566,10 +567,10 @@ class TestGroupProbabilities:
         for _ in range(40):
             model = CrfModel(rng.normal(0.0, 100.0, size=weight_dim(F_NODE)))
             n = int(rng.integers(2, 6))
-            chain = ChainInstance(rng.normal(0.0, 50.0, size=(n, F_NODE)))
-            raw = marginals(model, chain)[0][:, 0]
+            feats = rng.normal(0.0, 50.0, size=(n, F_NODE))
+            raw = decode_batch(model, feats[None], marginals=True)[1][0, :, 0]
             raw_outside += int(np.any((raw < 0.0) | (raw > 1.0)))
-            _, [g_prob] = _decode_chains(model, [chain.features], marginals=True)
+            _, [g_prob] = _decode_chains(model, [feats], marginals=True)
             assert np.all((g_prob >= 0.0) & (g_prob <= 1.0))
         assert raw_outside > 0
 

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from fformation.errors import DataError
 from fformation.pose import (
+    KEYPOINT_INDEX,
     KEYPOINT_NAMES,
     ConfidenceBin,
-    Keypoint,
     PersonPose,
     Scene,
     SceneTruth,
     bin_confidence,
     convert_ego_group,
     left_to_right_permutation,
-    order_left_to_right,
     parse_scenes,
     scene_to_dict,
     write_scenes,
@@ -60,34 +59,35 @@ class TestBinConfidence:
         assert bin_confidence(lo) <= bin_confidence(hi)
 
 
+def one_pose_line(keypoints):
+    """A Scene JSONL line holding one pose with these (name, x, y, confidence)."""
+    kps = [{"name": n, "x": x, "y": y, "confidence": c} for n, x, y, c in keypoints]
+    doc = {
+        "frame_id": "f",
+        "image_width": 640,
+        "image_height": 480,
+        "poses": [{"person_id": "p", "keypoints": kps}],
+    }
+    return io.StringIO(json.dumps(doc) + "\n")
+
+
 class TestTypes:
-    def test_keypoint_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            Keypoint("nose", 0.0, 0.0, 1.5)
-
-    def test_keypoint_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Keypoint("nose", float("nan"), 0.0, 0.5)
-
     def test_pose_requires_all_17(self):
-        kps = tuple(Keypoint(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1])
-        with pytest.raises(ValueError, match="exactly once"):
-            PersonPose.from_keypoints("p", kps)
+        kps = [(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1]]
+        with pytest.raises(DataError, match="exactly once"):
+            parse_scenes(one_pose_line(kps))
 
     def test_pose_rejects_duplicates(self):
-        kps = tuple(Keypoint(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1])
-        kps = kps + (Keypoint("nose", 1.0, 1.0, 0.5),)
-        with pytest.raises(ValueError):
-            PersonPose.from_keypoints("p", kps)
+        kps = [(n, 0.0, 0.0, 0.5) for n in KEYPOINT_NAMES[:-1]]
+        kps.append(("nose", 1.0, 1.0, 0.5))
+        with pytest.raises(DataError, match="exactly once"):
+            parse_scenes(one_pose_line(kps))
 
     def test_pose_normalizes_keypoint_order(self):
-        shuffled = tuple(
-            Keypoint(n, float(i), 0.0, 0.5)
-            for i, n in enumerate(reversed(KEYPOINT_NAMES))
-        )
-        pose = PersonPose.from_keypoints("p", shuffled)
-        assert [k.name for k in pose.keypoints] == list(KEYPOINT_NAMES)
-        assert pose.points[:, 0].tolist() == [16.0 - i for i in range(17)]
+        names = reversed(KEYPOINT_NAMES)
+        shuffled = [(n, float(i), 0.0, 0.5) for i, n in enumerate(names)]
+        [scene] = parse_scenes(one_pose_line(shuffled))
+        assert scene.poses[0].points[:, 0].tolist() == [16.0 - i for i in range(17)]
 
     def test_scene_membership_length_mismatch(self):
         with pytest.raises(ValueError, match="membership"):
@@ -145,27 +145,15 @@ class TestPoseArray:
 class TestOrdering:
     def test_two_poses_sorted_by_anchor(self):
         scene = make_scene([make_pose("right", x=400.0), make_pose("left", x=100.0)])
-        ordered = order_left_to_right(scene)
-        assert [p.person_id for p in ordered.poses] == ["left", "right"]
+        perm = left_to_right_permutation(scene)
+        assert [scene.poses[i].person_id for i in perm] == ["left", "right"]
 
     def test_equal_anchors_keep_input_order(self):
         scene = make_scene([make_pose("first", x=50.0), make_pose("second", x=50.0)])
-        ordered = order_left_to_right(scene)
-        assert [p.person_id for p in ordered.poses] == ["first", "second"]
+        assert left_to_right_permutation(scene) == [0, 1]
 
-    def test_truth_permuted_with_poses(self):
-        scene = make_scene(
-            [make_pose("b", x=300.0), make_pose("a", x=10.0)],
-            truth=SceneTruth(membership=("O", "G"), formation="triangle", angle_deg=30),
-        )
-        ordered = order_left_to_right(scene)
-        assert ordered.truth.membership == ("G", "O")
-        assert ordered.truth.formation == "triangle"
-        assert ordered.truth.angle_deg == 30
-
-    def test_empty_scene_rejected(self):
-        with pytest.raises(ValueError):
-            order_left_to_right(make_scene([]))
+    def test_empty_scene_has_empty_permutation(self):
+        assert left_to_right_permutation(make_scene([])) == []
 
     def test_matches_brute_force_anchor_sort(self, rng):
         # Independent oracle: compute each pose's anchor by hand (mean of
@@ -181,24 +169,14 @@ class TestOrdering:
 
         expected = []
         for pose in poses:
-            xs = np.array([k.x for k in pose.keypoints])
-            conf = np.array([k.confidence for k in pose.keypoints])
+            xs = np.array([x for x, _, _ in pose.points.tolist()])
+            conf = np.array([c for _, _, c in pose.points.tolist()])
             sel = xs[conf >= 0.5]
             expected.append(sel.mean() if len(sel) else xs.mean())
         want = [poses[i].person_id for i in np.argsort(expected, kind="stable")]
 
-        ordered = order_left_to_right(scene)
-        assert [p.person_id for p in ordered.poses] == want
-
-    def test_idempotent(self, rng):
-        poses = [
-            make_pose(f"p{i}", x=float(rng.uniform(0, 640)), confidence=0.8)
-            for i in range(4)
-        ]
-        scene = make_scene(poses)
-        once = order_left_to_right(scene)
-        twice = order_left_to_right(once)
-        assert [p.person_id for p in once.poses] == [p.person_id for p in twice.poses]
+        perm = left_to_right_permutation(scene)
+        assert [poses[i].person_id for i in perm] == want
 
     def test_anchor_falls_back_to_all_keypoints(self):
         pose = make_pose("low", x=250.0, confidence=0.1)
@@ -218,7 +196,7 @@ class TestSceneJsonl:
         write_scenes([two_person_scene], buf)
         scenes = parse_scenes(io.StringIO(buf.getvalue()))
         assert len(scenes) == 1
-        assert len(scenes[0].poses[0].keypoints) == 17
+        assert scenes[0].poses[0].points.shape == (17, 3)
 
     def test_round_trip_bit_exact(self, rng):
         scenes = []
@@ -326,8 +304,8 @@ class TestEgoGroupAdapter:
     def test_missing_keypoints_become_zero_confidence(self):
         [scene] = convert_ego_group(self._doc())
         pose_a = scene.poses[0]
-        assert pose_a.kp("nose").confidence == 0.9
-        assert pose_a.kp("leftAnkle") == Keypoint("leftAnkle", 0.0, 0.0, 0.0)
+        assert pose_a.points[KEYPOINT_INDEX["nose"]].tolist() == [10.0, 20.0, 0.9]
+        assert pose_a.points[KEYPOINT_INDEX["leftAnkle"]].tolist() == [0.0, 0.0, 0.0]
 
     def test_formation_unknown(self):
         [scene] = convert_ego_group(self._doc())

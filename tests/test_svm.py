@@ -17,8 +17,7 @@ from fformation.svm import (
     kkt_violations,
     load_svm,
     pairwise_sq_dists,
-    predict,
-    predict_batch,
+    predict_many,
     rbf_gram,
     save_svm,
     select_gamma,
@@ -38,6 +37,11 @@ def blobs(rng, n_per=30, sep=4.0, dim=2, noise=0.4):
     )
     y = np.array([-1.0] * n_per + [1.0] * n_per)
     return X, y
+
+
+def decision(sol, X, y, gamma):
+    """Decision values on the training points X of smo_solve's solution."""
+    return rbf_gram(X, X, gamma) @ (sol.alpha * y) + sol.bias
 
 
 class TestRbfKernel:
@@ -92,17 +96,17 @@ class TestSmo:
     def test_two_point_problem(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        model = smo_solve(X, y, C=1000.0, gamma=1.0, tol=1e-6).model
-        assert len(model.dual_coef) == 2  # both are support vectors
-        d = model.decision(X)
+        sol = smo_solve(X, y, C=1000.0, gamma=1.0, tol=1e-6)
+        assert np.all(sol.alpha > 0)  # both are support vectors
+        d = decision(sol, X, y, 1.0)
         assert d[0] > 0 > d[1]
         assert d[0] == pytest.approx(1.0, abs=1e-5)
         assert d[1] == pytest.approx(-1.0, abs=1e-5)
 
     def test_separable_blobs_train_perfectly(self, rng):
         X, y = blobs(rng)
-        model = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3).model
-        assert np.all(np.sign(model.decision(X)) == y)
+        sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3)
+        assert np.all(np.sign(decision(sol, X, y, 0.5)) == y)
 
     def test_dual_constraints_hold(self, rng):
         X, y = blobs(rng)
@@ -115,7 +119,7 @@ class TestSmo:
         X, y = blobs(rng, noise=0.9)  # some overlap so both box edges occur
         tol = 1e-3
         sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=tol)
-        margins = y * sol.model.decision(X)
+        margins = y * decision(sol, X, y, 0.5)
         assert kkt_violations(sol.alpha, margins, 10.0).max() <= tol
 
     def test_dual_objective_non_decreasing(self, rng):
@@ -130,6 +134,23 @@ class TestSmo:
         with pytest.raises(ValueError, match="both classes"):
             smo_solve(X, np.ones(10), C=1.0, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "C, tol",
+        [
+            (0.0, 1e-3),
+            (-1.0, 1e-3),
+            (math.nan, 1e-3),
+            (math.inf, 1e-3),
+            (1.0, 0.0),
+            (1.0, -1e-3),
+            (1.0, math.nan),
+        ],
+    )
+    def test_bad_c_or_tol_rejected_up_front(self, rng, C, tol):
+        X, y = blobs(rng, n_per=5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            smo_solve(X, y, C=C, gamma=1.0, tol=tol, max_iter=10)
+
     def test_iteration_cap_raises_with_violation_report(self, rng):
         X, y = blobs(rng)
         with pytest.raises(ConvergenceError, match="violation"):
@@ -138,13 +159,20 @@ class TestSmo:
     def test_duplicate_features_terminate(self):
         X = np.zeros((8, 3))
         y = np.array([1.0, -1.0] * 4)
-        model = smo_solve(X, y, C=2.0, gamma=1.0, tol=1e-3).model
-        assert np.all(np.isfinite(model.decision(X)))
+        sol = smo_solve(X, y, C=2.0, gamma=1.0, tol=1e-3)
+        assert np.all(np.isfinite(decision(sol, X, y, 1.0)))
 
     def test_only_positive_alphas_stored(self, rng):
         X, y = blobs(rng, sep=6.0, noise=0.2)
-        sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3)
-        assert len(sol.model.dual_coef) == int(np.sum(sol.alpha > 0))
+        labels = np.where(y > 0, "pos", "neg")
+        model = train_one_vs_rest(X, labels, ("neg", "pos"), C=10.0, gamma=0.5)
+        alphas = [
+            smo_solve(X, np.where(labels == c, 1.0, -1.0), C=10.0, gamma=0.5).alpha
+            for c in model.classes
+        ]
+        stored = (alphas[0] > 0) | (alphas[1] > 0)
+        assert model.n_support_vectors == int(stored.sum())
+        assert np.array_equal(model.support_vectors, X[stored])
 
 
 class TestOneVsRest:
@@ -159,7 +187,7 @@ class TestOneVsRest:
     def test_predicts_training_exemplars(self, rng):
         X, y = self._toy_multiclass(rng)
         model = train_one_vs_rest(X, y, ("a", "b", "c"), C=10.0, gamma=0.5)
-        cls, scores = predict(model, X[0])
+        [(cls, scores)] = predict_many(model, X[:1])
         assert cls == "a"
         assert len(scores) == 3
         assert set(scores) == {"a", "b", "c"}
@@ -174,7 +202,7 @@ class TestOneVsRest:
             C=1.0,
             gamma=1.0,
         )
-        cls, scores = predict(model, np.array([0.3, 0.4]))
+        [(cls, scores)] = predict_many(model, np.array([[0.3, 0.4]]))
         assert cls == "first"
         assert scores["first"] == scores["second"]
 
@@ -199,7 +227,9 @@ class TestOneVsRest:
         np.testing.assert_allclose(
             decision_matrix(model, Q), decision_matrix(shuffled, Q), atol=1e-10
         )
-        assert predict_batch(model, Q) == predict_batch(shuffled, Q)
+        assert [c for c, _ in predict_many(model, Q)] == [
+            c for c, _ in predict_many(shuffled, Q)
+        ]
 
     def test_version_mismatch_is_hard_error(self, rng):
         X, y = self._toy_multiclass(rng)
@@ -214,7 +244,7 @@ class TestOneVsRest:
             feature_catalog_version="other-v0",
         )
         with pytest.raises(VersionMismatchError):
-            predict(stale, X[0])
+            predict_many(stale, X[:1])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not fit"):
@@ -253,7 +283,7 @@ class TestSharedSupportVectors:
         Q = np.vstack([X[::7], rng.normal(0.0, 2.0, size=(20, 4))])
         K = rbf_gram(Q, X, model.gamma)
         ref = np.column_stack(
-            [K @ (sol.alpha * y) + sol.model.bias for y, sol in solutions]
+            [K @ (sol.alpha * y) + sol.bias for y, sol in solutions]
         )
         got = decision_matrix(model, Q)
         assert np.max(np.abs(got - ref)) <= 1e-12

@@ -9,7 +9,11 @@ from fformation.errors import PlacementError
 from fformation.pose import (
     CONF,
     GROUP,
+    KEYPOINT_INDEX,
+    KEYPOINT_NAMES,
     OUTLIER,
+    X,
+    Y,
     ConfidenceBin,
     bin_confidence,
     scene_to_dict,
@@ -122,7 +126,8 @@ class TestBodiesAndProjection:
 
         def shoulder_px(scene, pid):
             pose = next(p for p in scene.poses if p.person_id == pid)
-            return abs(pose.kp("leftShoulder").x - pose.kp("rightShoulder").x)
+            ls, rs = KEYPOINT_INDEX["leftShoulder"], KEYPOINT_INDEX["rightShoulder"]
+            return abs(pose.points[ls, X] - pose.points[rs, X])
 
         ratio = shoulder_px(near, "m0") / shoulder_px(far, "m0")
         assert 2.0 * 0.95 <= ratio <= 2.0 * 1.05
@@ -217,9 +222,9 @@ class TestRenderScene:
         near = Body(ground=(0.5, 0.0), heading=math.pi, label=GROUP, person_id="near")
         [blocked, _] = render_bodies([far, near], cam, 640, 480)
         [clear] = render_bodies([far], cam, 640, 480)
-        for kb, kc in zip(blocked.keypoints, clear.keypoints):
-            assert kb.confidence <= kc.confidence
-        assert blocked.kp("nose").confidence < clear.kp("nose").confidence
+        assert np.all(blocked.points[:, CONF] <= clear.points[:, CONF])
+        nose = KEYPOINT_INDEX["nose"]
+        assert blocked.points[nose, CONF] < clear.points[nose, CONF]
 
     def test_back_facing_member_loses_eyes_keeps_ears(self):
         # side-by-side at -90 puts both members' backs to the camera.
@@ -234,10 +239,11 @@ class TestRenderScene:
         )
         scene = render_scene(cfg)
         for pose in scene.poses:
-            assert pose.kp("leftEye").confidence < 0.25
-            assert pose.kp("rightEye").confidence < 0.25
-            assert pose.kp("leftEar").confidence >= 0.25
-            assert pose.kp("rightEar").confidence >= 0.25
+            conf = dict(zip(KEYPOINT_NAMES, pose.points[:, CONF]))
+            assert conf["leftEye"] < 0.25
+            assert conf["rightEye"] < 0.25
+            assert conf["leftEar"] >= 0.25
+            assert conf["rightEar"] >= 0.25
 
     def test_profile_view_hides_far_side_of_face(self):
         # side-by-side at 0 shows the near member in right-facing profile.
@@ -252,7 +258,7 @@ class TestRenderScene:
         )
         scene = render_scene(cfg)
         near = next(p for p in scene.poses if p.person_id == "m1")
-        visible = [k.name for k in near.keypoints if k.confidence >= 0.25]
+        visible = [n for n, c in zip(KEYPOINT_NAMES, near.points[:, CONF]) if c >= 0.25]
         eyes = {"leftEye", "rightEye"} & set(visible)
         ears = {"leftEar", "rightEar"} & set(visible)
         assert len(eyes) == 1
@@ -266,8 +272,7 @@ class TestRenderScene:
         by_id_without = {p.person_id: p for p in without.poses}
         for pid, pose in by_id_without.items():
             twin = by_id_with[pid]
-            for ka, kb in zip(pose.keypoints, twin.keypoints):
-                assert ka.x == kb.x and ka.y == kb.y
+            assert np.array_equal(pose.points[:, [X, Y]], twin.points[:, [X, Y]])
 
     def test_distance_range_sampled_per_scene(self):
         cfg = SynthConfig(formation="triangle", angle_deg=0, distance_m=(2.0, 5.0))
