@@ -17,7 +17,12 @@ from fformation.experiments import ExperimentConfig, SynthSpec, TrainingConfig, 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--count", type=int, default=100, help="scenes per (formation, angle) cell")
+    parser.add_argument(
+        "--count",
+        type=int,
+        default=SynthSpec().count_per_cell,
+        help="scenes per (formation, angle) cell",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--save-models", default=None, help="also write the trained bundle here")
     parser.add_argument(

@@ -15,16 +15,17 @@ from . import crf as crf_mod
 from . import svm as svm_mod
 from .errors import ConfigError, DataError, PlacementError
 from .experiments import (
+    LATENCY_REPETITIONS,
     ExperimentConfig,
     SynthSpec,
     TrainingConfig,
     bench_latency,
     resolve_gamma,
     run_experiment,
+    train_crf,
 )
 from .pipeline import (
     HEADS,
-    build_crf_chains,
     detect_many,
     head_data,
     load_models,
@@ -157,12 +158,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train_crf(args) -> int:
-    scenes = load_scenes(args.train)
-    chains = build_crf_chains(scenes)
-    result = crf_mod.train(
-        chains,
-        crf_mod.CrfTrainConfig(l2=args.l2, max_iters=args.max_iters, tol=args.tol),
-    )
+    training = TrainingConfig(crf_l2=args.l2, crf_max_iters=args.max_iters, crf_tol=args.tol)
+    chains, result = train_crf(load_scenes(args.train), training)
     crf_mod.save_crf(result.model, args.out)
     print(
         f"trained crf on {len(chains)} chains: converged={result.converged} "
@@ -277,19 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     training = TrainingConfig()  # the defaults of the training flags
+    spec = SynthSpec()  # the defaults of the scene flags
 
     p = sub.add_parser("generate", help="render a labeled synthetic dataset")
-    p.add_argument("--formations", default=",".join(FORMATIONS))
-    p.add_argument("--angles", default=",".join(str(a) for a in APPROACH_ANGLES))
-    p.add_argument("--count", type=int, default=100, help="scenes per (formation, angle) cell")
-    p.add_argument("--outlier-frac", type=float, default=0.5)
-    p.add_argument("--distance", default="2:5", help="camera distance in meters, 'd' or 'lo:hi'")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
-    p.add_argument("--noise-px", type=float, default=1.5)
-    p.add_argument("--formation-scale", type=float, default=None, help="member spacing override, meters")
-    p.add_argument("--angle-jitter", type=float, default=4.0, help="per-scene camera azimuth jitter, degrees")
-    p.add_argument("--scale-jitter", type=float, default=0.05, help="per-scene relative spacing jitter")
+    p.add_argument("--formations", default=",".join(spec.formations))
+    p.add_argument("--angles", default=",".join(str(a) for a in spec.angles))
+    p.add_argument("--count", type=int, default=spec.count_per_cell, help="scenes per (formation, angle) cell")
+    p.add_argument("--outlier-frac", type=float, default=spec.outlier_fraction)
+    p.add_argument("--distance", default=":".join(map(str, spec.distance_m)), help="camera distance in meters, 'd' or 'lo:hi'")
+    p.add_argument("--width", type=int, default=spec.image_width)
+    p.add_argument("--height", type=int, default=spec.image_height)
+    p.add_argument("--noise-px", type=float, default=spec.noise_px)
+    p.add_argument("--formation-scale", type=float, default=spec.formation_scale, help="member spacing override, meters")
+    p.add_argument("--angle-jitter", type=float, default=spec.angle_jitter_deg, help="per-scene camera azimuth jitter, degrees")
+    p.add_argument("--scale-jitter", type=float, default=spec.scale_jitter, help="per-scene relative spacing jitter")
     p.add_argument(
         "--config",
         default=None,
@@ -304,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-crf", help="train the group/outlier chain model")
     p.add_argument("--train", required=True, help="labeled scene JSONL")
     p.add_argument("--out", required=True)
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--l2", type=float, default=training.crf_l2)
+    p.add_argument("--max-iters", type=int, default=training.crf_max_iters)
+    p.add_argument("--tol", type=float, default=training.crf_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_crf)
 
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="single-threaded detect() latency benchmark")
     p.add_argument("--data", required=True, help="scene JSONL with at least 100 scenes")
     p.add_argument("--models", required=True)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=int, default=LATENCY_REPETITIONS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -31,10 +31,19 @@ def weight_dim(f_node: int = F_NODE) -> int:
 
 
 @dataclass(frozen=True)
+class CrfTrainConfig:
+    # Tuned on held-out synthetic data; the chain model wants weak
+    # regularization and a long leash because of heavy-tailed facing scores.
+    l2: float = 0.003
+    max_iters: int = 3000
+    tol: float = 1e-4
+
+
+@dataclass(frozen=True)
 class CrfModel:
     weights: np.ndarray
     feature_catalog_version: str = FEATURE_CATALOG_VERSION
-    l2: float = 1.0
+    l2: float = CrfTrainConfig.l2
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -266,13 +275,6 @@ def _batched_objective(
             counts = np.bincount(flat.ravel(), minlength=NUM_LABELS * NUM_LABELS)
             grad_trans -= counts.reshape(NUM_LABELS, NUM_LABELS)
     return loss, np.concatenate([grad_obs.ravel(), grad_trans.ravel()])
-
-
-@dataclass(frozen=True)
-class CrfTrainConfig:
-    l2: float = 1.0
-    max_iters: int = 500
-    tol: float = 1e-4
 
 
 @dataclass

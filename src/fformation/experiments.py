@@ -43,6 +43,9 @@ from .pose import (
 from .synth import SynthConfig, generate_dataset, split_train_test
 
 NONE_CLASS = "(none)"
+GAMMA_SUBSAMPLE = 600  # cap on samples fed to CV gamma selection
+LATENCY_WARMUP = 5  # detect() calls before timing starts
+LATENCY_REPETITIONS = 3
 
 logger = logging.getLogger(__name__)
 
@@ -55,13 +58,13 @@ class SynthSpec:
     formations: tuple[str, ...] = FORMATIONS
     angles: tuple[int, ...] = APPROACH_ANGLES
     outlier_fraction: float = 0.5
-    distance_m: tuple[float, float] = (2.0, 5.0)
-    image_width: int = 640
-    image_height: int = 480
-    noise_px: float = 1.5
-    formation_scale: float | None = None
-    angle_jitter_deg: float = 4.0
-    scale_jitter: float = 0.05
+    distance_m: tuple[float, float] = SynthConfig.distance_m
+    image_width: int = SynthConfig.image_width
+    image_height: int = SynthConfig.image_height
+    noise_px: float = SynthConfig.noise_px
+    formation_scale: float | None = SynthConfig.formation_scale
+    angle_jitter_deg: float = SynthConfig.angle_jitter_deg
+    scale_jitter: float = SynthConfig.scale_jitter
     seed: int = 0
 
     def __post_init__(self):
@@ -119,15 +122,12 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    # Defaults tuned on held-out synthetic data; the chain model wants weak
-    # regularization and a long leash because of heavy-tailed facing scores.
-    crf_l2: float = 0.003
-    crf_max_iters: int = 3000
-    crf_tol: float = 1e-4
-    svm_c: float = 10.0
-    svm_gamma: float | str = 0.125  # a float, or "auto" for CV selection
-    svm_tol: float = 1e-3
-    gamma_subsample: int = 600  # cap on samples fed to CV gamma selection
+    crf_l2: float = crf_mod.CrfTrainConfig.l2
+    crf_max_iters: int = crf_mod.CrfTrainConfig.max_iters
+    crf_tol: float = crf_mod.CrfTrainConfig.tol
+    svm_c: float = svm_mod.DEFAULT_C
+    svm_gamma: float | str = svm_mod.DEFAULT_GAMMA  # a float, or "auto" for CV selection
+    svm_tol: float = svm_mod.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,33 @@ def resolve_gamma(training: TrainingConfig, X, labels, seed: int) -> float:
     if training.svm_gamma != "auto":
         return float(training.svm_gamma)
     X = np.asarray(X)
-    if len(X) > training.gamma_subsample:
+    if len(X) > GAMMA_SUBSAMPLE:
         rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(X), size=training.gamma_subsample, replace=False))
+        idx = np.sort(rng.choice(len(X), size=GAMMA_SUBSAMPLE, replace=False))
         X, labels = X[idx], np.asarray(labels)[idx]
     return svm_mod.select_gamma(
         X, labels, C=training.svm_c, tol=training.svm_tol, seed=seed
     )
+
+
+def train_crf(
+    train_scenes: list[Scene], training: TrainingConfig
+) -> tuple[list[crf_mod.ChainInstance], crf_mod.CrfTrainResult]:
+    """The scenes' CRF chains and the CRF trained on them; warns if unconverged."""
+    chains = build_crf_chains(train_scenes)
+    config = crf_mod.CrfTrainConfig(
+        l2=training.crf_l2, max_iters=training.crf_max_iters, tol=training.crf_tol
+    )
+    result = crf_mod.train(chains, config)  # the benchmark's tracer reads args[1]
+    if not result.converged:
+        logger.warning(
+            "CRF training stopped unconverged after %d L-BFGS iterations "
+            "(gradient inf-norm %.3e, tol %g)",
+            result.n_iters,
+            result.final_grad_inf_norm,
+            training.crf_tol,
+        )
+    return chains, result
 
 
 def train_bundle(
@@ -165,23 +185,7 @@ def train_bundle(
     detection time makes them robust to the filter's residual mistakes. Each
     scene's chain is built once, for CRF training and for the filtering.
     """
-    chains = build_crf_chains(train_scenes)
-    crf_result = crf_mod.train(
-        chains,
-        crf_mod.CrfTrainConfig(
-            l2=training.crf_l2,
-            max_iters=training.crf_max_iters,
-            tol=training.crf_tol,
-        ),
-    )
-    if not crf_result.converged:
-        logger.warning(
-            "CRF training stopped unconverged after %d L-BFGS iterations "
-            "(gradient inf-norm %.3e, tol %g)",
-            crf_result.n_iters,
-            crf_result.final_grad_inf_norm,
-            training.crf_tol,
-        )
+    chains, crf_result = train_crf(train_scenes, training)
     crf_model = crf_result.model
     groups = filtered_groups(train_scenes, chains, crf_model)
     data = {head: head_data(head, train_scenes, groups) for head in HEADS}
@@ -429,7 +433,7 @@ class LatencyStats:
 
 
 def bench_latency(
-    bundle: ModelBundle, scenes: list[Scene], repetitions: int = 3, warmup: int = 5
+    bundle: ModelBundle, scenes: list[Scene], repetitions: int = LATENCY_REPETITIONS
 ) -> LatencyStats:
     """Single-threaded timing of detect(), I/O excluded, warmup excluded."""
     if len(scenes) < 100:
@@ -438,7 +442,7 @@ def bench_latency(
         raise ValueError("repetitions must be >= 1")
 
     def run():
-        for scene in scenes[:warmup]:
+        for scene in scenes[:LATENCY_WARMUP]:
             detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
         totals = []
         stages = {"features": [], "crf": [], "svm": []}

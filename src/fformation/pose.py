@@ -369,8 +369,8 @@ def read_json(path, what: str):
 def write_json(path, doc, **dump_options) -> None:
     """`doc` as one UTF-8 JSON document at `path`, LF-terminated."""
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(doc, fp, **dump_options)
-        fp.write("\n")
+        # json.dump never uses the C encoder; the one-shot json.dumps can.
+        fp.write(json.dumps(doc, **dump_options) + "\n")
 
 
 def check_header(doc, kind: str, format_version: int) -> None:

@@ -22,10 +22,12 @@ from .pose import check_header, read_json, write_json
 SVM_FORMAT_VERSION = 2
 
 DEFAULT_C = 10.0
+DEFAULT_GAMMA = 0.125
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 400_000
 
 GAMMA_GRID = tuple(2.0**p for p in range(-6, 3))
+N_FOLDS = 5
 VARIANCE_FLOOR = 1e-8
 
 
@@ -61,7 +63,7 @@ def smo_solve(
     X: np.ndarray,
     y: np.ndarray,
     C: float = DEFAULT_C,
-    gamma: float = 1.0,
+    gamma: float = DEFAULT_GAMMA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     K: np.ndarray | None = None,
@@ -202,13 +204,13 @@ class SvmModel:
         return len(self.support_vectors)
 
 
-def _fit_ovr(X, labels, classes, *, C, gamma, tol, max_iter, K) -> SvmModel:
+def _fit_ovr(X, labels, classes, *, C, gamma, tol, K) -> SvmModel:
     """One SMO binary per class over a shared Gram matrix K; the stored
     support vectors are the training rows where any class has alpha > 0."""
     alphas, coefs, biases = [], [], []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        sol = smo_solve(X, y, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K)
+        sol = smo_solve(X, y, C=C, gamma=gamma, tol=tol, K=K)
         alphas.append(sol.alpha)
         coefs.append(sol.alpha * y)
         biases.append(sol.bias)
@@ -228,9 +230,8 @@ def train_one_vs_rest(
     labels,
     classes: tuple[str, ...],
     C: float = DEFAULT_C,
-    gamma: float = 1.0,
+    gamma: float = DEFAULT_GAMMA,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SvmModel:
     """Train one binary per class; the Gram matrix is computed once."""
     X = np.asarray(X, dtype=float)
@@ -240,9 +241,7 @@ def train_one_vs_rest(
     if missing:
         raise ValueError(f"classes absent from training data: {missing}")
     K = rbf_gram(X, X, gamma)
-    return _fit_ovr(
-        X, labels, classes, C=C, gamma=gamma, tol=tol, max_iter=max_iter, K=K
-    )
+    return _fit_ovr(X, labels, classes, C=C, gamma=gamma, tol=tol, K=K)
 
 
 def decision_matrix(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -270,7 +269,7 @@ def predict_many(model: SvmModel, X: np.ndarray) -> list[tuple[str, dict[str, fl
 
 
 # ---------------------------------------------------------------------------
-# Gamma selection: 5-fold cross-validation over a fixed power-of-two grid.
+# Gamma selection: N_FOLDS-fold cross-validation over a fixed power-of-two grid.
 
 
 def deterministic_folds(labels, k: int, seed: int) -> list[np.ndarray]:
@@ -326,7 +325,6 @@ def cv_gamma_accuracy(
             C=C,
             gamma=gamma,
             tol=tol,
-            max_iter=DEFAULT_MAX_ITER,
             K=K_train,
         )
         best = np.argmax(decision_matrix(sub, X[test_idx]), axis=1)
@@ -341,10 +339,8 @@ def select_gamma(
     C: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    grid: tuple[float, ...] = GAMMA_GRID,
-    n_folds: int = 5,
 ) -> float:
-    """Best-mean-accuracy gamma over the grid; deterministic seeded folds.
+    """Best-mean-accuracy gamma over GAMMA_GRID; deterministic seeded folds.
 
     Falls back to 1 / (d * mean feature variance) when any fold's training
     split would miss a class. Grid ties resolve to the smaller gamma.
@@ -356,11 +352,11 @@ def select_gamma(
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise ValueError("gamma selection needs at least two classes")
-    folds = deterministic_folds(labels, n_folds, seed)
+    folds = deterministic_folds(labels, N_FOLDS, seed)
     if not _folds_feasible(labels, folds, classes):
         return fallback_gamma(X)
-    best_gamma, best_acc = grid[0], -1.0
-    for gamma in grid:
+    best_gamma, best_acc = GAMMA_GRID[0], -1.0
+    for gamma in GAMMA_GRID:
         acc = cv_gamma_accuracy(X, labels, gamma, classes, folds, C=C, tol=tol)
         if acc > best_acc:
             best_gamma, best_acc = gamma, acc

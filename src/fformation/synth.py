@@ -57,6 +57,7 @@ BODY_RADIUS = 0.25
 CAMERA_HEIGHT = 1.2
 LOOK_AT_HEIGHT = 1.0
 OCCLUDED_VISIBILITY = 0.15
+TRAIN_FRACTION = 0.8  # of each (formation, angle) cell, in split_train_test
 
 # Distinct subjects, assigned by member slot (outliers take the last one).
 # Identical bodies would make symmetric camera placements of the symmetric
@@ -578,16 +579,13 @@ def generate_dataset(
     return [scenes[i] for i in order]
 
 
-def split_train_test(
-    scenes: list[Scene], train_frac: float = 0.8, seed: int = 0
-) -> tuple[list[Scene], list[Scene]]:
-    """80/20 split per formation (stratified further by angle when present).
+def split_train_test(scenes: list[Scene], seed: int = 0) -> tuple[list[Scene], list[Scene]]:
+    """Train/test split of each formation at TRAIN_FRACTION (stratified further
+    by angle when present).
 
     With equal per-cell counts this reduces to an exact per-formation split
     while keeping every (formation, angle) cell balanced across the halves.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
     cells: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenes):
@@ -601,7 +599,7 @@ def split_train_test(
     for key in sorted(cells, key=repr):
         idx = np.array(cells[key])
         idx = idx[rng.permutation(len(idx))]
-        cut = int(round(train_frac * len(idx)))
+        cut = int(round(TRAIN_FRACTION * len(idx)))
         train_idx.extend(idx[:cut].tolist())
         test_idx.extend(idx[cut:].tolist())
     return (

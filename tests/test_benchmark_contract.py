@@ -3,9 +3,8 @@
 `benchmark/*.py` are parsed, never imported or edited: every `fformation`
 name they read (`crf.X` through a module imported from the package, and
 `from fformation.M import X`) must exist. The span tracer's WRAPPED table
-names functions as strings, which are not collected: the tracer reports a
-missing one instead of failing. A wrapped function the benchmark also calls
-directly (`pipeline.detect`) is collected through that call.
+names functions as strings, and the tracer reports a missing one instead of
+failing, so the table is read from `spans.py` and checked on its own.
 """
 import ast
 import importlib
@@ -74,3 +73,34 @@ def test_benchmark_reads_the_library():
 def test_every_name_the_benchmark_reads_exists(source, module, attr):
     found = hasattr(importlib.import_module(module), attr)
     assert found, f"{source} reads {module}.{attr}"
+
+
+# Traced names the library no longer has. The tracer skips them, so their
+# per-layer metrics read "not measured"; any other missing name fails below.
+STALE_WRAPPED = {
+    ("pipeline", "detect_joint"),
+    ("features", "group_features"),
+    ("crf", "viterbi"),
+    ("crf", "marginals"),
+    ("svm", "predict"),
+}
+
+
+def _wrapped() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of the tracer's WRAPPED table."""
+    tree = ast.parse((BENCHMARK / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["WRAPPED"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("benchmark/spans.py defines no WRAPPED table")
+
+
+WRAPPED = [w for w in _wrapped() if w not in STALE_WRAPPED]
+
+
+@pytest.mark.parametrize("module, attr", WRAPPED, ids=[f"{m}.{a}" for m, a in WRAPPED])
+def test_every_name_the_tracer_wraps_exists(module, attr):
+    found = hasattr(importlib.import_module(f"{PACKAGE}.{module}"), attr)
+    assert found, f"spans.WRAPPED names {module}.{attr}"

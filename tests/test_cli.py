@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -7,7 +8,16 @@ import sys
 import pytest
 
 import fformation
-from fformation.cli import main
+from fformation.cli import (
+    _parse_angles,
+    _parse_distance,
+    _parse_formations,
+    _parse_gamma,
+    build_parser,
+    main,
+)
+from fformation.crf import CrfTrainConfig
+from fformation.experiments import SynthSpec, TrainingConfig, bench_latency
 from fformation.pose import load_scenes
 
 
@@ -332,6 +342,72 @@ class TestTraining:
             ["train-crf", "--train", str(bad), "--out", str(workdir / "nope.json")]
         )
         assert rc == 3
+
+    def test_train_crf_trains_the_crf_evaluate_trains(self, workdir):
+        train = str(workdir / "train.jsonl")
+        crf_path = workdir / "crf_default.json"
+        models = workdir / "default_models"
+        assert main(["train-crf", "--train", train, "--out", str(crf_path)]) == 0
+        rc = main(
+            [
+                "evaluate",
+                "--train",
+                train,
+                "--test",
+                str(workdir / "test.jsonl"),
+                "--tables",
+                "1",
+                "--save-models",
+                str(models),
+                "--out-dir",
+                str(workdir / "default_reports"),
+            ]
+        )
+        assert rc == 0
+        assert crf_path.read_bytes() == (models / "crf.json").read_bytes()
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    training = TrainingConfig()
+    crf = parse(["train-crf", "--train", "t", "--out", "o"])
+    assert TrainingConfig(
+        crf_l2=crf.l2, crf_max_iters=crf.max_iters, crf_tol=crf.tol
+    ) == training
+    svm = parse(["train-svm", "--task", "joint", "--train", "t", "--out", "o"])
+    assert TrainingConfig(
+        svm_c=svm.C, svm_gamma=_parse_gamma(svm.gamma), svm_tol=svm.tol
+    ) == training
+    ev = parse(["evaluate", "--out-dir", "o"])
+    assert TrainingConfig(
+        crf_l2=ev.crf_l2,
+        crf_max_iters=ev.crf_max_iters,
+        crf_tol=ev.crf_tol,
+        svm_c=ev.C,
+        svm_gamma=_parse_gamma(ev.gamma),
+        svm_tol=ev.svm_tol,
+    ) == training
+    assert CrfTrainConfig() == CrfTrainConfig(
+        training.crf_l2, training.crf_max_iters, training.crf_tol
+    )
+    gen = parse(["generate", "--out", "o"])
+    assert SynthSpec(
+        count_per_cell=gen.count,
+        formations=_parse_formations(gen.formations),
+        angles=_parse_angles(gen.angles),
+        outlier_fraction=gen.outlier_frac,
+        distance_m=_parse_distance(gen.distance),
+        image_width=gen.width,
+        image_height=gen.height,
+        noise_px=gen.noise_px,
+        formation_scale=gen.formation_scale,
+        angle_jitter_deg=gen.angle_jitter,
+        scale_jitter=gen.scale_jitter,
+        seed=gen.seed,
+    ) == SynthSpec()
+    bench = parse(["bench", "--data", "d", "--models", "m", "--out", "o"])
+    repetitions = inspect.signature(bench_latency).parameters["repetitions"]
+    assert bench.repetitions == repetitions.default
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fformation.errors import ConvergenceError, DataError, VersionMismatchError
 from fformation.svm import (
     GAMMA_GRID,
+    N_FOLDS,
     SVM_FORMAT_VERSION,
     SvmModel,
     cv_gamma_accuracy,
@@ -334,12 +335,11 @@ class TestSelectGamma:
         # check the returned gamma attains the maximum.
         X, y = blobs(rng, n_per=15, sep=2.0, noise=0.8)
         labels = np.where(y > 0, "pos", "neg")
-        grid = (0.03125, 0.25, 2.0)
-        chosen = select_gamma(X, labels, seed=5, grid=grid)
-        folds = deterministic_folds(labels, 5, seed=5)
+        chosen = select_gamma(X, labels, seed=5)
+        folds = deterministic_folds(labels, N_FOLDS, seed=5)
         classes = tuple(sorted(set(labels.tolist())))
         accs = {
-            g: cv_gamma_accuracy(X, labels, g, classes, folds) for g in grid
+            g: cv_gamma_accuracy(X, labels, g, classes, folds) for g in GAMMA_GRID
         }
         assert accs[chosen] == max(accs.values())
 

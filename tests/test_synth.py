@@ -355,7 +355,7 @@ class TestDatasets:
                     (SynthConfig(formation=f, angle_deg=a, seed=10_000 * (2 * i + j)), 25)
                 )
         scenes = generate_dataset(spec, 1)
-        train, test = split_train_test(scenes, train_frac=0.8, seed=1)
+        train, test = split_train_test(scenes, seed=1)
         assert len(train) == 80 and len(test) == 20
         for f in ["face-to-face", "side-by-side"]:
             assert sum(s.truth.formation == f for s in train) == 40
