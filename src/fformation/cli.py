@@ -15,6 +15,7 @@ from . import crf as crf_mod
 from . import svm as svm_mod
 from .errors import ConfigError, DataError, PlacementError
 from .experiments import (
+    LATENCY_MIN_SCENES,
     LATENCY_REPETITIONS,
     ExperimentConfig,
     SynthSpec,
@@ -247,9 +248,10 @@ def cmd_baseline(args) -> int:
 
 def cmd_bench(args) -> int:
     scenes = load_scenes(args.data)
-    if len(scenes) < 100:
+    if len(scenes) < LATENCY_MIN_SCENES:
         raise DataError(
-            f"{args.data} holds {len(scenes)} scenes; the benchmark needs >= 100"
+            f"{args.data} holds {len(scenes)} scenes; "
+            f"the benchmark needs >= {LATENCY_MIN_SCENES}"
         )
     bundle = load_models(args.models)
     stats = bench_latency(bundle, scenes, repetitions=args.repetitions)
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("bench", help="single-threaded detect() latency benchmark")
-    p.add_argument("--data", required=True, help="scene JSONL with at least 100 scenes")
+    p.add_argument("--data", required=True, help=f"scene JSONL with at least {LATENCY_MIN_SCENES} scenes")
     p.add_argument("--models", required=True)
     p.add_argument("--repetitions", type=int, default=LATENCY_REPETITIONS)
     p.add_argument("--out", required=True)

@@ -42,7 +42,6 @@ class CrfTrainConfig:
 @dataclass(frozen=True)
 class CrfModel:
     weights: np.ndarray
-    feature_catalog_version: str = FEATURE_CATALOG_VERSION
     l2: float = CrfTrainConfig.l2
 
     def __post_init__(self):
@@ -102,7 +101,6 @@ def indices_to_labels(indices) -> list[str]:
 
 def _node_potentials(model: CrfModel, features: np.ndarray) -> np.ndarray:
     """Node scores (..., n, 2) of node features (..., n, F)."""
-    check_catalog(model.feature_catalog_version, "crf model")
     if features.shape[-2] == 0:
         raise ValueError("chain must contain at least one node")
     if features.shape[-1] != model.f_node:
@@ -389,7 +387,7 @@ def crf_to_dict(model: CrfModel) -> dict:
     return {
         "format_version": CRF_FORMAT_VERSION,
         "kind": "crf",
-        "feature_catalog_version": model.feature_catalog_version,
+        "feature_catalog_version": FEATURE_CATALOG_VERSION,
         "l2": model.l2,
         "labels": list(GROUP_LABELS),
         "weights": model.weights.tolist(),
@@ -401,7 +399,6 @@ def crf_from_dict(doc: dict) -> CrfModel:
     try:
         return CrfModel(
             weights=np.array(doc["weights"], dtype=float),
-            feature_catalog_version=doc["feature_catalog_version"],
             l2=float(doc["l2"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -413,8 +410,9 @@ def save_crf(model: CrfModel, path) -> None:
 
 
 def load_crf(path) -> CrfModel:
-    model = crf_from_dict(read_json(path, "crf model file"))
-    check_catalog(model.feature_catalog_version, f"crf model file {path}")
+    doc = read_json(path, "crf model file")
+    model = crf_from_dict(doc)  # the format version first, then the catalog
+    check_catalog(doc.get("feature_catalog_version"), f"crf model file {path}")
     if model.f_node != F_NODE:
         raise DataError(
             f"crf model file {path} has weights for {model.f_node} node features, "

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import svm as svm_mod
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .metrics import report, report_to_dict
 from .pipeline import (
     ANGLE_CLASSES,
@@ -29,6 +29,7 @@ from .pipeline import (
     head_data,
     joint_class,
     load_models,
+    parse_joint_class,
     rule_classify,
     save_models,
 )
@@ -38,6 +39,7 @@ from .pose import (
     GROUP_LABELS,
     Scene,
     load_scenes,
+    require_truth,
     write_json,
 )
 from .synth import SynthConfig, generate_dataset, split_train_test
@@ -46,6 +48,7 @@ NONE_CLASS = "(none)"
 GAMMA_SUBSAMPLE = 600  # cap on samples fed to CV gamma selection
 LATENCY_WARMUP = 5  # detect() calls before timing starts
 LATENCY_REPETITIONS = 3
+LATENCY_MIN_SCENES = 100
 
 logger = logging.getLogger(__name__)
 
@@ -209,15 +212,6 @@ def train_bundle(
     )
 
 
-def _require_truth(scenes: list[Scene], tables) -> None:
-    """Every scene carries the truth fields the requested tables read."""
-    fields = dict.fromkeys(f for t in tables for f in _TABLE_BUILDERS[t][2])
-    for s in scenes:
-        for f in fields:
-            if s.truth is None or getattr(s.truth, f) is None:
-                raise DataError(f"scene {s.frame_id!r} lacks {f} truth for evaluation")
-
-
 # ---------------------------------------------------------------------------
 # Table builders. Each reads the scenes' detections and rule-baseline
 # formations from `_decode_scenes` and returns (csv_rows, json_payload); rows
@@ -322,7 +316,7 @@ def joint_table(scenes, detections, rules) -> tuple[list[list], dict]:
     learned_hits = 0.0
     rule_hits = 0.0
     for cls in JOINT_CLASSES:
-        formation, angle = cls.rpartition("@")[0], int(cls.rpartition("@")[2])
+        formation, angle = parse_joint_class(cls)
         cell = by_cell[cls]
         n = len(cell)
         l_ok = sum(detections[i].joint == (formation, angle) for i in cell)
@@ -382,7 +376,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         train_scenes = load_scenes(cfg.train_path) if cfg.train_path else []
     else:
         raise ConfigError("experiment needs either a synthetic spec or a test path")
-    _require_truth(test_scenes, cfg.tables)
+    require_truth(
+        test_scenes, dict.fromkeys(f for t in cfg.tables for f in _TABLE_BUILDERS[t][2])
+    )
 
     if cfg.models_dir is not None:
         bundle = load_models(cfg.models_dir)
@@ -436,8 +432,8 @@ def bench_latency(
     bundle: ModelBundle, scenes: list[Scene], repetitions: int = LATENCY_REPETITIONS
 ) -> LatencyStats:
     """Single-threaded timing of detect(), I/O excluded, warmup excluded."""
-    if len(scenes) < 100:
-        raise ValueError("latency benchmark needs at least 100 scenes")
+    if len(scenes) < LATENCY_MIN_SCENES:
+        raise ValueError(f"latency benchmark needs at least {LATENCY_MIN_SCENES} scenes")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 

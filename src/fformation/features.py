@@ -30,8 +30,8 @@ FEATURE_CATALOG_VERSION = "node26-group309-v1"
 
 
 def check_catalog(version, source: str) -> None:
-    """VersionMismatchError unless `source` (a model, model file or bundle)
-    was built for this library's feature catalog."""
+    """VersionMismatchError unless `source` (a model file or bundle) was
+    built for this library's feature catalog."""
     if version != FEATURE_CATALOG_VERSION:
         raise VersionMismatchError(
             f"{source} built for catalog {version!r}, "
@@ -165,10 +165,13 @@ def stacked_group_features(points: np.ndarray, sizes, widths, heights) -> np.nda
     return out
 
 
-def angle_features(gfv: np.ndarray, formation: str) -> np.ndarray:
-    """Group vector plus the (predicted or gold) formation as a one-hot suffix."""
-    if len(gfv) != F_GROUP:
-        raise ValueError(f"expected a {F_GROUP}-entry group vector, got {len(gfv)}")
-    if formation not in FORMATIONS:
-        raise ValueError(f"unknown formation {formation!r}")
-    return np.concatenate([gfv, np.eye(len(FORMATIONS))[FORMATIONS.index(formation)]])
+def angle_features(X: np.ndarray, formations) -> np.ndarray:
+    """Group vectors (G, F_GROUP) plus each row's (predicted or gold)
+    formation as a one-hot suffix: (G, F_ANGLE)."""
+    if X.ndim != 2 or X.shape[1] != F_GROUP:
+        raise ValueError(f"expected (G, {F_GROUP}) group vectors, got {X.shape}")
+    bad = [f for f in formations if f not in FORMATIONS]
+    if bad:
+        raise ValueError(f"unknown formation {bad[0]!r}")
+    one_hot = np.eye(len(FORMATIONS))[[FORMATIONS.index(f) for f in formations]]
+    return np.hstack([X, one_hot])

@@ -36,6 +36,7 @@ from .pose import (
     Scene,
     left_to_right_permutation,
     read_json,
+    require_truth,
     write_json,
 )
 
@@ -76,13 +77,11 @@ def parse_joint_class(cls: str) -> tuple[str, int]:
 class Detection:
     frame_id: str
     membership: tuple[str, ...]  # aligned with the input scene's pose order
-    member_indices: tuple[int, ...]
     formation: str | None = None
     angle_deg: int | None = None
     joint: tuple[str, int] | None = None
     scores: dict = field(default_factory=dict)
     reason: str | None = None
-    overflow: bool = False
 
 
 def detection_to_dict(det: Detection) -> dict:
@@ -188,7 +187,6 @@ def _no_people(scene: Scene) -> Detection:
     return Detection(
         frame_id=scene.frame_id,
         membership=(),
-        member_indices=(),
         scores={"membership_g_prob": []},
         reason=REASON_NO_PEOPLE,
     )
@@ -218,7 +216,6 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
         fields[i] = dict(
             frame_id=scenes[i].frame_id,
             membership=tuple(crf_mod.indices_to_labels(membership)),
-            member_indices=tuple(sorted(members)),
             scores={"membership_g_prob": g_prob.tolist()},
             reason=REASON_TOO_SMALL,
         )
@@ -232,14 +229,13 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
         )
         if formation_svm is not None:
             formations = svm_mod.predict_many(formation_svm, X)
-            Xa = np.stack([angle_features(x, f) for x, (f, _) in zip(X, formations)])
+            Xa = angle_features(X, [f for f, _ in formations])
             angles = svm_mod.predict_many(angle_svm, Xa)
         if joint_svm is not None:
             joints = svm_mod.predict_many(joint_svm, X)
         for g, (i, members) in enumerate(kept):
-            overflow = len(members) > GROUP_SLOTS
             det = fields[i]
-            det.update(reason=REASON_OVERFLOW if overflow else None, overflow=overflow)
+            det["reason"] = REASON_OVERFLOW if len(members) > GROUP_SLOTS else None
             scores = det["scores"]
             if formation_svm is not None:
                 det["formation"], scores["formation"] = formations[g]
@@ -283,11 +279,8 @@ def detect_many(
     """
     if (formation_svm is None) != (angle_svm is None):
         raise ValueError("the cascade needs both formation_svm and angle_svm")
-    heads = [m for m in (formation_svm, angle_svm, joint_svm) if m is not None]
-    if not heads:
+    if formation_svm is None and joint_svm is None:
         raise ValueError("detect needs the cascade heads, the joint head or both")
-    for model in (crf_model, *heads):
-        check_catalog(model.feature_catalog_version, "model")
     scenes = list(scenes)
     detections = []
     spent = np.zeros(3)
@@ -387,7 +380,6 @@ def rule_classify(scene: Scene) -> Detection:
         return Detection(
             frame_id=scene.frame_id,
             membership=membership,
-            member_indices=tuple(visible),
             formation=None,
             scores={},
             reason=REASON_TOO_FEW_VISIBLE,
@@ -427,7 +419,6 @@ def rule_classify(scene: Scene) -> Detection:
     return Detection(
         frame_id=scene.frame_id,
         membership=membership,
-        member_indices=tuple(sorted(selected)),
         formation=formation,
         scores={"orientations": orientations},
         reason=None if formation is not None else REASON_NO_RULE,
@@ -438,17 +429,11 @@ def rule_classify(scene: Scene) -> Detection:
 # Training-set assembly from labeled scenes.
 
 
-def _require_membership(scene: Scene) -> None:
-    if scene.truth is None or scene.truth.membership is None:
-        raise DataError(f"scene {scene.frame_id!r} lacks membership truth")
-
-
 def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
     """Left-to-right chains with gold labels, one per scene with a pose: a
     scene without one has no chain and is skipped. DataError when no scene
     has a pose."""
-    for scene in scenes:
-        _require_membership(scene)
+    require_truth(scenes, ("membership",))
     peopled = [scene for scene in scenes if scene.poses]
     if not peopled:
         raise DataError("no training scene has a pose")
@@ -502,14 +487,11 @@ def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
     return _kept_groups(scenes, [chain.labels for chain in chains])
 
 
-def _training_rows(scenes, groups, fields, head):
+def _training_rows(scenes, groups, fields):
     """The rows of the scenes with a group, built as detection builds them
     (_group_rows), and those scenes' truths. Every scene must carry its
     membership and each truth field in `fields`."""
-    for scene in scenes:
-        t = scene.truth
-        if t is None or any(getattr(t, f) is None for f in ("membership", *fields)):
-            raise DataError(f"scene {scene.frame_id!r} lacks {head} truth")
+    require_truth(scenes, ("membership", *fields))
     pairs = zip(scenes, groups, strict=True)
     kept = [i for i, (_, poses) in enumerate(pairs) if poses is not None]
     X = _group_rows([scenes[i] for i in kept], [groups[i] for i in kept])
@@ -518,19 +500,19 @@ def _training_rows(scenes, groups, fields, head):
 
 def build_formation_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """Formation training rows from `training_groups(scenes, ...)`."""
-    X, truths = _training_rows(scenes, groups, ("formation",), "formation")
+    X, truths = _training_rows(scenes, groups, ("formation",))
     return X, np.array([t.formation for t in truths])
 
 
 def build_angle_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
     """Angle training vectors use the gold formation one-hot (teacher forcing)."""
-    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"), "angle")
-    Xa = np.array([angle_features(x, t.formation) for x, t in zip(X, truths)])
+    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"))
+    Xa = angle_features(X, [t.formation for t in truths])
     return Xa, np.array([str(t.angle_deg) for t in truths])
 
 
 def build_joint_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"), "joint")
+    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"))
     return X, np.array([joint_class(t.formation, t.angle_deg) for t in truths])
 
 

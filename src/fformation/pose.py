@@ -221,6 +221,15 @@ class Scene:
             )
 
 
+def require_truth(scenes, fields) -> None:
+    """DataError naming the first scene that lacks one of the truth fields
+    `fields` (SceneTruth attribute names)."""
+    for scene in scenes:
+        for f in fields:
+            if scene.truth is None or getattr(scene.truth, f) is None:
+                raise DataError(f"scene {scene.frame_id!r} lacks {f} truth")
+
+
 def left_to_right_permutation(scene: Scene) -> list[int]:
     """Stable ordering of pose indices by ascending anchor x."""
     anchors = [p.anchor for p in scene.poses]

@@ -173,7 +173,6 @@ class SvmModel:
     bias: np.ndarray  # (n_classes,)
     C: float
     gamma: float
-    feature_catalog_version: str = FEATURE_CATALOG_VERSION
     sv_sq_norms: np.ndarray = field(init=False, repr=False)  # (m,)
 
     def __post_init__(self):
@@ -246,7 +245,6 @@ def train_one_vs_rest(
 
 def decision_matrix(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """(n, n_classes) one-vs-rest decision values: one kernel block, one matmul."""
-    check_catalog(model.feature_catalog_version, "svm model")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d2 = pairwise_sq_dists(X, model.support_vectors, model.sv_sq_norms)
     return np.exp(-model.gamma * d2) @ model.dual_coef + model.bias
@@ -371,7 +369,7 @@ def svm_to_dict(model: SvmModel) -> dict:
     return {
         "format_version": SVM_FORMAT_VERSION,
         "kind": "svm-ovr",
-        "feature_catalog_version": model.feature_catalog_version,
+        "feature_catalog_version": FEATURE_CATALOG_VERSION,
         "classes": list(model.classes),
         "C": model.C,
         "gamma": model.gamma,
@@ -391,7 +389,6 @@ def svm_from_dict(doc: dict) -> SvmModel:
             bias=np.array(doc["bias"], dtype=float),
             C=float(doc["C"]),
             gamma=float(doc["gamma"]),
-            feature_catalog_version=doc["feature_catalog_version"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed svm model file: {exc}") from exc
@@ -402,6 +399,7 @@ def save_svm(model: SvmModel, path) -> None:
 
 
 def load_svm(path) -> SvmModel:
-    model = svm_from_dict(read_json(path, "svm model file"))
-    check_catalog(model.feature_catalog_version, f"svm model file {path}")
+    doc = read_json(path, "svm model file")
+    model = svm_from_dict(doc)  # the format version first, then the catalog
+    check_catalog(doc.get("feature_catalog_version"), f"svm model file {path}")
     return model

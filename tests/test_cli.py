@@ -18,6 +18,7 @@ from fformation.cli import (
 )
 from fformation.crf import CrfTrainConfig
 from fformation.experiments import SynthSpec, TrainingConfig, bench_latency
+from fformation.features import FEATURE_CATALOG_VERSION
 from fformation.pose import load_scenes
 
 
@@ -772,6 +773,60 @@ def test_malformed_model_file_is_data_error(workdir, artifacts, case):
     assert rc == 3, err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+def _stale_catalog_copy(workdir, artifacts, name):
+    """A copy of the bundle whose manifest is current and whose `name` was
+    built for another feature catalog."""
+    bundle = workdir / f"stale_{name}"
+    shutil.copytree(artifacts["models"], bundle, dirs_exist_ok=True)
+    doc = json.loads((bundle / name).read_text())
+    doc["feature_catalog_version"] = "stale-v0"
+    (bundle / name).write_text(json.dumps(doc))
+    return bundle
+
+
+def _names_file_and_both_catalogs(err, path):
+    assert f"{path} built for catalog 'stale-v0'" in err
+    assert repr(FEATURE_CATALOG_VERSION) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["crf.json", "svm_angle.json"])
+def test_stale_model_file_in_a_current_bundle_is_data_error(workdir, artifacts, name):
+    bundle = _stale_catalog_copy(workdir, artifacts, name)
+    rc, err = run_cli(
+        [
+            "predict",
+            "--data",
+            str(workdir / "test.jsonl"),
+            "--models",
+            str(bundle),
+            "--out",
+            str(workdir / "never.jsonl"),
+        ]
+    )
+    assert rc == 3, err
+    _names_file_and_both_catalogs(err, bundle / name)
+
+
+def test_train_svm_on_a_stale_crf_is_data_error(workdir, artifacts):
+    crf = _stale_catalog_copy(workdir, artifacts, "crf.json") / "crf.json"
+    rc, err = run_cli(
+        [
+            "train-svm",
+            "--task",
+            "formation",
+            "--train",
+            str(workdir / "train.jsonl"),
+            "--crf",
+            str(crf),
+            "--out",
+            str(workdir / "never_svm.json"),
+        ]
+    )
+    assert rc == 3, err
+    _names_file_and_both_catalogs(err, crf)
 
 
 class TestConvertEgoGroup:

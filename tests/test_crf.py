@@ -29,7 +29,7 @@ from fformation.crf import (
     weight_dim,
 )
 from fformation.errors import DataError, VersionMismatchError
-from fformation.features import F_NODE
+from fformation.features import F_NODE, FEATURE_CATALOG_VERSION
 
 F = 5  # small synthetic feature dimension for oracle tests
 
@@ -114,11 +114,6 @@ class TestLogPotentials:
             + trans[1, 0]
         )
         assert sequence_score(node, trans, labels) == pytest.approx(by_hand)
-
-    def test_version_mismatch_is_hard_error(self):
-        model = CrfModel(np.zeros(weight_dim(F)), feature_catalog_version="other-v0")
-        with pytest.raises(VersionMismatchError):
-            log_potentials(model, ChainInstance(np.zeros((1, F))))
 
     def test_feature_width_mismatch(self, rng):
         model = random_model(rng)
@@ -448,7 +443,8 @@ class TestSerialization:
         save_crf(model, path)
         loaded = load_crf(path)
         np.testing.assert_array_equal(loaded.weights, model.weights)
-        assert loaded.feature_catalog_version == model.feature_catalog_version
+        doc = json.loads(path.read_text())
+        assert doc["feature_catalog_version"] == FEATURE_CATALOG_VERSION
         assert loaded.l2 == model.l2
 
     def test_dict_round_trip(self, rng):

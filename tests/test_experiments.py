@@ -13,6 +13,7 @@ from fformation import crf as crf_mod
 from fformation import experiments, pipeline
 from fformation.errors import ConfigError
 from fformation.experiments import (
+    LATENCY_MIN_SCENES,
     ExperimentConfig,
     SynthSpec,
     TrainingConfig,
@@ -275,6 +276,11 @@ def interleaved_ratio(run_a, run_b, rounds=5):
 
 
 class TestBenchLatency:
+
+    def test_fewer_than_the_minimum_rejected(self, mini, scenes):
+        assert len(scenes) >= LATENCY_MIN_SCENES
+        with pytest.raises(ValueError, match=f"at least {LATENCY_MIN_SCENES} scenes"):
+            bench_latency(mini.bundle, scenes[: LATENCY_MIN_SCENES - 1])
 
     def test_percentiles_are_monotone(self, mini, scenes):
         stats = bench_latency(mini.bundle, scenes, repetitions=1)

@@ -205,26 +205,36 @@ class TestGroupFeatures:
 class TestAngleFeatures:
     def test_face_to_face_one_hot(self):
         gfv = group_vector([make_pose("a")], 640, 480)
-        afv = angle_features(gfv, "face-to-face")
+        [afv] = angle_features(gfv[None], ["face-to-face"])
         assert list(afv[-4:]) == [1.0, 0.0, 0.0, 0.0]
 
     def test_triangle_one_hot(self):
         gfv = group_vector([make_pose("a")], 640, 480)
-        afv = angle_features(gfv, "triangle")
+        [afv] = angle_features(gfv[None], ["triangle"])
         assert list(afv[-4:]) == [0.0, 0.0, 0.0, 1.0]
 
     def test_length_is_313(self, rng):
         gfv = rng.normal(size=F_GROUP)
         for formation in FORMATIONS:
-            assert len(angle_features(gfv, formation)) == F_ANGLE == 313
+            assert angle_features(gfv[None], [formation]).shape == (1, F_ANGLE)
+        assert F_ANGLE == 313
+
+    def test_rows_keep_their_group_vector_and_formation(self, rng):
+        X = rng.normal(size=(len(FORMATIONS), F_GROUP))
+        out = angle_features(X, FORMATIONS)
+        np.testing.assert_array_equal(out[:, :F_GROUP], X)
+        np.testing.assert_array_equal(out[:, F_GROUP:], np.eye(len(FORMATIONS)))
+
+    def test_zero_rows(self):
+        assert angle_features(np.zeros((0, F_GROUP)), []).shape == (0, F_ANGLE)
 
     def test_unknown_formation_rejected(self):
-        with pytest.raises(ValueError):
-            angle_features(np.zeros(F_GROUP), "circle")
+        with pytest.raises(ValueError, match="circle"):
+            angle_features(np.zeros((1, F_GROUP)), ["circle"])
 
     def test_wrong_gfv_length_rejected(self):
         with pytest.raises(ValueError):
-            angle_features(np.zeros(10), "triangle")
+            angle_features(np.zeros((1, 10)), ["triangle"])
 
 
 # ---------------------------------------------------------------------------

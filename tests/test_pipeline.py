@@ -226,7 +226,6 @@ class TestDetect:
         for det in dets:
             assert det.frame_id == "empty"
             assert det.membership == ()
-            assert det.member_indices == ()
             assert det.formation is None and det.angle_deg is None
             assert det.joint is None
             assert det.reason == REASON_NO_PEOPLE
@@ -330,18 +329,9 @@ class TestDetect:
         det = detect(
             scene, all_g_crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
-        assert det.overflow
         assert det.reason == REASON_OVERFLOW
         assert det.formation is not None
-        assert det.member_indices == (0, 1, 2, 3)
-
-    def test_version_mismatch_is_hard_error(self, mini):
-        stale = CrfModel(
-            np.zeros(weight_dim(F_NODE)), feature_catalog_version="other-v0"
-        )
-        scene = make_scene([make_pose("a"), make_pose("b", x=400.0)])
-        with pytest.raises(VersionMismatchError):
-            detect(scene, stale, mini.bundle.formation_svm, mini.bundle.angle_svm)
+        assert det.membership == ("G",) * 4
 
     def test_timings_cover_all_stages(self, mini):
         scene = render_scene(
@@ -398,7 +388,8 @@ class TestDetect:
         )
         assert poses is not None
         members = sorted(
-            (scene.poses[i] for i in det.member_indices), key=lambda p: p.anchor
+            (p for p, m in zip(scene.poses, det.membership) if m == "G"),
+            key=lambda p: p.anchor,
         )
         assert poses == members
 
@@ -471,7 +462,7 @@ class TestTrainingRowsAreDetectionRows:
         X_train, _ = build_formation_data(
             scenes, training_groups(scenes, mini.bundle.crf)
         )
-        kept = sum(len(d.member_indices) >= 2 for d in detections)
+        kept = sum(d.membership.count("G") >= 2 for d in detections)
         assert len(X_train) == len(X_detect) == kept >= 40
         assert X_train.tobytes() == X_detect.tobytes()
 
@@ -482,7 +473,7 @@ class TestTrainingRowsAreDetectionRows:
         scene = make_scene(poses, truth=truth)
         rows = _capture_rows(monkeypatch, mini.bundle.formation_svm)
         det = detect(scene, all_g_crf, mini.bundle.formation_svm, mini.bundle.angle_svm)
-        assert det.overflow
+        assert det.reason == REASON_OVERFLOW
         [[X_detect]] = rows
         leftmost = [poses[3], poses[2], poses[1]]
         assert len(leftmost) == GROUP_SLOTS
@@ -599,7 +590,6 @@ class TestDetectionJsonl:
         det = Detection(
             frame_id="f",
             membership=("G",),
-            member_indices=(0,),
             reason=REASON_TOO_SMALL,
         )
         doc = detection_to_dict(det)

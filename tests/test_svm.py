@@ -232,21 +232,6 @@ class TestOneVsRest:
             c for c, _ in predict_many(shuffled, Q)
         ]
 
-    def test_version_mismatch_is_hard_error(self, rng):
-        X, y = self._toy_multiclass(rng)
-        model = train_one_vs_rest(X, y, ("a", "b", "c"), gamma=0.5)
-        stale = SvmModel(
-            classes=model.classes,
-            support_vectors=model.support_vectors,
-            dual_coef=model.dual_coef,
-            bias=model.bias,
-            C=model.C,
-            gamma=model.gamma,
-            feature_catalog_version="other-v0",
-        )
-        with pytest.raises(VersionMismatchError):
-            predict_many(stale, X[:1])
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not fit"):
             SvmModel(
