@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""SHA-256 of every artifact the CLI writes, printed as one JSON object.
+
+Per spec, in a fresh directory, it runs:
+- `generate` with its train/test split;
+- `evaluate`, which trains and saves the bundle and writes the reports and
+  meta.json;
+- `train-crf`;
+- `train-svm` for each head, on gold and on `--crf` groups, at gamma 0.125
+  and `auto`;
+- `predict`, `predict --joint` and `baseline` on the test split.
+
+It digests every file written and every command's stdout. Two checkouts
+whose outputs are byte-identical print the same JSON:
+
+    PYTHONPATH=src python3 scripts/output_digests.py > digests.json
+
+The default specs are 8 scenes per cell at seed 0 with default training,
+and 20 per cell at seed 5 with at most 600 CRF iterations. `--spec
+COUNT:SEED[:CRF_ITERS]`, repeatable, replaces them. Digests depend on
+numpy's and BLAS's rounding, so compare them only on one machine.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from fformation.cli import main as cli_main
+from fformation.pipeline import HEADS
+
+DEFAULT_SPECS = ("8:0", "20:5:600")
+GAMMAS = ("0.125", "auto")
+
+
+def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[str]]:
+    """Command name -> CLI argv, in the order they run."""
+    evaluate_iters = ["--crf-max-iters", crf_iters] if crf_iters else []
+    train_crf_iters = ["--max-iters", crf_iters] if crf_iters else []
+    commands = {
+        "generate": [
+            "generate", "--count", count, "--seed", seed, "--out", "all.jsonl",
+            "--train-out", "train.jsonl", "--test-out", "test.jsonl",
+        ],
+        "evaluate": [
+            "evaluate", "--train", "train.jsonl", "--test", "test.jsonl",
+            "--save-models", "bundle", "--out-dir", "reports", "--seed", seed,
+            *evaluate_iters,
+        ],
+        "train-crf": [
+            "train-crf", "--train", "train.jsonl", "--out", "crf.json", "--seed", seed,
+            *train_crf_iters,
+        ],
+    }
+    for head in HEADS:
+        for groups in ("gold", "crf"):
+            for gamma in GAMMAS:
+                name = f"svm_{head}_{groups}_{gamma}"
+                commands[f"train-svm {name}"] = [
+                    "train-svm", "--task", head, "--train", "train.jsonl",
+                    "--gamma", gamma, "--out", f"{name}.json", "--seed", seed,
+                    *(["--crf", "crf.json"] if groups == "crf" else []),
+                ]
+    commands["predict"] = [
+        "predict", "--data", "test.jsonl", "--models", "bundle", "--out", "predict.jsonl"
+    ]
+    commands["predict --joint"] = [
+        "predict", "--data", "test.jsonl", "--models", "bundle", "--joint",
+        "--out", "predict_joint.jsonl",
+    ]
+    commands["baseline"] = ["baseline", "--data", "test.jsonl", "--out", "baseline.jsonl"]
+    return commands
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def spec_digests(spec: str, work_dir: str) -> dict[str, str]:
+    """Artifact -> digest for one COUNT:SEED[:CRF_ITERS] spec, run in
+    `work_dir` with relative paths, so that stdout names no directory."""
+    count, seed, *rest = spec.split(":")
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        for name, argv in _commands(count, seed, rest[0] if rest else None).items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(argv)
+            if code != 0:
+                raise SystemExit(f"spec {spec}: {name} exited {code}")
+            digests[f"stdout {name}"] = _sha256(out.getvalue().encode("utf-8"))
+        for root, _, files in os.walk("."):
+            for file in files:
+                path = os.path.join(root, file)
+                with open(path, "rb") as fp:
+                    digests[os.path.relpath(path)] = _sha256(fp.read())
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--spec", action="append", help="COUNT:SEED[:CRF_ITERS], repeatable"
+    )
+    args = parser.parse_args()
+    result = {}
+    for spec in args.spec or DEFAULT_SPECS:
+        with tempfile.TemporaryDirectory() as work_dir:
+            result[spec] = spec_digests(spec, work_dir)
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

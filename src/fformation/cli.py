@@ -21,14 +21,14 @@ from .experiments import (
     SynthSpec,
     TrainingConfig,
     bench_latency,
-    resolve_gamma,
     run_experiment,
     train_crf,
+    train_heads,
 )
 from .pipeline import (
     HEADS,
+    build_crf_chains,
     detect_many,
-    head_data,
     load_models,
     rule_classify,
     training_groups,
@@ -170,19 +170,15 @@ def cmd_train_crf(args) -> int:
 
 
 def cmd_train_svm(args) -> int:
+    training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
     scenes = load_scenes(args.train)
     crf_model = crf_mod.load_crf(args.crf) if args.crf else None
-    X, y = head_data(args.task, scenes, training_groups(scenes, crf_model))
-    classes = HEADS[args.task][1]
-    training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
-    gamma = resolve_gamma(training, X, y, args.seed)
-    model = svm_mod.train_one_vs_rest(
-        X, y, classes, C=args.C, gamma=gamma, tol=args.tol
-    )
+    groups = training_groups(scenes, build_crf_chains(scenes), crf_model)
+    [model] = train_heads(scenes, groups, (args.task,), training, args.seed).values()
     svm_mod.save_svm(model, args.out)
     print(
-        f"trained {args.task} svm on {len(y)} samples "
-        f"(gamma={gamma:g}, {len(classes)} classes, "
+        f"trained {args.task} svm on {sum(g is not None for g in groups)} samples "
+        f"(gamma={model.gamma:g}, {len(model.classes)} classes, "
         f"{model.n_support_vectors} stored SVs)"
     )
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DataError
 from .features import F_NODE, FEATURE_CATALOG_VERSION, check_catalog
@@ -218,23 +217,27 @@ def nll_and_gradient(
     return loss, grad
 
 
+def by_length(lengths) -> dict[int, list[int]]:
+    """Indices grouped by length, shortest length first, each group in input
+    order. Training depends on the order: its objective sums the lengths
+    shortest first, and the sum's rounding steers L-BFGS."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    return dict(sorted(groups.items()))
+
+
 def _group_by_length(batch: list[ChainInstance]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stack chains of equal length: [(features (B, n, F), labels (B, n)), ...]."""
-    by_n: dict[int, list[ChainInstance]] = {}
-    for chain in batch:
-        if chain.labels is None:
-            raise ValueError("all chains must carry gold labels for training")
-        by_n.setdefault(chain.n, []).append(chain)
-    groups = []
-    for n in sorted(by_n):
-        chains = by_n[n]
-        groups.append(
-            (
-                np.stack([c.features for c in chains]),
-                np.stack([c.labels for c in chains]),
-            )
+    if any(chain.labels is None for chain in batch):
+        raise ValueError("all chains must carry gold labels for training")
+    return [
+        (
+            np.stack([batch[i].features for i in idx]),
+            np.stack([batch[i].labels for i in idx]),
         )
-    return groups
+        for idx in by_length(chain.n for chain in batch).values()
+    ]
 
 
 def _batched_objective(
@@ -294,6 +297,8 @@ def train(
     Deterministic given the batch order and config. Stops when the gradient
     infinity norm reaches config.tol or after config.max_iters iterations.
     """
+    from scipy.optimize import minimize  # only training pays for its import
+
     if not batch:
         raise ValueError("training batch is empty")
     if not 0 <= config.l2 < np.inf:

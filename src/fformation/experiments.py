@@ -14,7 +14,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import svm as svm_mod
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import report, report_to_dict
 from .pipeline import (
     ANGLE_CLASSES,
@@ -25,13 +25,13 @@ from .pipeline import (
     build_crf_chains,
     detect,
     detect_many,
-    filtered_groups,
-    head_data,
     joint_class,
     load_models,
     parse_joint_class,
     rule_classify,
     save_models,
+    training_groups,
+    training_rows,
 )
 from .pose import (
     APPROACH_ANGLES,
@@ -179,6 +179,35 @@ def train_crf(
     return chains, result
 
 
+def train_heads(
+    scenes: list[Scene], groups, heads, training: TrainingConfig, seed: int = 0
+) -> dict[str, svm_mod.SvmModel]:
+    """One SVM per head named in `heads` (keys of HEADS), trained on the rows
+    of `groups`, training_groups(scenes, ...).
+
+    The rows are built once for all heads. A head one of whose classes has
+    no row is a DataError before any SVM trains. gamma is resolved once, on
+    the first head's training set, and every head trains with it.
+    """
+    fields = dict.fromkeys(f for head in heads for f in HEADS[head][3])
+    X, truths = training_rows(scenes, groups, tuple(fields))
+    data = {}
+    for head in heads:
+        build, classes, _, _ = HEADS[head]
+        data[head] = build(X, truths)
+        present = set(data[head][1].tolist())
+        missing = [c for c in classes if c not in present]
+        if missing:
+            raise DataError(f"the {head} training data has no sample of {missing}")
+    gamma = resolve_gamma(training, *data[heads[0]], seed)
+    return {
+        head: svm_mod.train_one_vs_rest(
+            Xh, y, HEADS[head][1], C=training.svm_c, gamma=gamma, tol=training.svm_tol
+        )
+        for head, (Xh, y) in data.items()
+    }
+
+
 def train_bundle(
     train_scenes: list[Scene], training: TrainingConfig, seed: int = 0
 ) -> ModelBundle:
@@ -189,21 +218,11 @@ def train_bundle(
     scene's chain is built once, for CRF training and for the filtering.
     """
     chains, crf_result = train_crf(train_scenes, training)
-    crf_model = crf_result.model
-    groups = filtered_groups(train_scenes, chains, crf_model)
-    data = {head: head_data(head, train_scenes, groups) for head in HEADS}
-    gamma = resolve_gamma(training, *data["formation"], seed)
-    svms = {
-        head: svm_mod.train_one_vs_rest(
-            X, y, HEADS[head][1], C=training.svm_c, gamma=gamma, tol=training.svm_tol
-        )
-        for head, (X, y) in data.items()
-    }
+    groups = training_groups(train_scenes, chains, crf_result.model)
+    svms = train_heads(train_scenes, groups, tuple(HEADS), training, seed)
     return ModelBundle(
-        crf=crf_model,
-        formation_svm=svms["formation"],
-        angle_svm=svms["angle"],
-        joint_svm=svms["joint"],
+        crf=crf_result.model,
+        **{f"{head}_svm": model for head, model in svms.items()},
         crf_training={
             "converged": crf_result.converged,
             "n_iters": crf_result.n_iters,
@@ -422,10 +441,11 @@ class LatencyStats:
     p95_ms: float
     max_ms: float
     stages_ms: dict  # stage -> {"p50": ..., "p95": ..., "max": ...}
-    # True when threadpoolctl capped BLAS at one thread for the run; False
-    # when it is not installed and BLAS ran with the threads its environment
-    # allows (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before numpy loads).
-    blas_threads_limited: bool
+    # Whether the process ran one OS thread after the timed loop, so BLAS
+    # started no threads of its own (pin it with OPENBLAS_NUM_THREADS=1 and
+    # OMP_NUM_THREADS=1 before numpy loads); None where /proc/self/task,
+    # which lists the threads, is missing.
+    blas_threads_limited: bool | None
 
 
 def bench_latency(
@@ -437,36 +457,28 @@ def bench_latency(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
-    def run():
-        for scene in scenes[:LATENCY_WARMUP]:
-            detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
-        totals = []
-        stages = {"features": [], "crf": [], "svm": []}
-        for _ in range(repetitions):
-            for scene in scenes:
-                timings: dict = {}
-                t0 = time.perf_counter()
-                detect(
-                    scene,
-                    bundle.crf,
-                    bundle.formation_svm,
-                    bundle.angle_svm,
-                    timings=timings,
-                )
-                totals.append(time.perf_counter() - t0)
-                for key in stages:
-                    stages[key].append(timings[key])
-        return totals, stages
-
+    for scene in scenes[:LATENCY_WARMUP]:
+        detect(scene, bundle.crf, bundle.formation_svm, bundle.angle_svm)
+    totals = []
+    stages = {"features": [], "crf": [], "svm": []}
+    for _ in range(repetitions):
+        for scene in scenes:
+            timings: dict = {}
+            t0 = time.perf_counter()
+            detect(
+                scene,
+                bundle.crf,
+                bundle.formation_svm,
+                bundle.angle_svm,
+                timings=timings,
+            )
+            totals.append(time.perf_counter() - t0)
+            for key in stages:
+                stages[key].append(timings[key])
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        limited = False
-        totals, stages = run()
-    else:
-        limited = True
-        with threadpool_limits(limits=1):
-            totals, stages = run()
+        limited = len(os.listdir("/proc/self/task")) == 1
+    except FileNotFoundError:
+        limited = None
 
     totals_ms = np.array(totals) * 1e3
     stage_stats = {

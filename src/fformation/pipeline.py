@@ -115,7 +115,7 @@ def _ordered_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
     permutation and its chain features in that order, computed in one batch
     per pose count."""
     chains: list = [None] * len(scenes)
-    for n, idx in _by_length(len(s.poses) for s in scenes).items():
+    for n, idx in crf_mod.by_length(len(s.poses) for s in scenes).items():
         group = [scenes[i] for i in idx]
         anchors = np.array([[p.anchor for p in s.poses] for s in group])
         perms = np.argsort(anchors, axis=1, kind="stable")
@@ -131,14 +131,6 @@ def _ordered_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
     return chains
 
 
-def _by_length(lengths) -> dict[int, list[int]]:
-    """Indices grouped by length, in first-seen order."""
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    return groups
-
-
 def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, marginals):
     """Viterbi label indices per chain, plus G-marginals when asked (else
     None); one batched decode per chain length.
@@ -148,7 +140,7 @@ def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, mar
     """
     labels: list = [None] * len(chains)
     g_prob: list = [None] * len(chains)
-    for idx in _by_length(len(feats) for feats in chains).values():
+    for idx in crf_mod.by_length(len(feats) for feats in chains).values():
         lab, marg = crf_mod.decode_batch(
             crf_model, np.stack([chains[i] for i in idx]), marginals=marginals
         )
@@ -159,9 +151,12 @@ def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, mar
     return labels, g_prob
 
 
-def _members(perm: np.ndarray, labels: np.ndarray) -> list[int]:
-    """Pose indices of the chain positions labelled G, left to right."""
-    return perm[labels == crf_mod.LABEL_INDEX[GROUP]].tolist()
+def _kept_members(perm: np.ndarray, labels: np.ndarray) -> list[int] | None:
+    """Pose indices of the chain positions labelled G, left to right; None
+    below two members, where detection names no formation and training
+    builds no row."""
+    members = perm[labels == crf_mod.LABEL_INDEX[GROUP]].tolist()
+    return members if len(members) >= 2 else None
 
 
 def _group_rows(scenes, groups) -> np.ndarray:
@@ -206,20 +201,20 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
     t2 = time.perf_counter()
 
     fields = {}  # scene index -> Detection fields
-    kept = []  # (scene index, member pose indices left to right), 2+ members
+    kept = []  # (scene index, its _kept_members)
     for i, (perm, _), lab, g in zip(peopled, chains, labels, g_ordered):
         membership = np.empty(len(perm), dtype=int)
         membership[perm] = lab
         g_prob = np.empty(len(perm))
         g_prob[perm] = g
-        members = _members(perm, lab)
+        members = _kept_members(perm, lab)
         fields[i] = dict(
             frame_id=scenes[i].frame_id,
             membership=tuple(crf_mod.indices_to_labels(membership)),
             scores={"membership_g_prob": g_prob.tolist()},
             reason=REASON_TOO_SMALL,
         )
-        if len(members) >= 2:
+        if members is not None:
             kept.append((i, members))
 
     if kept:
@@ -445,49 +440,33 @@ def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
     ]
 
 
-def _kept_groups(scenes, labels) -> list[list[PersonPose] | None]:
-    """Per scene, the poses its left-to-right chain labels G, left to right;
-    None where fewer than two, as detection then names no formation and
-    such a scene yields no training row. `labels` are those of the chains
-    of build_crf_chains(scenes): one per scene with a pose, in order."""
+def training_groups(scenes, chains, crf_model=None) -> list[list[PersonPose] | None]:
+    """Per scene, the group its classifier training row is built from: the
+    poses its chain labels G, left to right, or None (see _kept_members).
+
+    `chains` are build_crf_chains(scenes), one per scene with a pose: built
+    once, they serve CRF training and this. With a CRF the labels are its
+    Viterbi labels, one batched decode per chain length, so the classifiers
+    train on the groups detection shows them; without one, the gold labels.
+    """
+    if crf_model is None:
+        labels = [chain.labels for chain in chains]
+    else:
+        labels, _ = _decode_chains(
+            crf_model, [chain.features for chain in chains], marginals=False
+        )
     labels = iter(labels)
     groups = []
     for scene in scenes:
-        perm = np.asarray(left_to_right_permutation(scene))
-        members = _members(perm, next(labels)) if scene.poses else []
-        groups.append([scene.poses[m] for m in members] if len(members) >= 2 else None)
+        members = None
+        if scene.poses:
+            perm = np.asarray(left_to_right_permutation(scene))
+            members = _kept_members(perm, next(labels))
+        groups.append(None if members is None else [scene.poses[m] for m in members])
     return groups
 
 
-def filtered_groups(scenes, chains, crf_model) -> list[list[PersonPose] | None]:
-    """Per scene, the group the CRF filter keeps, as detect() finds it
-    (see _kept_groups).
-
-    `chains` are the scenes' left-to-right chains, build_crf_chains(scenes):
-    computed once, they serve CRF training and this decode. Viterbi only,
-    one batched decode per chain length.
-    """
-    labels, _ = _decode_chains(
-        crf_model, [chain.features for chain in chains], marginals=False
-    )
-    return _kept_groups(scenes, labels)
-
-
-def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
-    """Per scene, the group its classifier training row is built from.
-
-    With a CRF, the filtered group the classifiers will see at detection
-    time (see filtered_groups); without one, the gold group, read from the
-    gold labels of the scene's chain. Either way the poses left to right,
-    or None below two members.
-    """
-    chains = build_crf_chains(scenes)
-    if crf_model is not None:
-        return filtered_groups(scenes, chains, crf_model)
-    return _kept_groups(scenes, [chain.labels for chain in chains])
-
-
-def _training_rows(scenes, groups, fields):
+def training_rows(scenes, groups, fields) -> tuple[np.ndarray, list]:
     """The rows of the scenes with a group, built as detection builds them
     (_group_rows), and those scenes' truths. Every scene must carry its
     membership and each truth field in `fields`."""
@@ -498,43 +477,28 @@ def _training_rows(scenes, groups, fields):
     return X, [scenes[i].truth for i in kept]
 
 
-def build_formation_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    """Formation training rows from `training_groups(scenes, ...)`."""
-    X, truths = _training_rows(scenes, groups, ("formation",))
+def build_formation_data(X, truths) -> tuple[np.ndarray, np.ndarray]:
+    """The formation head's rows and labels from training_rows."""
     return X, np.array([t.formation for t in truths])
 
 
-def build_angle_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    """Angle training vectors use the gold formation one-hot (teacher forcing)."""
-    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"))
+def build_angle_data(X, truths) -> tuple[np.ndarray, np.ndarray]:
+    """Angle rows append the gold formation one-hot (teacher forcing)."""
     Xa = angle_features(X, [t.formation for t in truths])
     return Xa, np.array([str(t.angle_deg) for t in truths])
 
 
-def build_joint_data(scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    X, truths = _training_rows(scenes, groups, ("formation", "angle_deg"))
+def build_joint_data(X, truths) -> tuple[np.ndarray, np.ndarray]:
     return X, np.array([joint_class(t.formation, t.angle_deg) for t in truths])
 
 
-# Classifier head -> (training-set builder, its classes in score order, the
-# width of its feature rows).
+# Classifier head -> (its rows and labels from training_rows, its classes in
+# score order, the width of its feature rows, the truth fields it reads).
 HEADS = {
-    "formation": (build_formation_data, FORMATIONS, F_GROUP),
-    "angle": (build_angle_data, ANGLE_CLASSES, F_ANGLE),
-    "joint": (build_joint_data, JOINT_CLASSES, F_GROUP),
+    "formation": (build_formation_data, FORMATIONS, F_GROUP, ("formation",)),
+    "angle": (build_angle_data, ANGLE_CLASSES, F_ANGLE, ("formation", "angle_deg")),
+    "joint": (build_joint_data, JOINT_CLASSES, F_GROUP, ("formation", "angle_deg")),
 }
-
-
-def head_data(head: str, scenes, groups) -> tuple[np.ndarray, np.ndarray]:
-    """A head's training rows and labels (HEADS[head]); DataError, before
-    any training, when one of the head's classes has no row."""
-    build, classes, _ = HEADS[head]
-    X, y = build(scenes, groups)
-    present = set(y.tolist())
-    missing = [c for c in classes if c not in present]
-    if missing:
-        raise DataError(f"the {head} training data has no sample of {missing}")
-    return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +572,7 @@ def load_models(path) -> ModelBundle:
         raise DataError(f"bundle manifest of {path}: malformed training block")
     crf_model = crf_mod.load_crf(_bundle_file(path, CRF_FILE))
     svms = {}
-    for head, (_, classes, width) in HEADS.items():
+    for head, (_, classes, width, _) in HEADS.items():
         name = _svm_file(head)
         model = svm_mod.load_svm(_bundle_file(path, name))
         if model.classes != classes:

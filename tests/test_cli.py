@@ -229,6 +229,51 @@ def test_reproduction_script_out_of_range_flag_is_usage_error(flag, value):
     assert "Traceback" not in proc.stderr
 
 
+def test_importing_the_cli_loads_no_optimizer():
+    # scipy.optimize costs most of the import time; only CRF training uses it
+    src = os.path.dirname(os.path.dirname(fformation.__file__))
+    code = "import sys, fformation.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_output_digests_are_stable_across_runs():
+    # 3 scenes per cell is the smallest count whose split leaves every
+    # artifact buildable: fewer leaves the test split empty.
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "output_digests.py")
+    src = os.path.dirname(os.path.dirname(fformation.__file__))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, script, "--spec", "3:0:20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        for _ in range(2)
+    ]
+    first, second = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert first == second
+    digests = json.loads(first)["3:0:20"]
+    assert len([k for k in digests if k.startswith("svm_")]) == 12
+    assert {k for k in digests if k.startswith("bundle/")} == {
+        "bundle/manifest.json",
+        "bundle/crf.json",
+        "bundle/svm_formation.json",
+        "bundle/svm_angle.json",
+        "bundle/svm_joint.json",
+    }
+    assert "reports/meta.json" in digests and "stdout predict --joint" in digests
+
+
 def test_non_positive_gamma_is_config_error(workdir):
     rc = main(
         [

@@ -15,6 +15,7 @@ from fformation.crf import (
     _group_by_length,
     _log_add,
     _posteriors,
+    by_length,
     crf_from_dict,
     crf_to_dict,
     decode_batch,
@@ -289,6 +290,11 @@ class TestExactness:
             ref_loss, ref_grad = reference_batched_objective(w, groups, 0.3, F)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+
+def test_by_length_is_shortest_first_with_indices_in_input_order():
+    groups = by_length([3, 1, 3, 2, 1, 3])
+    assert list(groups.items()) == [(1, [1, 4]), (2, [3]), (3, [0, 2, 5])]
 
 
 class TestNllAndGradient:

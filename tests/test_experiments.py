@@ -1,9 +1,9 @@
 import csv
-import importlib.util
 import json
 import logging
 import os
-
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from fformation import crf as crf_mod
 from fformation import experiments, pipeline
-from fformation.errors import ConfigError
+from fformation.errors import ConfigError, DataError
 from fformation.experiments import (
     LATENCY_MIN_SCENES,
     ExperimentConfig,
@@ -21,8 +21,17 @@ from fformation.experiments import (
     resolve_gamma,
     run_experiment,
     train_bundle,
+    train_heads,
 )
-from fformation.pipeline import save_models
+from fformation.pipeline import (
+    HEADS,
+    build_angle_data,
+    build_crf_chains,
+    build_formation_data,
+    save_models,
+    training_groups,
+    training_rows,
+)
 from fformation.pose import save_scenes
 from fformation.svm import GAMMA_GRID
 from fformation.synth import SynthConfig, render_scene
@@ -260,6 +269,40 @@ class TestDecodesOncePerScene:
         assert sum(built) == len(scenes)
 
 
+class TestTrainHeads:
+    def test_train_bundle_builds_the_group_rows_once(self, mini, monkeypatch):
+        built = count_calls(monkeypatch, pipeline, "stacked_group_features")
+        train_bundle(mini.train_scenes, TrainingConfig(crf_max_iters=40), seed=5)
+        assert len(built) == 1
+
+    def test_gamma_is_resolved_on_the_first_heads_rows(self, mini, monkeypatch):
+        # A cheap stand-in for the CV search that tells the heads' sets apart
+        monkeypatch.setattr(
+            experiments.svm_mod, "select_gamma", lambda X, y, **_: len(set(y)) / 100
+        )
+        scenes = mini.train_scenes
+        training = TrainingConfig(svm_gamma="auto")
+        groups = training_groups(scenes, build_crf_chains(scenes), mini.bundle.crf)
+        X, truths = training_rows(scenes, groups, ("formation", "angle_deg"))
+        want = {
+            "formation": resolve_gamma(training, *build_formation_data(X, truths), 7),
+            "angle": resolve_gamma(training, *build_angle_data(X, truths), 7),
+        }
+        assert want["formation"] != want["angle"]
+        [angle] = train_heads(scenes, groups, ("angle",), training, 7).values()
+        assert angle.gamma == want["angle"]
+        svms = train_heads(scenes, groups, tuple(HEADS), training, 7)
+        assert {m.gamma for m in svms.values()} == {want["formation"]}
+
+    def test_missing_class_is_reported_before_any_svm_trains(self, mini, monkeypatch):
+        scenes = [s for s in mini.train_scenes if s.truth.angle_deg != 0]
+        groups = training_groups(scenes, build_crf_chains(scenes))
+        trained = count_calls(monkeypatch, experiments.svm_mod, "train_one_vs_rest")
+        with pytest.raises(DataError, match=r"the angle training data has no sample of \['0'\]"):
+            train_heads(scenes, groups, tuple(HEADS), TrainingConfig(), 0)
+        assert trained == []
+
+
 def interleaved_ratio(run_a, run_b, rounds=5):
     """Median over rounds of p50(a) / p50(b), the two measured back to back
     in alternating order (a b, b a, a b, ...). Each ratio compares both
@@ -314,12 +357,30 @@ class TestBenchLatency:
         )
         assert min(ratio, 1 / ratio) >= 0.8
 
-    def test_reports_whether_blas_threads_were_limited(self, mini, scenes):
-        stats = bench_latency(mini.bundle, scenes, repetitions=1)
-        has_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
-        assert stats.blas_threads_limited is has_threadpoolctl
-        doc = asdict(stats)
-        assert doc["blas_threads_limited"] is has_threadpoolctl
+    def test_bench_pinned_to_one_thread_reports_it(self, mini, scenes, tmp_path):
+        save_models(mini.bundle, tmp_path / "models")
+        save_scenes(scenes, tmp_path / "scenes.jsonl")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        out = tmp_path / "bench.json"
+        subprocess.run(
+            [
+                sys.executable, "-m", "fformation.cli", "bench",
+                "--data", str(tmp_path / "scenes.jsonl"),
+                "--models", str(tmp_path / "models"),
+                "--repetitions", "1", "--out", str(out),
+            ],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        assert json.loads(out.read_text())["blas_threads_limited"] is True
 
     def test_requires_100_scenes(self, mini, scenes):
         with pytest.raises(ValueError, match="100"):

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +24,8 @@ from fformation.pipeline import (
     REASON_TOO_FEW_VISIBLE,
     REASON_TOO_SMALL,
     Detection,
-    ModelBundle,
     _decode_chains,
-    build_formation_data,
+    build_crf_chains,
     detect,
     detect_many,
     detection_to_dict,
@@ -38,6 +36,7 @@ from fformation.pipeline import (
     rule_classify,
     save_models,
     training_groups,
+    training_rows,
     write_detections,
 )
 from fformation.pose import (
@@ -51,6 +50,16 @@ from fformation.pose import (
 from fformation.synth import SynthConfig, render_scene
 
 from conftest import make_pose, make_scene, ordered
+
+
+def groups_of(scenes, crf_model=None):
+    """training_groups over the scenes' own chains."""
+    return training_groups(scenes, build_crf_chains(scenes), crf_model)
+
+
+def formation_rows(scenes, groups):
+    X, _ = training_rows(scenes, groups, ("formation",))
+    return X
 
 
 def facing_pose(pid, x, direction, width=60.0):
@@ -382,7 +391,7 @@ class TestDetect:
         scene = render_scene(
             SynthConfig(formation="L-shaped", angle_deg=-30, outlier_count=1, seed=37_000)
         )
-        [poses] = training_groups([scene], mini.bundle.crf)
+        [poses] = groups_of([scene], mini.bundle.crf)
         det = detect(
             scene, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
@@ -402,24 +411,24 @@ class TestTrainingGroups:
 
     def test_gold_groups_below_two_members_are_none(self):
         scenes = [self._scene(m) for m in (("O", "O", "O"), ("O", "G", "O"))]
-        assert training_groups(scenes) == [None, None]
-        X, y = build_formation_data(scenes, training_groups(scenes))
-        assert X.shape == (0, F_GROUP) and len(y) == 0
+        assert groups_of(scenes) == [None, None]
+        X, truths = training_rows(scenes, groups_of(scenes), ("formation",))
+        assert X.shape == (0, F_GROUP) and truths == []
 
     def test_gold_group_is_every_member_left_to_right(self):
         scene = self._scene(("G", "O", "G", "G", "G"))
-        [poses] = training_groups([scene])
+        [poses] = groups_of([scene])
         # poses were placed right to left
         assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
 
     def test_scene_without_a_pose_has_no_chain_and_no_group(self):
         empty, scene = self._scene(()), self._scene(("G", "O", "G"))
-        assert len(pipeline.build_crf_chains([empty, scene, empty])) == 1
-        groups = training_groups([empty, scene, empty])
+        assert len(build_crf_chains([empty, scene, empty])) == 1
+        groups = groups_of([empty, scene, empty])
         assert groups[0] is None and groups[2] is None
         assert [p.person_id for p in groups[1]] == ["p2", "p0"]
         with pytest.raises(DataError, match="no training scene has a pose"):
-            training_groups([empty])
+            groups_of([empty])
 
 
 def _capture_rows(monkeypatch, model):
@@ -459,9 +468,7 @@ class TestTrainingRowsAreDetectionRows:
             scenes, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
         [X_detect] = rows
-        X_train, _ = build_formation_data(
-            scenes, training_groups(scenes, mini.bundle.crf)
-        )
+        X_train = formation_rows(scenes, groups_of(scenes, mini.bundle.crf))
         kept = sum(d.membership.count("G") >= 2 for d in detections)
         assert len(X_train) == len(X_detect) == kept >= 40
         assert X_train.tobytes() == X_detect.tobytes()
@@ -480,7 +487,7 @@ class TestTrainingRowsAreDetectionRows:
         points = np.stack([p.points for p in leftmost])[None]
         [want] = stacked_group_features(points, [GROUP_SLOTS], [640], [480])
         assert X_detect.tobytes() == want.tobytes()
-        X_train, _ = build_formation_data([scene], training_groups([scene], all_g_crf))
+        X_train = formation_rows([scene], groups_of([scene], all_g_crf))
         assert X_train.tobytes() == X_detect[None].tobytes()
 
 

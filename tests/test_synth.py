@@ -20,7 +20,6 @@ from fformation.pose import (
 )
 from fformation.synth import (
     BODY_PROFILES,
-    BODY_RADIUS,
     CAMERA_HEIGHT,
     FORMATION_MEMBER_COUNT,
     LOOK_AT_HEIGHT,
