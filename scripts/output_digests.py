@@ -8,6 +8,11 @@ Per spec, in a fresh directory, it runs:
 - `train-crf`;
 - `train-svm` for each head, on gold and on `--crf` groups, at gamma 0.125
   and `auto`;
+- `train-crf` capped at CAPPED_CRF_ITERS iterations, and `train-svm --crf`
+  on it for each head at gamma 0.125. The trained CRF labels every training
+  chain of both default specs as gold, so its `--crf` files equal the gold
+  ones; the capped CRF's labels differ, and its files cover the
+  CRF-filtered route;
 - `predict`, `predict --joint` and `baseline` on the test split.
 
 It digests every file written and every command's stdout. Two checkouts
@@ -34,6 +39,7 @@ from fformation.pipeline import HEADS
 
 DEFAULT_SPECS = ("8:0", "20:5:600")
 GAMMAS = ("0.125", "auto")
+CAPPED_CRF_ITERS = "10"
 
 
 def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[str]]:
@@ -64,6 +70,16 @@ def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[st
                     "--gamma", gamma, "--out", f"{name}.json", "--seed", seed,
                     *(["--crf", "crf.json"] if groups == "crf" else []),
                 ]
+    commands["train-crf capped"] = [
+        "train-crf", "--train", "train.jsonl", "--out", "crf_capped.json",
+        "--seed", seed, "--max-iters", CAPPED_CRF_ITERS,
+    ]
+    for head in HEADS:
+        name = f"svm_{head}_crf_capped_0.125"
+        commands[f"train-svm {name}"] = [
+            "train-svm", "--task", head, "--train", "train.jsonl",
+            "--crf", "crf_capped.json", "--out", f"{name}.json", "--seed", seed,
+        ]
     commands["predict"] = [
         "predict", "--data", "test.jsonl", "--models", "bundle", "--out", "predict.jsonl"
     ]

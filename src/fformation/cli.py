@@ -140,18 +140,25 @@ def cmd_generate(args) -> int:
             ).configs()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene options: {exc}") from exc
+    split = bool(args.train_out or args.test_out)
+    if split and not (args.train_out and args.test_out):
+        raise ConfigError("--train-out and --test-out must be given together")
     try:
         scenes = generate_dataset(configs, shuffle_seed=args.seed)
     except (ValueError, PlacementError) as exc:
         # Options that pass the checks can still be too extreme to render:
         # non-finite keypoints, or a camera too close to the bodies.
         raise ConfigError(f"cannot render these scene options: {exc}") from exc
+    if split:
+        train, test = split_train_test(scenes, seed=args.seed)
+        if not (train and test):
+            raise ConfigError(
+                f"--train-out and --test-out would split {len(scenes)} scenes "
+                f"{len(train)} train / {len(test)} test; raise --count"
+            )
     save_scenes(scenes, args.out)
     print(f"wrote {len(scenes)} scenes to {args.out}")
-    if args.train_out or args.test_out:
-        if not (args.train_out and args.test_out):
-            raise ConfigError("--train-out and --test-out must be given together")
-        train, test = split_train_test(scenes, seed=args.seed)
+    if split:
         save_scenes(train, args.train_out)
         save_scenes(test, args.test_out)
         print(f"wrote {len(train)} train / {len(test)} test scenes")

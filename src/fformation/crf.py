@@ -11,7 +11,7 @@ L2-regularized conditional log-likelihood; the objective is convex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,13 +284,11 @@ class CrfTrainResult:
     converged: bool
     final_grad_inf_norm: float
     n_iters: int
-    loss_history: list[float] = field(default_factory=list)
 
 
 def train(
     batch: list[ChainInstance],
     config: CrfTrainConfig = CrfTrainConfig(),
-    record_history: bool = False,
 ) -> CrfTrainResult:
     """Fit weights by L-BFGS on the convex regularized NLL.
 
@@ -310,7 +308,6 @@ def train(
     f = batch[0].features.shape[1]
     k = weight_dim(f)
     groups = _group_by_length(batch)
-    history: list[float] = []
 
     def objective(w):
         loss, grad = _batched_objective(w, groups, config.l2, f)
@@ -318,16 +315,11 @@ def train(
             raise ConvergenceError(f"non-finite training loss {loss!r}")
         return loss, grad
 
-    callback = None
-    if record_history:
-        callback = lambda w: history.append(objective(w)[0])
-
     res = minimize(
         objective,
         np.zeros(k),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={
             "maxiter": config.max_iters,
             "gtol": config.tol,
@@ -343,7 +335,6 @@ def train(
         converged=norm <= config.tol,
         final_grad_inf_norm=norm,
         n_iters=int(res.nit),
-        loss_history=history,
     )
 
 

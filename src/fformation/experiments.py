@@ -45,7 +45,6 @@ from .pose import (
 from .synth import SynthConfig, generate_dataset, split_train_test
 
 NONE_CLASS = "(none)"
-GAMMA_SUBSAMPLE = 600  # cap on samples fed to CV gamma selection
 LATENCY_WARMUP = 5  # detect() calls before timing starts
 LATENCY_REPETITIONS = 3
 LATENCY_MIN_SCENES = 100
@@ -146,19 +145,6 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def resolve_gamma(training: TrainingConfig, X, labels, seed: int) -> float:
-    if training.svm_gamma != "auto":
-        return float(training.svm_gamma)
-    X = np.asarray(X)
-    if len(X) > GAMMA_SUBSAMPLE:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(X), size=GAMMA_SUBSAMPLE, replace=False))
-        X, labels = X[idx], np.asarray(labels)[idx]
-    return svm_mod.select_gamma(
-        X, labels, C=training.svm_c, tol=training.svm_tol, seed=seed
-    )
-
-
 def train_crf(
     train_scenes: list[Scene], training: TrainingConfig
 ) -> tuple[list[crf_mod.ChainInstance], crf_mod.CrfTrainResult]:
@@ -186,8 +172,9 @@ def train_heads(
     of `groups`, training_groups(scenes, ...).
 
     The rows are built once for all heads. A head one of whose classes has
-    no row is a DataError before any SVM trains. gamma is resolved once, on
-    the first head's training set, and every head trains with it.
+    no row is a DataError before any SVM trains. Every head trains with
+    one gamma: the fixed one, or for "auto" svm.select_gamma's choice on the
+    first head's training set.
     """
     fields = dict.fromkeys(f for head in heads for f in HEADS[head][3])
     X, truths = training_rows(scenes, groups, tuple(fields))
@@ -199,7 +186,12 @@ def train_heads(
         missing = [c for c in classes if c not in present]
         if missing:
             raise DataError(f"the {head} training data has no sample of {missing}")
-    gamma = resolve_gamma(training, *data[heads[0]], seed)
+    if training.svm_gamma == "auto":
+        gamma = svm_mod.select_gamma(
+            *data[heads[0]], C=training.svm_c, tol=training.svm_tol, seed=seed
+        )
+    else:
+        gamma = float(training.svm_gamma)
     return {
         head: svm_mod.train_one_vs_rest(
             Xh, y, HEADS[head][1], C=training.svm_c, gamma=gamma, tol=training.svm_tol
@@ -395,6 +387,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         train_scenes = load_scenes(cfg.train_path) if cfg.train_path else []
     else:
         raise ConfigError("experiment needs either a synthetic spec or a test path")
+    if not test_scenes:
+        raise DataError("the test set holds no scenes")
     require_truth(
         test_scenes, dict.fromkeys(f for t in cfg.tables for f in _TABLE_BUILDERS[t][2])
     )

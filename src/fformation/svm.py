@@ -24,9 +24,10 @@ SVM_FORMAT_VERSION = 2
 DEFAULT_C = 10.0
 DEFAULT_GAMMA = 0.125
 DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 400_000
+SMO_MAX_ITER = 400_000  # read at each call, so a test can lower it
 
 GAMMA_GRID = tuple(2.0**p for p in range(-6, 3))
+GAMMA_SUBSAMPLE = 600  # cap on the samples gamma selection cross-validates on
 N_FOLDS = 5
 VARIANCE_FLOOR = 1e-8
 
@@ -56,38 +57,24 @@ class SmoSolution:
     bias: float
     kkt_gap: float
     iterations: int
-    objective_history: list[float] = field(default_factory=list)
 
 
-def smo_solve(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float = DEFAULT_C,
-    gamma: float = DEFAULT_GAMMA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    K: np.ndarray | None = None,
-    record_objective: bool = False,
-) -> SmoSolution:
-    """Run SMO to tolerance and return the dual solution and solver state.
+def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float) -> SmoSolution:
+    """Run SMO on the Gram matrix K to tolerance and return the dual solution
+    and solver state.
 
     The decision value of x is sum_i alpha_i y_i K(x_i, x) + bias. y must
-    contain both -1 and +1. Pass a precomputed Gram matrix K to share it
-    across one-vs-rest binaries.
+    contain both -1 and +1. More than SMO_MAX_ITER updates is a
+    ConvergenceError.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if X.shape[0] != n:
-        raise ValueError("X and y lengths differ")
+    if K.shape != (n, n):
+        raise ValueError(f"K has shape {K.shape}, y has {n} labels")
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("training data must contain both classes")
-    if not (0 < C < np.inf and 0 < gamma < np.inf):
-        raise ValueError("C and gamma must be positive and finite")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if K is None:
-        K = rbf_gram(X, X, gamma)
 
     alpha = np.zeros(n)
     # v_i = y_i - sum_j alpha_j y_j K_ij; the optimal bias must satisfy
@@ -95,8 +82,6 @@ def smo_solve(
     # largest up-side v minus the smallest low-side v is the KKT violation.
     v = y.copy()
     pos = y > 0
-    dual_objective = 0.0
-    history = [0.0] if record_objective else []
 
     it = 0
     while True:
@@ -109,9 +94,9 @@ def smo_solve(
         gap = v_up[i] - v_low[j]
         if gap <= tol:
             break
-        if it >= max_iter:
+        if it >= SMO_MAX_ITER:
             raise ConvergenceError(
-                f"SMO did not reach tol={tol} in {max_iter} iterations "
+                f"SMO did not reach tol={tol} in {SMO_MAX_ITER} iterations "
                 f"(KKT violation {gap:.3e})"
             )
         quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
@@ -123,9 +108,6 @@ def smo_solve(
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
         v += t * (K[j] - K[i])
-        dual_objective += t * gap - 0.5 * t * t * quad
-        if record_objective:
-            history.append(dual_objective)
         it += 1
 
     return SmoSolution(
@@ -133,7 +115,6 @@ def smo_solve(
         bias=float((v_up[i] + v_low[j]) / 2.0),
         kkt_gap=float(gap),
         iterations=it,
-        objective_history=history,
     )
 
 
@@ -209,7 +190,7 @@ def _fit_ovr(X, labels, classes, *, C, gamma, tol, K) -> SvmModel:
     alphas, coefs, biases = [], [], []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        sol = smo_solve(X, y, C=C, gamma=gamma, tol=tol, K=K)
+        sol = smo_solve(K, y, C, tol)
         alphas.append(sol.alpha)
         coefs.append(sol.alpha * y)
         biases.append(sol.bias)
@@ -233,6 +214,8 @@ def train_one_vs_rest(
     tol: float = DEFAULT_TOL,
 ) -> SvmModel:
     """Train one binary per class; the Gram matrix is computed once."""
+    if not (0 < C < np.inf and 0 < gamma < np.inf):
+        raise ValueError("C and gamma must be positive and finite")
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     present = set(labels.tolist())
@@ -270,16 +253,21 @@ def predict_many(model: SvmModel, X: np.ndarray) -> list[tuple[str, dict[str, fl
 # Gamma selection: N_FOLDS-fold cross-validation over a fixed power-of-two grid.
 
 
-def deterministic_folds(labels, k: int, seed: int) -> list[np.ndarray]:
-    """Stratified fold assignment: seeded shuffle, then round-robin per class."""
+def deterministic_folds(labels, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training rows, held-out rows) of each of N_FOLDS stratified folds:
+    seeded shuffle, then round-robin per class."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     assignment = np.zeros(len(labels), dtype=int)
     for cls in sorted(set(labels.tolist())):
         idx = np.where(labels == cls)[0]
         idx = rng.permutation(idx)
-        assignment[idx] = np.arange(len(idx)) % k
-    return [np.where(assignment == f)[0] for f in range(k)]
+        assignment[idx] = np.arange(len(idx)) % N_FOLDS
+    held_out = [np.where(assignment == f)[0] for f in range(N_FOLDS)]
+    return [
+        (np.concatenate(held_out[:f] + held_out[f + 1 :]), test_idx)
+        for f, test_idx in enumerate(held_out)
+    ]
 
 
 def fallback_gamma(X: np.ndarray) -> float:
@@ -288,47 +276,39 @@ def fallback_gamma(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def _folds_feasible(labels, folds, classes) -> bool:
-    if any(len(f) == 0 for f in folds):
-        return False
-    for f in range(len(folds)):
-        train_idx = np.concatenate([folds[g] for g in range(len(folds)) if g != f])
-        train_present = set(np.asarray(labels)[train_idx].tolist())
-        if any(c not in train_present for c in classes):
-            return False
-    return True
-
-
-def cv_gamma_accuracy(
+def cv_gamma_accuracies(
     X,
     labels,
-    gamma: float,
     classes: tuple[str, ...],
-    folds: list[np.ndarray],
+    folds: list[tuple[np.ndarray, np.ndarray]],
     C: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
-) -> float:
-    """Mean held-out accuracy of a one-vs-rest model at one gamma value."""
+) -> list[float]:
+    """Mean held-out accuracy over `folds`, (training rows, held-out rows)
+    pairs, of a one-vs-rest model at each gamma of GAMMA_GRID, from one
+    matrix of squared distances."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     d2 = pairwise_sq_dists(X, X)
-    accs = []
-    for f, test_idx in enumerate(folds):
-        train_idx = np.concatenate([folds[g] for g in range(len(folds)) if g != f])
-        K_train = np.exp(-gamma * d2[np.ix_(train_idx, train_idx)])
-        sub = _fit_ovr(
-            X[train_idx],
-            labels[train_idx],
-            classes,
-            C=C,
-            gamma=gamma,
-            tol=tol,
-            K=K_train,
-        )
-        best = np.argmax(decision_matrix(sub, X[test_idx]), axis=1)
-        pred = np.asarray(classes)[best]  # ties go to the earlier class
-        accs.append(float(np.mean(pred == labels[test_idx])))
-    return float(np.mean(accs))
+    result = []
+    for gamma in GAMMA_GRID:
+        accs = []
+        for train_idx, test_idx in folds:
+            K_train = np.exp(-gamma * d2[np.ix_(train_idx, train_idx)])
+            sub = _fit_ovr(
+                X[train_idx],
+                labels[train_idx],
+                classes,
+                C=C,
+                gamma=gamma,
+                tol=tol,
+                K=K_train,
+            )
+            best = np.argmax(decision_matrix(sub, X[test_idx]), axis=1)
+            pred = np.asarray(classes)[best]  # ties go to the earlier class
+            accs.append(float(np.mean(pred == labels[test_idx])))
+        result.append(float(np.mean(accs)))
+    return result
 
 
 def select_gamma(
@@ -338,27 +318,35 @@ def select_gamma(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> float:
-    """Best-mean-accuracy gamma over GAMMA_GRID; deterministic seeded folds.
+    """Best-mean-accuracy gamma over GAMMA_GRID on deterministic seeded folds
+    (`--gamma auto`).
 
-    Falls back to 1 / (d * mean feature variance) when any fold's training
-    split would miss a class. Grid ties resolve to the smaller gamma.
+    Sets of more than GAMMA_SUBSAMPLE rows are cut to a seeded subsample of
+    that many first. Falls back to 1 / (d * mean feature variance) when any
+    fold's training split would miss a class. Grid ties resolve to the
+    smaller gamma. Fewer than 10 rows is a DataError.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     if len(labels) < 10:
-        raise ValueError("gamma selection needs at least 10 samples")
+        raise DataError(
+            f"gamma selection needs at least 10 samples, got {len(labels)}"
+        )
+    if len(labels) > GAMMA_SUBSAMPLE:
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(len(labels), size=GAMMA_SUBSAMPLE, replace=False))
+        X, labels = X[idx], labels[idx]
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise ValueError("gamma selection needs at least two classes")
-    folds = deterministic_folds(labels, N_FOLDS, seed)
-    if not _folds_feasible(labels, folds, classes):
+    folds = deterministic_folds(labels, seed)
+    if any(
+        len(test_idx) == 0 or not set(classes) <= set(labels[train_idx].tolist())
+        for train_idx, test_idx in folds
+    ):
         return fallback_gamma(X)
-    best_gamma, best_acc = GAMMA_GRID[0], -1.0
-    for gamma in GAMMA_GRID:
-        acc = cv_gamma_accuracy(X, labels, gamma, classes, folds, C=C, tol=tol)
-        if acc > best_acc:
-            best_gamma, best_acc = gamma, acc
-    return float(best_gamma)
+    accs = cv_gamma_accuracies(X, labels, classes, folds, C=C, tol=tol)
+    return float(GAMMA_GRID[int(np.argmax(accs))])
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,9 @@ def test_criterion_3_svm_solver(verdict):
         [rng.normal(-2.0, 0.35, size=(60, 2)), rng.normal(2.0, 0.35, size=(60, 2))]
     )
     y = np.array([-1.0] * 60 + [1.0] * 60)
-    sol = svm_mod.smo_solve(X, y, C=10.0, gamma=0.5, tol=tol)
-    decision = svm_mod.rbf_gram(X, X, 0.5) @ (sol.alpha * y) + sol.bias
+    K = svm_mod.rbf_gram(X, X, 0.5)
+    sol = svm_mod.smo_solve(K, y, C=10.0, tol=tol)
+    decision = K @ (sol.alpha * y) + sol.bias
     train_acc = float(np.mean(np.sign(decision) == y))
     margins = y * decision
     max_viol = float(svm_mod.kkt_violations(sol.alpha, margins, 10.0).max())

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fformation
+from fformation import experiments
 from fformation.cli import (
     _parse_angles,
     _parse_distance,
@@ -81,6 +82,21 @@ class TestGenerate:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("count", ["1", "2"])
+    def test_split_with_an_empty_half_is_config_error_and_writes_nothing(
+        self, tmp_path, capsys, count
+    ):
+        paths = [str(tmp_path / name) for name in ("all", "train", "test")]
+        rc = main(
+            ["generate", "--count", count, "--out", paths[0]]
+            + ["--train-out", paths[1], "--test-out", paths[2]]
+        )
+        assert rc == 2
+        assert f"split {28 * int(count)} scenes {28 * int(count)} train / 0 test" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_formation_is_config_error(self, workdir):
         rc = main(
@@ -263,7 +279,8 @@ def test_output_digests_are_stable_across_runs():
     assert [run.returncode for run in runs] == [0, 0]
     assert first == second
     digests = json.loads(first)["3:0:20"]
-    assert len([k for k in digests if k.startswith("svm_")]) == 12
+    assert len([k for k in digests if k.startswith("svm_")]) == 15
+    assert "crf_capped.json" in digests
     assert {k for k in digests if k.startswith("bundle/")} == {
         "bundle/manifest.json",
         "bundle/crf.json",
@@ -489,6 +506,33 @@ def test_class_missing_from_training_data_is_data_error(workdir, triangle_only, 
     assert "data error: the formation training data has no sample of" in err
     assert "'face-to-face', 'side-by-side', 'L-shaped'" in err
     assert "Traceback" not in err
+
+
+def test_gamma_auto_on_fewer_than_10_groups_is_data_error(workdir):
+    train = str(workdir / "four_cells.jsonl")
+    assert main(["generate", "--angles", "0", "--count", "2", "--out", train]) == 0
+    rc, err = run_cli(
+        ["train-svm", "--task", "formation", "--train", train, "--gamma", "auto"]
+        + ["--out", str(workdir / "never_svm.json")]
+    )
+    assert rc == 3, err
+    assert "data error: gamma selection needs at least 10 samples, got 8" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_on_an_empty_test_set_is_data_error_before_training(
+    workdir, monkeypatch, capsys
+):
+    empty = workdir / "empty.jsonl"
+    empty.write_text("")
+    monkeypatch.setattr(experiments, "train_bundle", None)  # any call fails
+    rc = main(
+        ["evaluate", "--train", str(workdir / "train.jsonl"), "--test", str(empty)]
+        + ["--out-dir", str(workdir / "never_reports")]
+    )
+    assert rc == 3
+    assert "data error: the test set holds no scenes" in capsys.readouterr().err
+    assert not (workdir / "never_reports").exists()
 
 
 @pytest.fixture(scope="module")

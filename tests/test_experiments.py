@@ -18,7 +18,6 @@ from fformation.experiments import (
     SynthSpec,
     TrainingConfig,
     bench_latency,
-    resolve_gamma,
     run_experiment,
     train_bundle,
     train_heads,
@@ -33,7 +32,6 @@ from fformation.pipeline import (
     training_rows,
 )
 from fformation.pose import save_scenes
-from fformation.svm import GAMMA_GRID
 from fformation.synth import SynthConfig, render_scene
 
 
@@ -59,18 +57,6 @@ class TestSynthSpec:
         ranges.sort()
         for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
             assert a1 <= b0
-
-
-class TestResolveGamma:
-    def test_fixed_gamma_passthrough(self, rng):
-        cfg = TrainingConfig(svm_gamma=0.25)
-        assert resolve_gamma(cfg, rng.normal(size=(5, 3)), ["a"] * 5, 0) == 0.25
-
-    def test_auto_selects_from_grid(self, rng):
-        X = np.vstack([rng.normal(-2, 0.3, (20, 2)), rng.normal(2, 0.3, (20, 2))])
-        labels = np.array(["a"] * 20 + ["b"] * 20)
-        cfg = TrainingConfig(svm_gamma="auto")
-        assert resolve_gamma(cfg, X, labels, 0) in GAMMA_GRID
 
 
 @pytest.fixture(scope="module")
@@ -275,18 +261,29 @@ class TestTrainHeads:
         train_bundle(mini.train_scenes, TrainingConfig(crf_max_iters=40), seed=5)
         assert len(built) == 1
 
-    def test_gamma_is_resolved_on_the_first_heads_rows(self, mini, monkeypatch):
-        # A cheap stand-in for the CV search that tells the heads' sets apart
-        monkeypatch.setattr(
-            experiments.svm_mod, "select_gamma", lambda X, y, **_: len(set(y)) / 100
-        )
+    def test_fixed_gamma_trains_every_head_without_a_search(self, mini, monkeypatch):
+        monkeypatch.setattr(experiments.svm_mod, "select_gamma", None)
         scenes = mini.train_scenes
+        groups = training_groups(scenes, build_crf_chains(scenes))
+        training = TrainingConfig(svm_gamma=0.25)
+        svms = train_heads(scenes, groups, tuple(HEADS), training, 7)
+        assert {m.gamma for m in svms.values()} == {0.25}
+
+    def test_gamma_is_selected_on_the_first_heads_rows(self, mini, monkeypatch):
         training = TrainingConfig(svm_gamma="auto")
+
+        # A cheap stand-in for the CV search that tells the heads' sets apart
+        def stand_in(X, y, C, tol, seed):
+            assert (C, tol, seed) == (training.svm_c, training.svm_tol, 7)
+            return len(set(y)) / 100
+
+        monkeypatch.setattr(experiments.svm_mod, "select_gamma", stand_in)
+        scenes = mini.train_scenes
         groups = training_groups(scenes, build_crf_chains(scenes), mini.bundle.crf)
         X, truths = training_rows(scenes, groups, ("formation", "angle_deg"))
         want = {
-            "formation": resolve_gamma(training, *build_formation_data(X, truths), 7),
-            "angle": resolve_gamma(training, *build_angle_data(X, truths), 7),
+            "formation": len(set(build_formation_data(X, truths)[1])) / 100,
+            "angle": len(set(build_angle_data(X, truths)[1])) / 100,
         }
         assert want["formation"] != want["angle"]
         [angle] = train_heads(scenes, groups, ("angle",), training, 7).values()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fformation import svm as svm_mod
 from fformation.errors import ConvergenceError, DataError, VersionMismatchError
 from fformation.svm import (
     GAMMA_GRID,
-    N_FOLDS,
+    GAMMA_SUBSAMPLE,
     SVM_FORMAT_VERSION,
     SvmModel,
-    cv_gamma_accuracy,
+    cv_gamma_accuracies,
     decision_matrix,
     deterministic_folds,
     fallback_gamma,
@@ -40,9 +41,16 @@ def blobs(rng, n_per=30, sep=4.0, dim=2, noise=0.4):
     return X, y
 
 
-def decision(sol, X, y, gamma):
-    """Decision values on the training points X of smo_solve's solution."""
-    return rbf_gram(X, X, gamma) @ (sol.alpha * y) + sol.bias
+def decision(sol, K, y):
+    """Decision values on the training points of smo_solve's solution on the
+    Gram matrix K."""
+    return K @ (sol.alpha * y) + sol.bias
+
+
+def dual_objective(sol, K, y):
+    """e'a - 0.5 a'Qa, the dual objective smo_solve maximizes."""
+    ay = sol.alpha * y
+    return float(sol.alpha.sum() - 0.5 * ay @ K @ ay)
 
 
 class TestRbfKernel:
@@ -97,21 +105,23 @@ class TestSmo:
     def test_two_point_problem(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        sol = smo_solve(X, y, C=1000.0, gamma=1.0, tol=1e-6)
+        K = rbf_gram(X, X, 1.0)
+        sol = smo_solve(K, y, C=1000.0, tol=1e-6)
         assert np.all(sol.alpha > 0)  # both are support vectors
-        d = decision(sol, X, y, 1.0)
+        d = decision(sol, K, y)
         assert d[0] > 0 > d[1]
         assert d[0] == pytest.approx(1.0, abs=1e-5)
         assert d[1] == pytest.approx(-1.0, abs=1e-5)
 
     def test_separable_blobs_train_perfectly(self, rng):
         X, y = blobs(rng)
-        sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3)
-        assert np.all(np.sign(decision(sol, X, y, 0.5)) == y)
+        K = rbf_gram(X, X, 0.5)
+        sol = smo_solve(K, y, C=10.0, tol=1e-3)
+        assert np.all(np.sign(decision(sol, K, y)) == y)
 
     def test_dual_constraints_hold(self, rng):
         X, y = blobs(rng)
-        sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-3)
+        sol = smo_solve(rbf_gram(X, X, 0.5), y, C=10.0, tol=1e-3)
         assert np.all(sol.alpha >= 0.0)
         assert np.all(sol.alpha <= 10.0)
         assert abs(float(sol.alpha @ y)) <= 1e-3
@@ -119,56 +129,58 @@ class TestSmo:
     def test_kkt_violations_within_tol(self, rng):
         X, y = blobs(rng, noise=0.9)  # some overlap so both box edges occur
         tol = 1e-3
-        sol = smo_solve(X, y, C=10.0, gamma=0.5, tol=tol)
-        margins = y * decision(sol, X, y, 0.5)
+        K = rbf_gram(X, X, 0.5)
+        sol = smo_solve(K, y, C=10.0, tol=tol)
+        margins = y * decision(sol, K, y)
         assert kkt_violations(sol.alpha, margins, 10.0).max() <= tol
 
-    def test_dual_objective_non_decreasing(self, rng):
+    def test_dual_objective_non_decreasing_as_tol_shrinks(self, rng):
+        # Each SMO step raises the dual objective, and tol only decides
+        # where the one deterministic path of steps stops.
         X, y = blobs(rng, noise=1.0)
-        sol = smo_solve(X, y, C=5.0, gamma=0.3, tol=1e-4, record_objective=True)
-        hist = np.array(sol.objective_history)
-        assert len(hist) == sol.iterations + 1
-        assert np.all(np.diff(hist) >= -1e-12)
+        K = rbf_gram(X, X, 0.3)
+        sols = [smo_solve(K, y, C=5.0, tol=tol) for tol in np.geomspace(1.0, 1e-4, 9)]
+        iters = [sol.iterations for sol in sols]
+        objectives = [dual_objective(sol, K, y) for sol in sols]
+        assert iters == sorted(iters) and iters[0] < iters[-1]
+        assert np.all(np.diff(objectives) >= -1e-12)
 
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="both classes"):
-            smo_solve(X, np.ones(10), C=1.0, gamma=1.0)
+            smo_solve(rbf_gram(X, X, 1.0), np.ones(10), C=1.0, tol=1e-3)
 
-    @pytest.mark.parametrize(
-        "C, tol",
-        [
-            (0.0, 1e-3),
-            (-1.0, 1e-3),
-            (math.nan, 1e-3),
-            (math.inf, 1e-3),
-            (1.0, 0.0),
-            (1.0, -1e-3),
-            (1.0, math.nan),
-        ],
-    )
-    def test_bad_c_or_tol_rejected_up_front(self, rng, C, tol):
+    def test_gram_of_another_size_rejected(self, rng):
+        X, y = blobs(rng, n_per=5)
+        with pytest.raises(ValueError, match="shape"):
+            smo_solve(rbf_gram(X[:-1], X[:-1], 1.0), y, C=1.0, tol=1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_bad_tol_rejected_up_front(self, rng, tol):
         X, y = blobs(rng, n_per=5)
         with pytest.raises(ValueError, match="positive and finite"):
-            smo_solve(X, y, C=C, gamma=1.0, tol=tol, max_iter=10)
+            smo_solve(rbf_gram(X, X, 1.0), y, C=1.0, tol=tol)
 
-    def test_iteration_cap_raises_with_violation_report(self, rng):
+    def test_iteration_cap_raises_with_violation_report(self, rng, monkeypatch):
         X, y = blobs(rng)
-        with pytest.raises(ConvergenceError, match="violation"):
-            smo_solve(X, y, C=10.0, gamma=0.5, tol=1e-9, max_iter=2)
+        monkeypatch.setattr(svm_mod, "SMO_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="in 2 iterations.*violation"):
+            smo_solve(rbf_gram(X, X, 0.5), y, C=10.0, tol=1e-9)
 
     def test_duplicate_features_terminate(self):
         X = np.zeros((8, 3))
         y = np.array([1.0, -1.0] * 4)
-        sol = smo_solve(X, y, C=2.0, gamma=1.0, tol=1e-3)
-        assert np.all(np.isfinite(decision(sol, X, y, 1.0)))
+        K = rbf_gram(X, X, 1.0)
+        sol = smo_solve(K, y, C=2.0, tol=1e-3)
+        assert np.all(np.isfinite(decision(sol, K, y)))
 
     def test_only_positive_alphas_stored(self, rng):
         X, y = blobs(rng, sep=6.0, noise=0.2)
         labels = np.where(y > 0, "pos", "neg")
         model = train_one_vs_rest(X, labels, ("neg", "pos"), C=10.0, gamma=0.5)
+        K = rbf_gram(X, X, 0.5)
         alphas = [
-            smo_solve(X, np.where(labels == c, 1.0, -1.0), C=10.0, gamma=0.5).alpha
+            smo_solve(K, np.where(labels == c, 1.0, -1.0), C=10.0, tol=1e-3).alpha
             for c in model.classes
         ]
         stored = (alphas[0] > 0) | (alphas[1] > 0)
@@ -211,6 +223,26 @@ class TestOneVsRest:
         X, y = self._toy_multiclass(rng)
         with pytest.raises(ValueError, match="absent"):
             train_one_vs_rest(X, y, ("a", "b", "c", "d"), gamma=0.5)
+
+    @pytest.mark.parametrize(
+        "C, gamma, tol",
+        [
+            (0.0, 1.0, 1e-3),
+            (-1.0, 1.0, 1e-3),
+            (math.nan, 1.0, 1e-3),
+            (math.inf, 1.0, 1e-3),
+            (1.0, 0.0, 1e-3),
+            (1.0, math.nan, 1e-3),
+            (1.0, math.inf, 1e-3),
+            (1.0, 1.0, 0.0),
+            (1.0, 1.0, -1e-3),
+            (1.0, 1.0, math.nan),
+        ],
+    )
+    def test_bad_c_gamma_or_tol_rejected(self, rng, C, gamma, tol):
+        X, y = self._toy_multiclass(rng)
+        with pytest.raises(ValueError, match="positive and finite"):
+            train_one_vs_rest(X, y, ("a", "b", "c"), C=C, gamma=gamma, tol=tol)
 
     def test_prediction_invariant_to_sv_storage_order(self, rng):
         X, y = self._toy_multiclass(rng)
@@ -259,7 +291,7 @@ def ovr28():
     solutions = []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
-        solutions.append((y, smo_solve(X, y, C=C, gamma=gamma, tol=tol, K=K)))
+        solutions.append((y, smo_solve(K, y, C, tol)))
     return X, model, solutions
 
 
@@ -304,10 +336,10 @@ class TestSelectGamma:
         assert gamma == pytest.approx(fallback_gamma(X))
         assert gamma == pytest.approx(1.0 / (4 * 1e-8))
 
-    def test_too_few_samples_rejected(self, rng):
+    def test_too_few_samples_is_data_error(self, rng):
         X = rng.normal(size=(9, 2))
         labels = np.array(["a", "b"] * 4 + ["a"])
-        with pytest.raises(ValueError, match="at least 10"):
+        with pytest.raises(DataError, match="at least 10 samples, got 9"):
             select_gamma(X, labels)
 
     def test_single_class_rejected(self, rng):
@@ -316,27 +348,61 @@ class TestSelectGamma:
             select_gamma(X, np.array(["a"] * 12))
 
     def test_grid_replay_oracle(self, rng):
-        # Recompute every grid point's CV accuracy with the same folds and
-        # check the returned gamma attains the maximum.
+        # Recompute every grid point's CV accuracy with the same folds, one
+        # train_one_vs_rest per fold, and check the returned gamma is the
+        # first that attains the maximum.
         X, y = blobs(rng, n_per=15, sep=2.0, noise=0.8)
         labels = np.where(y > 0, "pos", "neg")
         chosen = select_gamma(X, labels, seed=5)
-        folds = deterministic_folds(labels, N_FOLDS, seed=5)
+        folds = deterministic_folds(labels, seed=5)
         classes = tuple(sorted(set(labels.tolist())))
-        accs = {
-            g: cv_gamma_accuracy(X, labels, g, classes, folds) for g in GAMMA_GRID
-        }
-        assert accs[chosen] == max(accs.values())
+        replay = []
+        for g in GAMMA_GRID:
+            accs = []
+            for train_idx, test_idx in folds:
+                model = train_one_vs_rest(X[train_idx], labels[train_idx], classes, gamma=g)
+                pred = [c for c, _ in predict_many(model, X[test_idx])]
+                accs.append(np.mean(np.array(pred) == labels[test_idx]))
+            replay.append(np.mean(accs))
+        np.testing.assert_allclose(
+            cv_gamma_accuracies(X, labels, classes, folds), replay, atol=1e-12
+        )
+        assert chosen == GAMMA_GRID[int(np.argmax(replay))]
+
+    def test_more_rows_than_the_cap_select_on_the_seeded_subsample(
+        self, rng, monkeypatch
+    ):
+        X, y = blobs(rng, n_per=350, sep=6.0, noise=0.5)
+        labels = np.where(y > 0, "pos", "neg")
+        idx = np.sort(
+            np.random.default_rng(4).choice(700, size=GAMMA_SUBSAMPLE, replace=False)
+        )
+        seen = []
+        search = svm_mod.cv_gamma_accuracies
+
+        def spy(X, labels, *args, **kwargs):
+            seen.append((X, labels))
+            return search(X, labels, *args, **kwargs)
+
+        monkeypatch.setattr(svm_mod, "cv_gamma_accuracies", spy)
+        assert select_gamma(X, labels, seed=4) == select_gamma(X[idx], labels[idx], seed=4)
+        (X_full, labels_full), (X_sub, labels_sub) = seen
+        np.testing.assert_array_equal(X_full, X_sub)
+        np.testing.assert_array_equal(labels_full, labels_sub)
 
     def test_folds_deterministic_and_stratified(self):
         labels = np.array(["a"] * 10 + ["b"] * 5)
-        f1 = deterministic_folds(labels, 5, seed=9)
-        f2 = deterministic_folds(labels, 5, seed=9)
-        for a, b in zip(f1, f2):
-            np.testing.assert_array_equal(a, b)
-        for fold in f1:
-            assert np.sum(labels[fold] == "a") == 2
-            assert np.sum(labels[fold] == "b") == 1
+        f1 = deterministic_folds(labels, seed=9)
+        f2 = deterministic_folds(labels, seed=9)
+        for (train_a, test_a), (train_b, test_b) in zip(f1, f2):
+            np.testing.assert_array_equal(train_a, train_b)
+            np.testing.assert_array_equal(test_a, test_b)
+        for train_idx, test_idx in f1:
+            assert np.sum(labels[test_idx] == "a") == 2
+            assert np.sum(labels[test_idx] == "b") == 1
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate([train_idx, test_idx])), np.arange(15)
+            )
 
 
 class TestSerialization:
