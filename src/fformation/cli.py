@@ -27,7 +27,6 @@ from .experiments import (
 )
 from .pipeline import (
     HEADS,
-    build_crf_chains,
     detect_many,
     load_models,
     rule_classify,
@@ -180,7 +179,7 @@ def cmd_train_svm(args) -> int:
     training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
     scenes = load_scenes(args.train)
     crf_model = crf_mod.load_crf(args.crf) if args.crf else None
-    groups = training_groups(scenes, build_crf_chains(scenes), crf_model)
+    groups = training_groups(scenes, crf_model)
     [model] = train_heads(scenes, groups, (args.task,), training, args.seed).values()
     svm_mod.save_svm(model, args.out)
     print(
@@ -235,14 +234,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     scenes = load_scenes(args.data)
-    detections = []
-    for scene in scenes:
-        if len(scene.poses) < 2:
-            raise DataError(
-                f"scene {scene.frame_id!r} has fewer than two poses; "
-                "the rule baseline needs at least two"
-            )
-        detections.append(rule_classify(scene))
+    detections = [rule_classify(scene) for scene in scenes]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
         write_detections(detections, fp)
     print(f"wrote {len(detections)} baseline detections to {args.out}")

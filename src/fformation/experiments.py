@@ -206,11 +206,10 @@ def train_bundle(
     """Train the CRF, then the three SVMs on CRF-filtered groups.
 
     Feeding the classifiers the same filtered person sets they will see at
-    detection time makes them robust to the filter's residual mistakes. Each
-    scene's chain is built once, for CRF training and for the filtering.
+    detection time makes them robust to the filter's residual mistakes.
     """
-    chains, crf_result = train_crf(train_scenes, training)
-    groups = training_groups(train_scenes, chains, crf_result.model)
+    _, crf_result = train_crf(train_scenes, training)
+    groups = training_groups(train_scenes, crf_result.model)
     svms = train_heads(train_scenes, groups, tuple(HEADS), training, seed)
     return ModelBundle(
         crf=crf_result.model,
@@ -379,6 +378,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     bad_tables = [t for t in cfg.tables if t not in _TABLE_BUILDERS]
     if bad_tables:
         raise ConfigError(f"unknown tables requested: {bad_tables}")
+    if cfg.models_dir is not None and cfg.save_models_dir is not None:
+        raise ConfigError(
+            "models_dir loads a bundle and save_models_dir saves a trained one: "
+            "give one, not both"
+        )
     if cfg.synth is not None:
         scenes = generate_dataset(cfg.synth.configs(), shuffle_seed=cfg.synth.seed)
         train_scenes, test_scenes = split_train_test(scenes, seed=cfg.synth.seed)

@@ -34,7 +34,6 @@ from .pose import (
     X,
     PersonPose,
     Scene,
-    left_to_right_permutation,
     read_json,
     require_truth,
     write_json,
@@ -110,12 +109,17 @@ def write_detections(detections, stream) -> None:
 DETECT_BATCH = 512
 
 
-def _ordered_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per scene (each with at least one pose): its left-to-right
-    permutation and its chain features in that order, computed in one batch
-    per pose count."""
-    chains: list = [None] * len(scenes)
+def _chain_blocks(scenes) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The scenes' chains, one block per pose count n >= 1, shortest first:
+    (the scenes' indices, their left-to-right permutations (B, n), their
+    chain features in that order (B, n, F_NODE)). A scene without a pose
+    has no chain and is in no block. Detection and training decode these
+    blocks as they are.
+    """
+    blocks = []
     for n, idx in crf_mod.by_length(len(s.poses) for s in scenes).items():
+        if n == 0:
+            continue
         group = [scenes[i] for i in idx]
         anchors = np.array([[p.anchor for p in s.poses] for s in group])
         perms = np.argsort(anchors, axis=1, kind="stable")
@@ -126,29 +130,13 @@ def _ordered_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
             anchors[rows, perms],
             [s.image_width for s in group],
         )
-        for k, i in enumerate(idx):
-            chains[i] = (perms[k], feats[k])
-    return chains
+        blocks.append((idx, perms, feats))
+    return blocks
 
 
-def _decode_chains(crf_model: crf_mod.CrfModel, chains: list[np.ndarray], *, marginals):
-    """Viterbi label indices per chain, plus G-marginals when asked (else
-    None); one batched decode per chain length.
-
-    The marginals are clipped to [0, 1]: forward-backward rounding can put
-    them a few ulps outside.
-    """
-    labels: list = [None] * len(chains)
-    g_prob: list = [None] * len(chains)
-    for idx in crf_mod.by_length(len(feats) for feats in chains).values():
-        lab, marg = crf_mod.decode_batch(
-            crf_model, np.stack([chains[i] for i in idx]), marginals=marginals
-        )
-        for row, i in enumerate(idx):
-            labels[i] = lab[row]
-            if marginals:
-                g_prob[i] = np.clip(marg[row, :, 0], 0.0, 1.0)
-    return labels, g_prob
+def _gold_labels(scene: Scene, perm) -> np.ndarray:
+    """The scene's gold label indices in the order of `perm`."""
+    return crf_mod.labels_to_indices([scene.truth.membership[i] for i in perm])
 
 
 def _kept_members(perm: np.ndarray, labels: np.ndarray) -> list[int] | None:
@@ -189,33 +177,38 @@ def _no_people(scene: Scene) -> Detection:
 
 def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
     """Detections for a list of scenes, plus (features, crf, svm) seconds."""
-    peopled = [i for i, scene in enumerate(scenes) if scene.poses]
-    if not peopled:
-        return [_no_people(scene) for scene in scenes], (0.0, 0.0, 0.0)
     t0 = time.perf_counter()
-    chains = _ordered_chains([scenes[i] for i in peopled])
+    blocks = _chain_blocks(scenes)
+    if not blocks:
+        return [_no_people(scene) for scene in scenes], (0.0, 0.0, 0.0)
     t1 = time.perf_counter()
-    labels, g_ordered = _decode_chains(
-        crf_model, [feats for _, feats in chains], marginals=True
-    )
+    decoded = []
+    for _, _, feats in blocks:
+        labels, marg = crf_mod.decode_batch(crf_model, feats, marginals=True)
+        # forward-backward rounding can put a marginal a few ulps outside [0, 1]
+        decoded.append((labels, np.clip(marg[:, :, 0], 0.0, 1.0)))
     t2 = time.perf_counter()
 
     fields = {}  # scene index -> Detection fields
     kept = []  # (scene index, its _kept_members)
-    for i, (perm, _), lab, g in zip(peopled, chains, labels, g_ordered):
-        membership = np.empty(len(perm), dtype=int)
-        membership[perm] = lab
-        g_prob = np.empty(len(perm))
-        g_prob[perm] = g
-        members = _kept_members(perm, lab)
-        fields[i] = dict(
-            frame_id=scenes[i].frame_id,
-            membership=tuple(crf_mod.indices_to_labels(membership)),
-            scores={"membership_g_prob": g_prob.tolist()},
-            reason=REASON_TOO_SMALL,
-        )
-        if members is not None:
-            kept.append((i, members))
+    for (idx, perms, _), (labels, g_probs) in zip(blocks, decoded):
+        for i, perm, lab, g in zip(idx, perms, labels, g_probs):
+            membership = np.empty(len(perm), dtype=int)
+            membership[perm] = lab
+            g_prob = np.empty(len(perm))
+            g_prob[perm] = g
+            members = _kept_members(perm, lab)
+            fields[i] = dict(
+                frame_id=scenes[i].frame_id,
+                membership=tuple(crf_mod.indices_to_labels(membership)),
+                scores={"membership_g_prob": g_prob.tolist()},
+                reason=REASON_TOO_SMALL,
+            )
+            if members is not None:
+                kept.append((i, members))
+    # Rows in scene order: a row's scores can move in the last bits with the
+    # rows around it (svm.predict_many).
+    kept.sort()
 
     if kept:
         X = _group_rows(
@@ -364,7 +357,10 @@ def rule_classify(scene: Scene) -> Detection:
     generic match). No angle is predicted.
     """
     if len(scene.poses) < 2:
-        raise ValueError("rule baseline needs at least two poses")
+        raise DataError(
+            f"scene {scene.frame_id!r} has fewer than two poses; "
+            "the rule baseline needs at least two"
+        )
     points = np.stack([p.points for p in scene.poses])
     n_confident = (points[:, :, CONF] >= FACE_CONFIDENCE).sum(axis=1)
     visible = np.flatnonzero(n_confident >= MIN_VISIBLE_KEYPOINTS).tolist()
@@ -425,44 +421,38 @@ def rule_classify(scene: Scene) -> Detection:
 
 
 def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
-    """Left-to-right chains with gold labels, one per scene with a pose: a
-    scene without one has no chain and is skipped. DataError when no scene
-    has a pose."""
+    """Left-to-right chains with gold labels, one per scene with a pose, in
+    the order of _chain_blocks. DataError when no scene has a pose."""
     require_truth(scenes, ("membership",))
-    peopled = [scene for scene in scenes if scene.poses]
-    if not peopled:
-        raise DataError("no training scene has a pose")
-    return [
-        crf_mod.ChainInstance(
-            feats, crf_mod.labels_to_indices([scene.truth.membership[i] for i in perm])
-        )
-        for scene, (perm, feats) in zip(peopled, _ordered_chains(peopled))
+    chains = [
+        crf_mod.ChainInstance(f, _gold_labels(scenes[i], perm))
+        for idx, perms, feats in _chain_blocks(scenes)
+        for i, perm, f in zip(idx, perms, feats)
     ]
+    if not chains:
+        raise DataError("no training scene has a pose")
+    return chains
 
 
-def training_groups(scenes, chains, crf_model=None) -> list[list[PersonPose] | None]:
+def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
     """Per scene, the group its classifier training row is built from: the
     poses its chain labels G, left to right, or None (see _kept_members).
 
-    `chains` are build_crf_chains(scenes), one per scene with a pose: built
-    once, they serve CRF training and this. With a CRF the labels are its
-    Viterbi labels, one batched decode per chain length, so the classifiers
-    train on the groups detection shows them; without one, the gold labels.
+    With a CRF the labels are its Viterbi labels, one batched decode per
+    block of _chain_blocks, so the classifiers train on the groups
+    detection shows them; without one, the gold labels.
     """
-    if crf_model is None:
-        labels = [chain.labels for chain in chains]
-    else:
-        labels, _ = _decode_chains(
-            crf_model, [chain.features for chain in chains], marginals=False
-        )
-    labels = iter(labels)
-    groups = []
-    for scene in scenes:
-        members = None
-        if scene.poses:
-            perm = np.asarray(left_to_right_permutation(scene))
-            members = _kept_members(perm, next(labels))
-        groups.append(None if members is None else [scene.poses[m] for m in members])
+    require_truth(scenes, ("membership",))
+    groups: list = [None] * len(scenes)
+    for idx, perms, feats in _chain_blocks(scenes):
+        if crf_model is None:
+            labels = [_gold_labels(scenes[i], perm) for i, perm in zip(idx, perms)]
+        else:
+            labels, _ = crf_mod.decode_batch(crf_model, feats)
+        for i, perm, lab in zip(idx, perms, labels):
+            members = _kept_members(perm, lab)
+            if members is not None:
+                groups[i] = [scenes[i].poses[m] for m in members]
     return groups
 
 

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line. The synthetic corpus, models, and all seeds are frozen.
 """
+import json
 import os
 import subprocess
 import sys
@@ -320,93 +321,47 @@ def test_criterion_7_realtime_latency(world, verdict):
     )
 
 
-def _run_cli(args, cwd):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fformation.cli", *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, f"{args}: {proc.stderr}"
+# Every artifact-producing CLI command: generate, train-crf, train-svm for
+# each head, evaluate with --save-models, predict, predict --joint and
+# baseline. bench is exercised elsewhere: its output is wall-clock
+# measurements and is the one command whose bytes legitimately vary.
+DIGESTS_SPEC = "5:7:800"
 
 
-def _cli_pipeline(root):
-    """Run every artifact-producing CLI command into root; return file bytes.
+def test_criterion_8_cli_determinism(verdict):
+    """Identical flags and seed produce byte-identical datasets/models/reports.
 
-    bench is exercised elsewhere: its output is wall-clock measurements and
-    is the one command whose bytes legitimately vary between runs.
+    Two processes, so under two hash seeds, each run the commands through
+    scripts/output_digests.py and print the digests of what they write.
     """
-    os.makedirs(root, exist_ok=True)
-    j = lambda *p: os.path.join(root, *p)
-    _run_cli(
-        [
-            "generate", "--count", "5", "--seed", "7",
-            "--out", j("all.jsonl"),
-            "--train-out", j("train.jsonl"), "--test-out", j("test.jsonl"),
-        ],
-        root,
-    )
-    _run_cli(
-        [
-            "train-crf", "--train", j("train.jsonl"), "--out", j("crf.json"),
-            "--l2", "0.003", "--max-iters", "800", "--seed", "7",
-        ],
-        root,
-    )
-    _run_cli(
-        [
-            "train-svm", "--task", "formation", "--train", j("train.jsonl"),
-            "--crf", j("crf.json"), "--out", j("svm_formation.json"), "--seed", "7",
-        ],
-        root,
-    )
-    _run_cli(
-        [
-            "evaluate", "--train", j("train.jsonl"), "--test", j("test.jsonl"),
-            "--save-models", j("models"), "--out-dir", j("reports"),
-            "--crf-max-iters", "800", "--seed", "7",
-        ],
-        root,
-    )
-    _run_cli(
-        [
-            "predict", "--data", j("test.jsonl"), "--models", j("models"),
-            "--out", j("det.jsonl"), "--seed", "7",
-        ],
-        root,
-    )
-    _run_cli(
-        [
-            "predict", "--data", j("test.jsonl"), "--models", j("models"),
-            "--out", j("det_joint.jsonl"), "--joint", "--seed", "7",
-        ],
-        root,
-    )
-    _run_cli(
-        ["baseline", "--data", j("test.jsonl"), "--out", j("baseline.jsonl"), "--seed", "7"],
-        root,
-    )
-    artifacts = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            with open(path, "rb") as fp:
-                artifacts[rel] = fp.read()
-    return artifacts
-
-
-def test_criterion_8_cli_determinism(tmp_path, verdict):
-    """Identical flags and seed produce byte-identical datasets/models/reports."""
-    first = _cli_pipeline(str(tmp_path / "run1"))
-    second = _cli_pipeline(str(tmp_path / "run2"))
-    same_names = set(first) == set(second)
-    diffs = [k for k in first if same_names and first[k] != second.get(k)]
-    ok = same_names and not diffs
+    tests = os.path.dirname(os.path.abspath(__file__))
+    script = os.path.join(tests, "..", "scripts", "output_digests.py")
+    src = os.path.join(tests, "..", "src")
+    runs = [
+        subprocess.Popen(
+            [sys.executable, script, "--spec", DIGESTS_SPEC],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        for _ in range(2)
+    ]
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    first, second = [json.loads(out)[DIGESTS_SPEC] for out in outputs]
+    assert len([k for k in first if k.startswith("svm_")]) == 15
+    assert "crf_capped.json" in first
+    assert {k for k in first if k.startswith("bundle/")} == {
+        "bundle/manifest.json",
+        "bundle/crf.json",
+        "bundle/svm_formation.json",
+        "bundle/svm_angle.json",
+        "bundle/svm_joint.json",
+    }
+    assert "reports/meta.json" in first and "stdout predict --joint" in first
+    diffs = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
+    ok = not diffs
     verdict(
         8,
         ok,

@@ -260,37 +260,6 @@ def test_importing_the_cli_loads_no_optimizer():
     assert proc.stdout.strip() == "False"
 
 
-def test_output_digests_are_stable_across_runs():
-    # 3 scenes per cell is the smallest count whose split leaves every
-    # artifact buildable: fewer leaves the test split empty.
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "output_digests.py")
-    src = os.path.dirname(os.path.dirname(fformation.__file__))
-    runs = [
-        subprocess.Popen(
-            [sys.executable, script, "--spec", "3:0:20"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        for _ in range(2)
-    ]
-    first, second = [run.communicate(timeout=300)[0] for run in runs]
-    assert [run.returncode for run in runs] == [0, 0]
-    assert first == second
-    digests = json.loads(first)["3:0:20"]
-    assert len([k for k in digests if k.startswith("svm_")]) == 15
-    assert "crf_capped.json" in digests
-    assert {k for k in digests if k.startswith("bundle/")} == {
-        "bundle/manifest.json",
-        "bundle/crf.json",
-        "bundle/svm_formation.json",
-        "bundle/svm_angle.json",
-        "bundle/svm_joint.json",
-    }
-    assert "reports/meta.json" in digests and "stdout predict --joint" in digests
-
-
 def test_non_positive_gamma_is_config_error(workdir):
     rc = main(
         [
@@ -576,6 +545,32 @@ def test_scene_without_a_pose_is_skipped_in_training(
         assert f"on {n_with_poses} chains" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("train-crf", "no training scene has a pose"),
+        ("train-svm", "the formation training data has no sample of"),
+    ],
+)
+def test_training_on_scenes_without_a_pose_is_data_error(workdir, command, message):
+    lines = (workdir / "train.jsonl").read_text().splitlines()
+    train = workdir / "nobody.jsonl"
+    with open(train, "w") as fp:
+        for line in lines:
+            doc = json.loads(line)
+            doc["poses"], doc["truth"]["membership"] = [], []
+            fp.write(json.dumps(doc) + "\n")
+    out = workdir / f"never_{command}.json"
+    args = ["--train", str(train), "--out", str(out)]
+    if command == "train-svm":
+        args += ["--task", "formation"]
+    rc, err = run_cli([command, *args])
+    assert rc == 3, err
+    assert f"data error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def artifacts(workdir):
     out = {
@@ -656,6 +651,42 @@ class TestEvaluatePredictBaselineBench:
         lines = (workdir / "rb.jsonl").read_text().splitlines()
         assert len(lines) == 28
         assert all(json.loads(l)["angle_deg"] is None for l in lines)
+
+    def test_baseline_on_a_one_pose_scene_is_data_error(self, workdir):
+        lines = (workdir / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc.update(frame_id="solo", poses=doc["poses"][:1])
+        doc["truth"]["membership"] = doc["truth"]["membership"][:1]
+        data = workdir / "one_pose.jsonl"
+        data.write_text("\n".join(lines + [json.dumps(doc)]) + "\n")
+        out = workdir / "never_rb.jsonl"
+        rc, err = run_cli(["baseline", "--data", str(data), "--out", str(out)])
+        assert rc == 3, err
+        assert "data error: scene 'solo' has fewer than two poses" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_evaluate_with_models_and_save_models_is_config_error(
+        self, workdir, artifacts
+    ):
+        saved, reports = workdir / "never_saved", workdir / "never_reports"
+        rc, err = run_cli(
+            [
+                "evaluate",
+                "--test",
+                str(workdir / "test.jsonl"),
+                "--models",
+                str(artifacts["models"]),
+                "--save-models",
+                str(saved),
+                "--out-dir",
+                str(reports),
+            ]
+        )
+        assert rc == 2, err
+        assert "config error: models_dir loads a bundle" in err
+        assert "Traceback" not in err
+        assert not saved.exists() and not reports.exists()
 
     def test_bench_requires_enough_scenes(self, workdir, artifacts):
         rc = main(

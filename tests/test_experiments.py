@@ -25,7 +25,6 @@ from fformation.experiments import (
 from fformation.pipeline import (
     HEADS,
     build_angle_data,
-    build_crf_chains,
     build_formation_data,
     save_models,
     training_groups,
@@ -250,9 +249,9 @@ class TestDecodesOncePerScene:
         train_bundle(scenes, TrainingConfig(crf_max_iters=40), seed=5)
         assert sum(b for b, _, _ in decodes) == len(scenes)
         assert len(decodes) == len({len(s.poses) for s in scenes})
-        # Viterbi only, over the chains built once for CRF training
-        assert not any(marginals for _, _, marginals in decodes)
-        assert sum(built) == len(scenes)
+        assert not any(marginals for _, _, marginals in decodes)  # Viterbi only
+        # each chain's features: once for CRF training, once for the groups
+        assert sum(built) == 2 * len(scenes)
 
 
 class TestTrainHeads:
@@ -264,7 +263,7 @@ class TestTrainHeads:
     def test_fixed_gamma_trains_every_head_without_a_search(self, mini, monkeypatch):
         monkeypatch.setattr(experiments.svm_mod, "select_gamma", None)
         scenes = mini.train_scenes
-        groups = training_groups(scenes, build_crf_chains(scenes))
+        groups = training_groups(scenes)
         training = TrainingConfig(svm_gamma=0.25)
         svms = train_heads(scenes, groups, tuple(HEADS), training, 7)
         assert {m.gamma for m in svms.values()} == {0.25}
@@ -279,7 +278,7 @@ class TestTrainHeads:
 
         monkeypatch.setattr(experiments.svm_mod, "select_gamma", stand_in)
         scenes = mini.train_scenes
-        groups = training_groups(scenes, build_crf_chains(scenes), mini.bundle.crf)
+        groups = training_groups(scenes, mini.bundle.crf)
         X, truths = training_rows(scenes, groups, ("formation", "angle_deg"))
         want = {
             "formation": len(set(build_formation_data(X, truths)[1])) / 100,
@@ -293,7 +292,7 @@ class TestTrainHeads:
 
     def test_missing_class_is_reported_before_any_svm_trains(self, mini, monkeypatch):
         scenes = [s for s in mini.train_scenes if s.truth.angle_deg != 0]
-        groups = training_groups(scenes, build_crf_chains(scenes))
+        groups = training_groups(scenes)
         trained = count_calls(monkeypatch, experiments.svm_mod, "train_one_vs_rest")
         with pytest.raises(DataError, match=r"the angle training data has no sample of \['0'\]"):
             train_heads(scenes, groups, tuple(HEADS), TrainingConfig(), 0)

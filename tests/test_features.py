@@ -14,7 +14,7 @@ from fformation.features import (
     chain_features,
     stacked_group_features,
 )
-from fformation.pipeline import _ordered_chains
+from fformation.pipeline import _chain_blocks
 from fformation.pose import FORMATIONS, KEYPOINT_INDEX, KEYPOINT_NAMES, bin_confidence
 
 from conftest import make_pose, make_scene, ordered
@@ -427,11 +427,15 @@ class TestMatchesObjectPath:
     def test_detection_batch_features_bit_identical(self):
         # The chains detect_many and training build, one batch per pose
         # count over scenes of every length at once.
-        chains = _ordered_chains(EQUIVALENCE_SCENES)
-        for scene, (perm, feats) in zip(EQUIVALENCE_SCENES, chains):
-            chain = ordered(scene)
-            assert [scene.poses[i] for i in perm] == list(chain.poses)
-            assert _bits(feats) == _bits(ref_chain_features(chain))
+        covered = []
+        for idx, perms, feats in _chain_blocks(EQUIVALENCE_SCENES):
+            for i, perm, f in zip(idx, perms, feats):
+                scene = EQUIVALENCE_SCENES[i]
+                chain = ordered(scene)
+                assert [scene.poses[k] for k in perm] == list(chain.poses)
+                assert _bits(f) == _bits(ref_chain_features(chain))
+                covered.append(i)
+        assert sorted(covered) == list(range(len(EQUIVALENCE_SCENES)))
 
     def test_stacked_group_features_bit_identical(self):
         groups = [s.poses[:3] for s in EQUIVALENCE_SCENES] + [

@@ -136,7 +136,12 @@ def commands(scenes, out):
                 "--svm-tol": "positive",
                 **SEED,
             },
-            [["--tables", "5"], ["--tables", "1,x"]],
+            [
+                ["--tables", "5"],
+                ["--tables", "1,x"],
+                # a loaded bundle trains nothing to save
+                ["--models", models, "--save-models", os.path.join(out, "saved")],
+            ],
         ),
         "baseline": (
             {"--data": scenes, "--out": os.path.join(out, "b.jsonl")},

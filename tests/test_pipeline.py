@@ -24,7 +24,6 @@ from fformation.pipeline import (
     REASON_TOO_FEW_VISIBLE,
     REASON_TOO_SMALL,
     Detection,
-    _decode_chains,
     build_crf_chains,
     detect,
     detect_many,
@@ -50,11 +49,6 @@ from fformation.pose import (
 from fformation.synth import SynthConfig, render_scene
 
 from conftest import make_pose, make_scene, ordered
-
-
-def groups_of(scenes, crf_model=None):
-    """training_groups over the scenes' own chains."""
-    return training_groups(scenes, build_crf_chains(scenes), crf_model)
 
 
 def formation_rows(scenes, groups):
@@ -154,8 +148,8 @@ class TestRuleClassify:
         assert rule_classify(scene).formation == "triangle"
 
     def test_fewer_than_two_poses_is_input_error(self):
-        with pytest.raises(ValueError, match="two poses"):
-            rule_classify(make_scene([make_pose()]))
+        with pytest.raises(DataError, match="'solo' has fewer than two poses"):
+            rule_classify(make_scene([make_pose()], frame_id="solo"))
 
     def test_no_rule_matched_gives_none(self):
         scene = make_scene(
@@ -391,7 +385,7 @@ class TestDetect:
         scene = render_scene(
             SynthConfig(formation="L-shaped", angle_deg=-30, outlier_count=1, seed=37_000)
         )
-        [poses] = groups_of([scene], mini.bundle.crf)
+        [poses] = training_groups([scene], mini.bundle.crf)
         det = detect(
             scene, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
@@ -411,24 +405,24 @@ class TestTrainingGroups:
 
     def test_gold_groups_below_two_members_are_none(self):
         scenes = [self._scene(m) for m in (("O", "O", "O"), ("O", "G", "O"))]
-        assert groups_of(scenes) == [None, None]
-        X, truths = training_rows(scenes, groups_of(scenes), ("formation",))
+        assert training_groups(scenes) == [None, None]
+        X, truths = training_rows(scenes, training_groups(scenes), ("formation",))
         assert X.shape == (0, F_GROUP) and truths == []
 
     def test_gold_group_is_every_member_left_to_right(self):
         scene = self._scene(("G", "O", "G", "G", "G"))
-        [poses] = groups_of([scene])
+        [poses] = training_groups([scene])
         # poses were placed right to left
         assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
 
     def test_scene_without_a_pose_has_no_chain_and_no_group(self):
         empty, scene = self._scene(()), self._scene(("G", "O", "G"))
         assert len(build_crf_chains([empty, scene, empty])) == 1
-        groups = groups_of([empty, scene, empty])
+        groups = training_groups([empty, scene, empty])
         assert groups[0] is None and groups[2] is None
         assert [p.person_id for p in groups[1]] == ["p2", "p0"]
         with pytest.raises(DataError, match="no training scene has a pose"):
-            groups_of([empty])
+            build_crf_chains([empty])
 
 
 def _capture_rows(monkeypatch, model):
@@ -468,7 +462,7 @@ class TestTrainingRowsAreDetectionRows:
             scenes, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
         [X_detect] = rows
-        X_train = formation_rows(scenes, groups_of(scenes, mini.bundle.crf))
+        X_train = formation_rows(scenes, training_groups(scenes, mini.bundle.crf))
         kept = sum(d.membership.count("G") >= 2 for d in detections)
         assert len(X_train) == len(X_detect) == kept >= 40
         assert X_train.tobytes() == X_detect.tobytes()
@@ -487,7 +481,7 @@ class TestTrainingRowsAreDetectionRows:
         points = np.stack([p.points for p in leftmost])[None]
         [want] = stacked_group_features(points, [GROUP_SLOTS], [640], [480])
         assert X_detect.tobytes() == want.tobytes()
-        X_train = formation_rows([scene], groups_of([scene], all_g_crf))
+        X_train = formation_rows([scene], training_groups([scene], all_g_crf))
         assert X_train.tobytes() == X_detect[None].tobytes()
 
 
@@ -557,19 +551,21 @@ class TestDetectMany:
 
 
 class TestGroupProbabilities:
-    def test_clipped_to_unit_interval_on_extreme_potentials(self):
-        # Large weights and features push forward-backward rounding past 1;
-        # at least one raw marginal must leave [0, 1] for the check to bite.
+    def test_clipped_to_unit_interval_on_extreme_potentials(self, mini):
+        # Large weights push forward-backward rounding past [0, 1]; at least
+        # one raw marginal must leave it for the check to bite.
         rng = np.random.default_rng(0)
+        scenes = [s for s in _mixed_scenes() if s.poses]
         raw_outside = 0
-        for _ in range(40):
+        for _ in range(5):
             model = CrfModel(rng.normal(0.0, 100.0, size=weight_dim(F_NODE)))
-            n = int(rng.integers(2, 6))
-            feats = rng.normal(0.0, 50.0, size=(n, F_NODE))
-            raw = decode_batch(model, feats[None], marginals=True)[1][0, :, 0]
-            raw_outside += int(np.any((raw < 0.0) | (raw > 1.0)))
-            _, [g_prob] = _decode_chains(model, [feats], marginals=True)
-            assert np.all((g_prob >= 0.0) & (g_prob <= 1.0))
+            many = detect_many(scenes, model, joint_svm=mini.bundle.joint_svm)
+            for scene, det in zip(scenes, many):
+                feats = chain_features(ordered(scene))
+                raw = decode_batch(model, feats[None], marginals=True)[1][0, :, 0]
+                raw_outside += int(np.any((raw < 0.0) | (raw > 1.0)))
+                g_prob = np.array(det.scores["membership_g_prob"])
+                assert np.all((g_prob >= 0.0) & (g_prob <= 1.0))
         assert raw_outside > 0
 
 
