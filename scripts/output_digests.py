@@ -23,7 +23,14 @@ whose outputs are byte-identical print the same JSON:
 The default specs are 8 scenes per cell at seed 0 with default training,
 and 20 per cell at seed 5 with at most 600 CRF iterations. `--spec
 COUNT:SEED[:CRF_ITERS]`, repeatable, replaces them. Digests depend on
-numpy's and BLAS's rounding, so compare them only on one machine.
+numpy's and BLAS's rounding, so compare them only on one machine, at one
+BLAS thread count.
+
+`--against FILE` compares this run with digests saved from another
+checkout. It prints each artifact that moved, or that only one side has,
+to stderr, and exits 1 if there is any:
+
+    PYTHONPATH=src python3 scripts/output_digests.py --against parent.json
 """
 import argparse
 import contextlib
@@ -120,19 +127,55 @@ def spec_digests(spec: str, work_dir: str) -> dict[str, str]:
     return digests
 
 
-def main() -> int:
+def differences(current: dict, saved: dict) -> list[str]:
+    """One line per artifact, across every spec either side ran, whose digest
+    differs between the two runs or that only one of them has."""
+    lines = []
+    for spec in sorted(current.keys() | saved.keys()):
+        now, then = current.get(spec, {}), saved.get(spec, {})
+        for name in sorted(now.keys() | then.keys()):
+            if name not in then:
+                lines.append(f"{spec} {name}: only in this run")
+            elif name not in now:
+                lines.append(f"{spec} {name}: only in the saved run")
+            elif now[name] != then[name]:
+                lines.append(f"{spec} {name}: moved")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--spec", action="append", help="COUNT:SEED[:CRF_ITERS], repeatable"
     )
-    args = parser.parse_args()
+    parser.add_argument(
+        "--against",
+        metavar="FILE",
+        help="digests saved from another run; exit 1 if any artifact differs",
+    )
+    args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fp:
+            saved = json.load(fp)  # read first: a bad path fails before the runs
     result = {}
     for spec in args.spec or DEFAULT_SPECS:
         with tempfile.TemporaryDirectory() as work_dir:
             result[spec] = spec_digests(spec, work_dir)
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    if saved is None:
+        return 0
+    diffs = differences(result, saved)
+    for line in diffs:
+        print(line, file=sys.stderr)
+    compared = sum(len(digests) for digests in result.values())
+    print(
+        f"{len(diffs)} differences from {args.against} over this run's "
+        f"{compared} artifacts",
+        file=sys.stderr,
+    )
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

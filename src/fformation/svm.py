@@ -8,6 +8,8 @@ The binary solver optimizes the soft-margin dual
 by repeatedly updating the maximal-KKT-violating pair (deterministic, ties to
 the lowest index), stopping when the violation gap m - M drops to tol. The
 bias b = (m + M) / 2 then satisfies every point's KKT condition within tol.
+The pair is kept incrementally, as LIBSVM keeps its gradient: the masked
+working-set arrays take each step's update rather than being rebuilt.
 """
 from __future__ import annotations
 
@@ -82,15 +84,17 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float) -> SmoSolution
     # largest up-side v minus the smallest low-side v is the KKT violation.
     v = y.copy()
     pos = y > 0
+    # v masked to I_up (-inf elsewhere) and to I_low (+inf elsewhere). A step
+    # moves only alpha_i and alpha_j, so only entries i and j are masked again.
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+    v_up = np.where(up, v, -np.inf)
+    v_low = np.where(low, v, np.inf)
 
     it = 0
     while True:
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-        v_up = np.where(up, v, -np.inf)
-        v_low = np.where(low, v, np.inf)
-        i = int(np.argmax(v_up))
-        j = int(np.argmin(v_low))
+        i = int(v_up.argmax())
+        j = int(v_low.argmin())
         gap = v_up[i] - v_low[j]
         if gap <= tol:
             break
@@ -107,7 +111,14 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float) -> SmoSolution
         alpha[j] -= y[j] * t
         alpha[i] = min(max(alpha[i], 0.0), C)
         alpha[j] = min(max(alpha[j], 0.0), C)
-        v += t * (K[j] - K[i])
+        delta = t * (K[j] - K[i])
+        v += delta
+        v_up += delta
+        v_low += delta
+        for k in (i, j):
+            a, p = alpha[k], pos[k]
+            v_up[k] = v[k] if (a < C if p else a > 0) else -np.inf
+            v_low[k] = v[k] if (a > 0 if p else a < C) else np.inf
         it += 1
 
     return SmoSolution(

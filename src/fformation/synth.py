@@ -317,22 +317,29 @@ def depth_base_confidence(depth_m: np.ndarray) -> np.ndarray:
     return np.clip(1.2 - 0.1 * depth_m, 0.05, 0.98)
 
 
-def _ray_blocked(camera_xy, point, occluder_xy, occluder_height) -> bool:
-    """Does the camera->point segment cross the occluder's bounding cylinder?"""
-    p0 = np.array([camera_xy[0], camera_xy[1]])
-    d = np.array([point[0] - p0[0], point[1] - p0[1]])
-    c = np.array(occluder_xy) - p0
-    dd = float(d @ d)
-    if dd < 1e-12:
-        return False
-    t = float(np.clip((c @ d) / dd, 0.0, 1.0))
-    closest = p0 + t * d
-    if float(np.hypot(*(closest - occluder_xy))) > BODY_RADIUS:
-        return False
+def _occluded_by(
+    camera_xy, pts: np.ndarray, occluder_xy, occluder_height
+) -> np.ndarray:
+    """Per row of the (m, 3) points: does its camera->point segment cross the
+    occluder's bounding cylinder?
+
+    The dot products go through np.vecdot, which rounds like a scalar
+    `a @ b` on 2-vectors (BLAS ddot), so each row's answer is the same as
+    testing that point on its own.
+    """
+    p0 = np.asarray(camera_xy, dtype=float)
+    d = pts[:, :2] - p0
+    c = np.asarray(occluder_xy, dtype=float) - p0
+    dd = np.vecdot(d, d)
+    valid = dd >= 1e-12  # a point straight below the camera crosses nothing
+    t = np.clip(np.vecdot(d, c) / np.where(valid, dd, 1.0), 0.0, 1.0)
+    closest = p0 + t[:, None] * d
+    off = closest - occluder_xy
+    near = np.hypot(off[:, 0], off[:, 1]) <= BODY_RADIUS
     # z of the segment where it passes the cylinder axis must be within the
     # body's height range; the segment starts at camera height.
-    z_at_t = CAMERA_HEIGHT + t * (point[2] - CAMERA_HEIGHT)
-    return 0.0 <= z_at_t <= occluder_height
+    z_at_t = CAMERA_HEIGHT + t * (pts[:, 2] - CAMERA_HEIGHT)
+    return valid & near & (0.0 <= z_at_t) & (z_at_t <= occluder_height)
 
 
 @dataclass(frozen=True)
@@ -368,16 +375,12 @@ def render_bodies(
         if noise is not None:
             pix = pix + noise[bi]
         base = depth_base_confidence(depth)
-        visibility = np.ones(len(KEYPOINT_NAMES))
-
-        for k in range(len(KEYPOINT_NAMES)):
-            for oi, other in enumerate(bodies):
-                if oi == bi:
-                    continue
+        occluded = np.zeros(len(KEYPOINT_NAMES), dtype=bool)
+        for oi, other in enumerate(bodies):
+            if oi != bi:
                 other_height = BODY_PROFILES[other.profile]["height"]
-                if _ray_blocked(cam_xy, pts[k], other.ground, other_height):
-                    visibility[k] = OCCLUDED_VISIBILITY
-                    break
+                occluded |= _occluded_by(cam_xy, pts, other.ground, other_height)
+        visibility = np.where(occluded, OCCLUDED_VISIBILITY, 1.0)
 
         to_cam = cam_xy - np.array(body.ground)
         norm = np.linalg.norm(to_cam)

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -227,6 +228,35 @@ def test_reproduction_script_bad_gamma_is_usage_error(gamma):
     assert proc.returncode == 2
     assert "gamma must be a positive float or 'auto'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def digests_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "output_digests.py")
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digests_against_exits_1_naming_each_difference(
+    digests_script, monkeypatch, tmp_path, capsys
+):
+    run = {"a.json": "1", "b.json": "2", "new.json": "3"}
+    monkeypatch.setattr(digests_script, "spec_digests", lambda spec, work_dir: run)
+    saved = tmp_path / "saved.json"
+    saved.write_text(json.dumps({"1:0": {"a.json": "1", "b.json": "9", "old.json": "4"}}))
+    assert digests_script.main(["--spec", "1:0", "--against", str(saved)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"1:0": run}
+    assert err.splitlines() == [
+        "1:0 b.json: moved",
+        "1:0 new.json: only in this run",
+        "1:0 old.json: only in the saved run",
+        f"3 differences from {saved} over this run's 3 artifacts",
+    ]
+    saved.write_text(json.dumps({"1:0": run}))
+    assert digests_script.main(["--spec", "1:0", "--against", str(saved)]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--seed", "-1")])

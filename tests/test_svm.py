@@ -188,6 +188,75 @@ class TestSmo:
         assert np.array_equal(model.support_vectors, X[stored])
 
 
+def smo_rebuilt_working_set(K, y, C, tol):
+    """The SMO loop that rebuilds the I_up/I_low masks and the masked v
+    arrays from every alpha at each step: smo_solve's reference, which must
+    match it bit for bit."""
+    y = np.asarray(y, dtype=float)
+    alpha = np.zeros(len(y))
+    v = y.copy()
+    pos = y > 0
+    it = 0
+    while True:
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        j = int(np.argmin(v_low))
+        gap = v_up[i] - v_low[j]
+        if gap <= tol:
+            break
+        if it >= svm_mod.SMO_MAX_ITER:
+            raise ConvergenceError(
+                f"SMO did not reach tol={tol} in {svm_mod.SMO_MAX_ITER} iterations "
+                f"(KKT violation {gap:.3e})"
+            )
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        cap_i = C - alpha[i] if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(gap / quad, cap_i, cap_j)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        alpha[i] = min(max(alpha[i], 0.0), C)
+        alpha[j] = min(max(alpha[j], 0.0), C)
+        v += t * (K[j] - K[i])
+        it += 1
+    return alpha, float((v_up[i] + v_low[j]) / 2.0), float(gap), it
+
+
+class TestIncrementalWorkingSet:
+    """smo_solve keeps its masked working-set arrays incrementally; the
+    rebuilt-every-step loop above is the reference."""
+
+    @pytest.mark.parametrize(
+        "seed, n_per, C, gamma",
+        [(0, 20, 0.3, 0.5), (1, 40, 1.0, 0.2), (2, 60, 0.5, 2.0), (3, 35, 3.0, 1.0)],
+    )
+    def test_bit_identical_to_rebuilt_working_set(self, seed, n_per, C, gamma):
+        # Overlapping classes under a small C leave alphas at both 0 and C.
+        X, y = blobs(np.random.default_rng(seed), n_per=n_per, sep=1.5, dim=3, noise=1.0)
+        K = rbf_gram(X, X, gamma)
+        sol = smo_solve(K, y, C, 1e-3)
+        alpha, bias, gap, iterations = smo_rebuilt_working_set(K, y, C, 1e-3)
+        assert (sol.alpha == 0).any() and (sol.alpha == C).any()
+        np.testing.assert_array_equal(sol.alpha, alpha)
+        assert sol.bias == bias
+        assert sol.kkt_gap == gap
+        assert sol.iterations == iterations
+
+    def test_iteration_cap_raises_the_same_error(self, rng, monkeypatch):
+        X, y = blobs(rng, sep=1.5, noise=1.0)
+        K = rbf_gram(X, X, 0.5)
+        monkeypatch.setattr(svm_mod, "SMO_MAX_ITER", 7)
+        with pytest.raises(ConvergenceError) as ref:
+            smo_rebuilt_working_set(K, y, 0.3, 1e-9)
+        with pytest.raises(ConvergenceError) as got:
+            smo_solve(K, y, 0.3, 1e-9)
+        assert str(got.value) == str(ref.value)
+        assert "in 7 iterations" in str(got.value)
+
+
 class TestOneVsRest:
     def _toy_multiclass(self, rng):
         centers = {"a": (-4.0, 0.0), "b": (4.0, 0.0), "c": (0.0, 4.0)}

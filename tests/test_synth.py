@@ -4,7 +4,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fformation import synth as synth_mod
 from fformation.errors import PlacementError
 from fformation.pose import (
     CONF,
@@ -20,6 +23,7 @@ from fformation.pose import (
 )
 from fformation.synth import (
     BODY_PROFILES,
+    BODY_RADIUS,
     CAMERA_HEIGHT,
     FORMATION_MEMBER_COUNT,
     LOOK_AT_HEIGHT,
@@ -130,6 +134,107 @@ class TestBodiesAndProjection:
 
         ratio = shoulder_px(near, "m0") / shoulder_px(far, "m0")
         assert 2.0 * 0.95 <= ratio <= 2.0 * 1.05
+
+
+def ray_blocked(camera_xy, point, occluder_xy, occluder_height) -> bool:
+    """Does the camera->point segment cross the occluder's bounding cylinder?
+    One point at a time: the reference for synth._occluded_by's rows."""
+    p0 = np.array([camera_xy[0], camera_xy[1]])
+    d = np.array([point[0] - p0[0], point[1] - p0[1]])
+    c = np.array(occluder_xy) - p0
+    dd = float(d @ d)
+    if dd < 1e-12:
+        return False
+    t = float(np.clip((c @ d) / dd, 0.0, 1.0))
+    closest = p0 + t * d
+    if float(np.hypot(*(closest - occluder_xy))) > BODY_RADIUS:
+        return False
+    z_at_t = CAMERA_HEIGHT + t * (point[2] - CAMERA_HEIGHT)
+    return 0.0 <= z_at_t <= occluder_height
+
+
+def oracle_mask(camera_xy, pts, occluder_xy, occluder_height) -> list[bool]:
+    return [ray_blocked(camera_xy, p, occluder_xy, occluder_height) for p in pts]
+
+
+coord = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
+
+
+class TestOcclusionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        camera_xy=st.tuples(coord, coord),
+        pts=st.lists(
+            st.tuples(coord, coord, st.floats(min_value=-0.5, max_value=2.5)),
+            min_size=1,
+            max_size=17,
+        ),
+        occluder_xy=st.tuples(coord, coord),
+        occluder_height=st.floats(min_value=1.0, max_value=2.0),
+    )
+    def test_each_row_matches_the_scalar_test(
+        self, camera_xy, pts, occluder_xy, occluder_height
+    ):
+        pts = np.array(pts)
+        got = synth_mod._occluded_by(np.array(camera_xy), pts, occluder_xy, occluder_height)
+        assert got.tolist() == oracle_mask(camera_xy, pts, occluder_xy, occluder_height)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_keypoint_occluder_pair_of_rendered_layouts(self, seed):
+        formation = ("face-to-face", "side-by-side", "L-shaped", "triangle")[seed % 4]
+        cfg = SynthConfig(formation, angle_deg=0, outlier_count=seed % 2, seed=seed)
+        _, layout = render_scene_with_layout(cfg)
+        cam_xy = layout.camera.position[:2]
+        blocked = 0
+        for body in layout.bodies:
+            pts = body_keypoints_3d(body)
+            for other in layout.bodies:
+                if other is body:
+                    continue
+                h = BODY_PROFILES[other.profile]["height"]
+                got = synth_mod._occluded_by(cam_xy, pts, other.ground, h)
+                assert got.tolist() == oracle_mask(cam_xy, pts, other.ground, h)
+                blocked += int(got.sum())
+        if seed % 4 == 0:  # face-to-face at 0: the near member hides the far one
+            assert blocked > 0
+
+    def test_point_straight_below_the_camera_is_never_blocked(self):
+        # |d|^2 < 1e-12: the segment is vertical and crosses no cylinder,
+        # even one standing at the camera.
+        cam_xy = np.array([1.0, 2.0])
+        pts = np.array([[1.0, 2.0, 0.5], [1.0 + 1e-7, 2.0, 0.5]])
+        assert oracle_mask(cam_xy, pts, (1.1, 2.0), 1.7) == [False, False]
+        assert synth_mod._occluded_by(cam_xy, pts, (1.1, 2.0), 1.7).tolist() == [
+            False,
+            False,
+        ]
+
+    @pytest.mark.parametrize(
+        "occluder_xy, expected",
+        # Clipped to t = 0, the closest point is the camera, 0.1 m or 0.3 m
+        # from the axis. Unclipped, t < 0 would reach the axis itself along
+        # the first ray.
+        [((-0.1, 0.0), [True, True]), ((-0.3, 0.0), [False, False])],
+    )
+    def test_t_clipped_at_zero_tests_the_camera_end(self, occluder_xy, expected):
+        # The occluder stands behind the camera.
+        cam_xy = np.array([0.0, 0.0])
+        pts = np.array([[3.0, 0.0, 1.0], [2.0, 2.0, 0.3]])
+        assert oracle_mask(cam_xy, pts, occluder_xy, 1.7) == expected
+        assert synth_mod._occluded_by(cam_xy, pts, occluder_xy, 1.7).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "occluder_xy, expected",
+        # Past the keypoint at (2, 0): clipped to t = 1, the closest point is
+        # the keypoint, 0.1 m or 0.3 m from the axis, at the keypoint's height.
+        # At 1.69 m that is under a 1.7 m body; unclipped it would be above.
+        [((2.1, 0.0), [True, False, False]), ((2.3, 0.0), [False, False, False])],
+    )
+    def test_t_clipped_at_one_tests_the_keypoint_end(self, occluder_xy, expected):
+        cam_xy = np.array([0.0, 0.0])
+        pts = np.array([[2.0, 0.0, 1.69], [2.0, 0.0, 1.8], [2.0, 0.0, -0.1]])
+        assert oracle_mask(cam_xy, pts, occluder_xy, 1.7) == expected
+        assert synth_mod._occluded_by(cam_xy, pts, occluder_xy, 1.7).tolist() == expected
 
 
 class TestRenderScene:
