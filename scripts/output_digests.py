@@ -24,7 +24,9 @@ The default specs are 8 scenes per cell at seed 0 with default training,
 and 20 per cell at seed 5 with at most 600 CRF iterations. `--spec
 COUNT:SEED[:CRF_ITERS]`, repeatable, replaces them. Digests depend on
 numpy's and BLAS's rounding, so compare them only on one machine, at one
-BLAS thread count.
+BLAS thread count. Run as a script, it pins BLAS to one thread
+(`OMP_NUM_THREADS`, `OPENBLAS_NUM_THREADS`, `MKL_NUM_THREADS`) unless the
+caller's environment already sets a count.
 
 `--against FILE` compares this run with digests saved from another
 checkout. It prints each artifact that moved, or that only one side has,
@@ -40,6 +42,13 @@ import json
 import os
 import sys
 import tempfile
+
+if __name__ == "__main__":
+    # Before numpy loads: the capped --crf SVM files differ in their last
+    # bits between one and two BLAS threads. Imported as a module, this file
+    # leaves the environment alone.
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 from fformation.cli import main as cli_main
 from fformation.pipeline import HEADS

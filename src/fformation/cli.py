@@ -166,10 +166,11 @@ def cmd_generate(args) -> int:
 
 def cmd_train_crf(args) -> int:
     training = TrainingConfig(crf_l2=args.l2, crf_max_iters=args.max_iters, crf_tol=args.tol)
-    chains, result = train_crf(load_scenes(args.train), training)
+    blocks, result = train_crf(load_scenes(args.train), training)
     crf_mod.save_crf(result.model, args.out)
+    n_chains = sum(len(labels) for _, labels in blocks)
     print(
-        f"trained crf on {len(chains)} chains: converged={result.converged} "
+        f"trained crf on {n_chains} chains: converged={result.converged} "
         f"grad_inf_norm={result.final_grad_inf_norm:.3e} iters={result.n_iters}"
     )
     return 0

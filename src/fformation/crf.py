@@ -67,27 +67,15 @@ class CrfModel:
 
 @dataclass(frozen=True)
 class ChainInstance:
-    """Node feature matrix (n, F) plus optional gold labels (0=G, 1=O)."""
+    """Node feature matrix (n, F) of one chain."""
 
     features: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2:
             raise ValueError("chain features must be a 2-D matrix")
         object.__setattr__(self, "features", feats)
-        if self.labels is not None:
-            labs = np.asarray(self.labels, dtype=int)
-            if labs.shape != (feats.shape[0],):
-                raise ValueError(
-                    f"{labs.size} labels for a chain of {feats.shape[0]} nodes"
-                )
-            object.__setattr__(self, "labels", labs)
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
 
 def labels_to_indices(labels) -> np.ndarray:
@@ -183,10 +171,11 @@ def _posteriors(
 
 
 def nll_and_gradient(
-    model: CrfModel, batch: list[ChainInstance], l2: float = 0.0
+    model: CrfModel, blocks, l2: float = 0.0
 ) -> tuple[float, np.ndarray]:
-    """Negative conditional log-likelihood of the batch plus L2 penalty.
+    """Negative conditional log-likelihood of the blocks plus L2 penalty.
 
+    blocks are crf.train's: [(features (B, n, F), gold labels (B, n)), ...].
     grad = sum over chains (expected - empirical feature counts) + l2 * w.
     One chain at a time: the reference the batched training objective is
     checked against, here and by the benchmark's traced gradient check.
@@ -200,50 +189,26 @@ def nll_and_gradient(
     grad_obs = grad[: 2 * f].reshape(NUM_LABELS, f)
     grad_trans = grad[2 * f :].reshape(NUM_LABELS, NUM_LABELS)
 
-    for chain in batch:
-        if chain.labels is None:
-            raise ValueError("all chains must carry gold labels for training")
-        node, trans = log_potentials(model, chain)
-        node_marg, edge_marg, log_z = _posteriors(node[None], trans)
-        gold = chain.labels
-        loss += float(log_z[0]) - sequence_score(node, trans, gold)
+    for feats, labels in blocks:
+        for x, gold in zip(feats, labels):
+            node, trans = log_potentials(model, ChainInstance(x))
+            node_marg, edge_marg, log_z = _posteriors(node[None], trans)
+            loss += float(log_z[0]) - sequence_score(node, trans, gold)
 
-        resid = node_marg[0].copy()
-        resid[np.arange(chain.n), gold] -= 1.0
-        grad_obs += resid.T @ chain.features
-        if chain.n > 1:
-            grad_trans += edge_marg[0].sum(axis=0)
-            np.add.at(grad_trans, (gold[:-1], gold[1:]), -1.0)
+            resid = node_marg[0].copy()
+            resid[np.arange(len(gold)), gold] -= 1.0
+            grad_obs += resid.T @ x
+            if len(gold) > 1:
+                grad_trans += edge_marg[0].sum(axis=0)
+                np.add.at(grad_trans, (gold[:-1], gold[1:]), -1.0)
     return loss, grad
 
 
-def by_length(lengths) -> dict[int, list[int]]:
-    """Indices grouped by length, shortest length first, each group in input
-    order. Training depends on the order: its objective sums the lengths
-    shortest first, and the sum's rounding steers L-BFGS."""
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    return dict(sorted(groups.items()))
-
-
-def _group_by_length(batch: list[ChainInstance]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stack chains of equal length: [(features (B, n, F), labels (B, n)), ...]."""
-    if any(chain.labels is None for chain in batch):
-        raise ValueError("all chains must carry gold labels for training")
-    return [
-        (
-            np.stack([batch[i].features for i in idx]),
-            np.stack([batch[i].labels for i in idx]),
-        )
-        for idx in by_length(chain.n for chain in batch).values()
-    ]
-
-
 def _batched_objective(
-    w: np.ndarray, groups, l2: float, f: int
+    w: np.ndarray, blocks, l2: float, f: int
 ) -> tuple[float, np.ndarray]:
-    """Same value/gradient as nll_and_gradient, vectorized across chains.
+    """Same value/gradient as nll_and_gradient, vectorized across each
+    block's chains and summed over the blocks in the order given.
 
     Cross-checked against the per-chain reference in the test suite.
     """
@@ -253,7 +218,7 @@ def _batched_objective(
     grad_obs = l2 * w_obs.copy()
     grad_trans = l2 * trans.copy()
 
-    for feats, labels in groups:
+    for feats, labels in blocks:
         n = feats.shape[1]
         node = feats @ w_obs.T  # (B, n, 2)
         node_marg, edge_marg, log_z = _posteriors(node, trans)
@@ -287,30 +252,38 @@ class CrfTrainResult:
 
 
 def train(
-    batch: list[ChainInstance],
+    blocks,
     config: CrfTrainConfig = CrfTrainConfig(),
 ) -> CrfTrainResult:
-    """Fit weights by L-BFGS on the convex regularized NLL.
+    """Fit weights by L-BFGS on the convex regularized NLL of `blocks`,
+    [(features (B, n, F), gold label indices (B, n)), ...] as
+    pipeline.build_crf_chains gives them.
 
-    Deterministic given the batch order and config. Stops when the gradient
-    infinity norm reaches config.tol or after config.max_iters iterations.
+    Deterministic given the blocks, in their order, and config. Stops when
+    the gradient infinity norm reaches config.tol or after config.max_iters
+    iterations.
     """
     from scipy.optimize import minimize  # only training pays for its import
 
-    if not batch:
+    if not blocks:
         raise ValueError("training batch is empty")
+    for feats, labels in blocks:
+        if np.shape(labels) != np.shape(feats)[:2]:
+            raise ValueError(
+                f"labels of shape {np.shape(labels)} for chain features of "
+                f"shape {np.shape(feats)}"
+            )
     if not 0 <= config.l2 < np.inf:
         raise ValueError(f"l2 must be non-negative and finite, got {config.l2!r}")
     if config.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {config.max_iters!r}")
     if not 0 < config.tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {config.tol!r}")
-    f = batch[0].features.shape[1]
+    f = blocks[0][0].shape[-1]
     k = weight_dim(f)
-    groups = _group_by_length(batch)
 
     def objective(w):
-        loss, grad = _batched_objective(w, groups, config.l2, f)
+        loss, grad = _batched_objective(w, blocks, config.l2, f)
         if not np.isfinite(loss):
             raise ConvergenceError(f"non-finite training loss {loss!r}")
         return loss, grad
@@ -328,7 +301,7 @@ def train(
         },
     )
     model = CrfModel(res.x, l2=config.l2)
-    _, grad = _batched_objective(res.x, groups, config.l2, f)
+    _, grad = _batched_objective(res.x, blocks, config.l2, f)
     norm = float(np.abs(grad).max())
     return CrfTrainResult(
         model=model,

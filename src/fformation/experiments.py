@@ -74,6 +74,8 @@ class SynthSpec:
             raise ValueError(
                 f"count_per_cell must be at least 1, got {self.count_per_cell}"
             )
+        if not (self.formations and self.angles):
+            raise ValueError("the formation and angle lists must not be empty")
         if not 0 <= self.outlier_fraction <= 1:
             raise ValueError(
                 f"outlier_fraction must be in [0, 1], got {self.outlier_fraction}"
@@ -147,13 +149,14 @@ class ExperimentConfig:
 
 def train_crf(
     train_scenes: list[Scene], training: TrainingConfig
-) -> tuple[list[crf_mod.ChainInstance], crf_mod.CrfTrainResult]:
-    """The scenes' CRF chains and the CRF trained on them; warns if unconverged."""
-    chains = build_crf_chains(train_scenes)
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], crf_mod.CrfTrainResult]:
+    """The scenes' CRF training blocks (build_crf_chains) and the CRF trained
+    on them; warns if unconverged."""
+    blocks = build_crf_chains(train_scenes)
     config = crf_mod.CrfTrainConfig(
         l2=training.crf_l2, max_iters=training.crf_max_iters, tol=training.crf_tol
     )
-    result = crf_mod.train(chains, config)  # the benchmark's tracer reads args[1]
+    result = crf_mod.train(blocks, config)  # positional: the benchmark's tracer reads args
     if not result.converged:
         logger.warning(
             "CRF training stopped unconverged after %d L-BFGS iterations "
@@ -162,7 +165,7 @@ def train_crf(
             result.final_grad_inf_norm,
             training.crf_tol,
         )
-    return chains, result
+    return blocks, result
 
 
 def train_heads(

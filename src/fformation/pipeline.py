@@ -111,15 +111,19 @@ DETECT_BATCH = 512
 
 def _chain_blocks(scenes) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
     """The scenes' chains, one block per pose count n >= 1, shortest first:
-    (the scenes' indices, their left-to-right permutations (B, n), their
-    chain features in that order (B, n, F_NODE)). A scene without a pose
-    has no chain and is in no block. Detection and training decode these
-    blocks as they are.
+    (the scenes' indices in input order, their left-to-right permutations
+    (B, n), their chain features in that order (B, n, F_NODE)). A scene
+    without a pose has no chain and is in no block. Detection and training
+    decode these blocks as they are, and the CRF trains on them in this
+    order: its objective sums the blocks in turn, and the sum's rounding
+    steers L-BFGS, so the order fixes the trained weights.
     """
+    by_count: dict[int, list[int]] = {}
+    for i, scene in enumerate(scenes):
+        if scene.poses:
+            by_count.setdefault(len(scene.poses), []).append(i)
     blocks = []
-    for n, idx in crf_mod.by_length(len(s.poses) for s in scenes).items():
-        if n == 0:
-            continue
+    for n, idx in sorted(by_count.items()):
         group = [scenes[i] for i in idx]
         anchors = np.array([[p.anchor for p in s.poses] for s in group])
         perms = np.argsort(anchors, axis=1, kind="stable")
@@ -134,9 +138,10 @@ def _chain_blocks(scenes) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _gold_labels(scene: Scene, perm) -> np.ndarray:
-    """The scene's gold label indices in the order of `perm`."""
-    return crf_mod.labels_to_indices([scene.truth.membership[i] for i in perm])
+def _gold_labels(scenes, idx, perms) -> np.ndarray:
+    """Gold label indices (B, n) of a block's scenes, in chain order."""
+    rows = [[scenes[i].truth.membership[m] for m in perm] for i, perm in zip(idx, perms)]
+    return np.array([crf_mod.labels_to_indices(row) for row in rows])
 
 
 def _kept_members(perm: np.ndarray, labels: np.ndarray) -> list[int] | None:
@@ -420,18 +425,18 @@ def rule_classify(scene: Scene) -> Detection:
 # Training-set assembly from labeled scenes.
 
 
-def build_crf_chains(scenes) -> list[crf_mod.ChainInstance]:
-    """Left-to-right chains with gold labels, one per scene with a pose, in
-    the order of _chain_blocks. DataError when no scene has a pose."""
+def build_crf_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """crf.train's blocks: per block of _chain_blocks, its chain features
+    (B, n, F_NODE) and gold label indices (B, n). DataError when no scene
+    has a pose."""
     require_truth(scenes, ("membership",))
-    chains = [
-        crf_mod.ChainInstance(f, _gold_labels(scenes[i], perm))
+    blocks = [
+        (feats, _gold_labels(scenes, idx, perms))
         for idx, perms, feats in _chain_blocks(scenes)
-        for i, perm, f in zip(idx, perms, feats)
     ]
-    if not chains:
+    if not blocks:
         raise DataError("no training scene has a pose")
-    return chains
+    return blocks
 
 
 def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
@@ -446,7 +451,7 @@ def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
     groups: list = [None] * len(scenes)
     for idx, perms, feats in _chain_blocks(scenes):
         if crf_model is None:
-            labels = [_gold_labels(scenes[i], perm) for i, perm in zip(idx, perms)]
+            labels = _gold_labels(scenes, idx, perms)
         else:
             labels, _ = crf_mod.decode_batch(crf_model, feats)
         for i, perm, lab in zip(idx, perms, labels):

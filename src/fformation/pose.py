@@ -290,9 +290,13 @@ def _truth_from_dict(doc) -> SceneTruth | None:
     if not isinstance(doc, dict):
         raise ValueError(f"truth must be an object or null, not {type(doc).__name__}")
     membership = doc.get("membership")
+    if membership is not None and not isinstance(membership, list):
+        # a string would pass as one label per character
+        raise ValueError(f"membership must be a list of labels, got {membership!r}")
     angle_deg = doc.get("angle_deg")
-    if angle_deg is not None and not isinstance(angle_deg, int):
-        # 30.0 would pass SceneTruth (30.0 == 30) and then miss the "30" class
+    if angle_deg is not None and type(angle_deg) is not int:
+        # 30.0 and false would pass SceneTruth (30.0 == 30, False == 0) and
+        # then miss the "30" and "0" classes
         raise ValueError(f"approach angle {angle_deg!r} is not an integer")
     return SceneTruth(
         membership=tuple(membership) if membership is not None else None,
@@ -302,6 +306,8 @@ def _truth_from_dict(doc) -> SceneTruth | None:
 
 
 def _image_dimension(value) -> int:
+    if isinstance(value, bool):  # int(True) is a 1-pixel image
+        raise ValueError(f"image dimension {value!r} is not a number")
     dim = int(value)  # OverflowError on Infinity
     float(dim)  # OverflowError beyond float range: features divide by it
     return dim

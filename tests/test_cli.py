@@ -185,11 +185,15 @@ class TestGenerate:
             ("--width", "0"),
             ("--count", "0"),
             ("--count", "-1"),
+            ("--formations", ""),
+            ("--formations", ","),
+            ("--angles", ""),
         ],
     )
     def test_bad_scene_option_is_config_error(self, workdir, flag, value):
-        out = str(workdir / "z.jsonl")
-        assert main(["generate", "--count", "1", flag, value, "--out", out]) == 2
+        out = workdir / "z.jsonl"
+        assert main(["generate", "--count", "1", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -531,6 +535,22 @@ def test_evaluate_on_an_empty_test_set_is_data_error_before_training(
     )
     assert rc == 3
     assert "data error: the test set holds no scenes" in capsys.readouterr().err
+    assert not (workdir / "never_reports").exists()
+
+
+def test_evaluate_on_a_boolean_angle_is_data_error(workdir, artifacts):
+    lines = (workdir / "test.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["truth"]["angle_deg"] = False
+    test = workdir / "boolean_angle.jsonl"
+    test.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n")
+    rc, err = run_cli(
+        ["evaluate", "--models", str(artifacts["models"]), "--test", str(test)]
+        + ["--out-dir", str(workdir / "never_reports")]
+    )
+    assert rc == 3, err
+    assert "data error: line 2: approach angle False is not an integer" in err
+    assert "Traceback" not in err
     assert not (workdir / "never_reports").exists()
 
 

@@ -12,10 +12,8 @@ from fformation.crf import (
     CrfTrainConfig,
     _batched_objective,
     _forward_backward,
-    _group_by_length,
     _log_add,
     _posteriors,
-    by_length,
     crf_from_dict,
     crf_to_dict,
     decode_batch,
@@ -35,11 +33,19 @@ from fformation.features import F_NODE, FEATURE_CATALOG_VERSION
 F = 5  # small synthetic feature dimension for oracle tests
 
 
-def random_instance(rng, n=None, labeled=False):
+def random_instance(rng, n=None):
     n = n if n is not None else int(rng.integers(1, 9))
-    feats = rng.normal(size=(n, F))
-    labels = rng.integers(0, 2, size=n) if labeled else None
-    return ChainInstance(feats, labels)
+    return ChainInstance(rng.normal(size=(n, F)))
+
+
+def random_blocks(rng, lengths, size=None):
+    """One training block per length in `lengths`: `size` chains (random
+    1-5 if None) of random features and labels, as crf.train takes them."""
+    blocks = []
+    for n in lengths:
+        shape = (size if size is not None else int(rng.integers(1, 6)), int(n))
+        blocks.append((rng.normal(size=(*shape, F)), rng.integers(0, 2, size=shape)))
+    return blocks
 
 
 def random_model(rng, scale=1.0):
@@ -67,7 +73,7 @@ def brute_force(model, chain):
     (G = 0 sorts first), matching the stated decoder tie-break.
     """
     node, trans = log_potentials(model, chain)
-    n = chain.n
+    n = len(chain.features)
     scores = {}
     for labels in itertools.product([0, 1], repeat=n):
         scores[labels] = sequence_score(node, trans, np.array(labels))
@@ -280,95 +286,79 @@ class TestExactness:
 
     def test_batched_objective_matches_reference_exactly(self, rng):
         for scale in (0.5, 5.0, 50.0):
-            chains = [
-                random_instance(rng, n=int(n), labeled=True)
-                for n in rng.integers(1, 9, size=40)
-            ]
+            blocks = random_blocks(rng, range(1, 9))
             w = scale * rng.normal(size=weight_dim(F))
-            groups = _group_by_length(chains)
-            loss, grad = _batched_objective(w, groups, 0.3, F)
-            ref_loss, ref_grad = reference_batched_objective(w, groups, 0.3, F)
+            loss, grad = _batched_objective(w, blocks, 0.3, F)
+            ref_loss, ref_grad = reference_batched_objective(w, blocks, 0.3, F)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
-
-
-def test_by_length_is_shortest_first_with_indices_in_input_order():
-    groups = by_length([3, 1, 3, 2, 1, 3])
-    assert list(groups.items()) == [(1, [1, 4]), (2, [3]), (3, [0, 2, 5])]
 
 
 class TestNllAndGradient:
     def test_uniform_model_loss_is_n_log_2(self):
         model = CrfModel(np.zeros(weight_dim(F)))
-        chain = ChainInstance(
-            np.random.default_rng(2).normal(size=(2, F)), np.array([0, 1])
-        )
-        loss, _ = nll_and_gradient(model, [chain], l2=0.0)
+        feats = np.random.default_rng(2).normal(size=(1, 2, F))
+        loss, _ = nll_and_gradient(model, [(feats, np.array([[0, 1]]))], l2=0.0)
         assert loss == pytest.approx(2 * math.log(2))
 
     def test_gradient_matches_central_differences(self, rng):
         h = 1e-5
         for _ in range(4):
-            chains = [random_instance(rng, labeled=True) for _ in range(3)]
+            blocks = random_blocks(rng, rng.integers(1, 9, size=3), size=1)
             w = rng.normal(size=weight_dim(F))
-            _, grad = nll_and_gradient(CrfModel(w), chains, l2=0.7)
+            _, grad = nll_and_gradient(CrfModel(w), blocks, l2=0.7)
             for j in range(len(w)):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += h
                 wm[j] -= h
-                lp, _ = nll_and_gradient(CrfModel(wp), chains, l2=0.7)
-                lm, _ = nll_and_gradient(CrfModel(wm), chains, l2=0.7)
+                lp, _ = nll_and_gradient(CrfModel(wp), blocks, l2=0.7)
+                lm, _ = nll_and_gradient(CrfModel(wm), blocks, l2=0.7)
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(grad[j]), 1e-8)
                 assert abs(fd - grad[j]) / denom < 1e-5
 
-    def test_missing_labels_rejected(self, rng):
-        model = random_model(rng)
-        with pytest.raises(ValueError):
-            nll_and_gradient(model, [random_instance(rng, labeled=False)], l2=0.0)
-
     def test_batched_objective_matches_reference(self, rng):
-        chains = [random_instance(rng, labeled=True) for _ in range(20)]
+        blocks = random_blocks(rng, range(1, 9))
         w = rng.normal(size=weight_dim(F))
-        l_ref, g_ref = nll_and_gradient(CrfModel(w), chains, l2=0.4)
-        l_bat, g_bat = _batched_objective(w, _group_by_length(chains), 0.4, F)
+        l_ref, g_ref = nll_and_gradient(CrfModel(w), blocks, l2=0.4)
+        l_bat, g_bat = _batched_objective(w, blocks, 0.4, F)
         assert l_bat == pytest.approx(l_ref, rel=1e-12)
         np.testing.assert_allclose(g_bat, g_ref, rtol=1e-10, atol=1e-12)
 
 
-def separable_chains(rng, n_chains=40):
-    """Labels predictable from the first feature with a wide margin."""
-    chains = []
-    for _ in range(n_chains):
-        n = int(rng.integers(1, 5))
-        labels = rng.integers(0, 2, size=n)
-        feats = rng.normal(size=(n, F)) * 0.05
-        feats[:, 0] = np.where(labels == 1, 3.0, -3.0) + rng.normal(size=n) * 0.1
-        chains.append(ChainInstance(feats, labels))
-    return chains
+def separable_blocks(rng, per_length=10):
+    """Blocks of 1 to 4 nodes, `per_length` chains each, whose labels are
+    predictable from the first feature with a wide margin."""
+    blocks = []
+    for n in range(1, 5):
+        labels = rng.integers(0, 2, size=(per_length, n))
+        feats = rng.normal(size=(per_length, n, F)) * 0.05
+        feats[:, :, 0] = np.where(labels == 1, 3.0, -3.0) + rng.normal(
+            size=(per_length, n)
+        ) * 0.1
+        blocks.append((feats, labels))
+    return blocks
 
 
 class TestTrain:
     def test_separable_data_reaches_full_accuracy(self, rng):
-        chains = separable_chains(rng)
-        result = train(chains, CrfTrainConfig(l2=0.01, max_iters=300, tol=1e-5))
-        correct = total = 0
-        for c in chains:
-            correct += int(np.sum(decode(result.model, c) == c.labels))
-            total += c.n
-        assert correct == total
+        blocks = separable_blocks(rng)
+        result = train(blocks, CrfTrainConfig(l2=0.01, max_iters=300, tol=1e-5))
+        for feats, labels in blocks:
+            decoded, _ = decode_batch(result.model, feats)
+            np.testing.assert_array_equal(decoded, labels)
 
     def test_convergence_report_is_consistent(self, rng):
-        chains = separable_chains(rng, n_chains=15)
+        blocks = separable_blocks(rng, per_length=4)
         config = CrfTrainConfig(l2=0.1, max_iters=400, tol=1e-4)
-        result = train(chains, config)
+        result = train(blocks, config)
         if result.converged:
             assert result.final_grad_inf_norm <= config.tol
 
     def test_stronger_l2_never_grows_the_weights(self, rng):
-        chains = separable_chains(rng, n_chains=20)
-        weak = train(chains, CrfTrainConfig(l2=0.05, max_iters=500, tol=1e-6))
-        strong = train(chains, CrfTrainConfig(l2=0.1, max_iters=500, tol=1e-6))
+        blocks = separable_blocks(rng, per_length=5)
+        weak = train(blocks, CrfTrainConfig(l2=0.05, max_iters=500, tol=1e-6))
+        strong = train(blocks, CrfTrainConfig(l2=0.1, max_iters=500, tol=1e-6))
         assert np.linalg.norm(strong.model.weights) <= np.linalg.norm(
             weak.model.weights
         ) + 1e-6
@@ -376,11 +366,11 @@ class TestTrain:
     def test_loss_non_increasing_in_the_iteration_cap(self, rng):
         # L-BFGS is deterministic, so the run capped at k iterations stops
         # on the path of every longer run; each step lowers the loss.
-        chains = separable_chains(rng, n_chains=10)
+        blocks = separable_blocks(rng, per_length=3)
         losses, iters = [], []
         for k in range(1, 31):
-            result = train(chains, CrfTrainConfig(l2=0.1, max_iters=k, tol=1e-6))
-            losses.append(nll_and_gradient(result.model, chains, l2=0.1)[0])
+            result = train(blocks, CrfTrainConfig(l2=0.1, max_iters=k, tol=1e-6))
+            losses.append(nll_and_gradient(result.model, blocks, l2=0.1)[0])
             iters.append(result.n_iters)
         assert iters == sorted(iters) and iters[-1] > 1
         assert np.all(np.diff(losses) <= 1e-9)
@@ -388,6 +378,16 @@ class TestTrain:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             train([])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [None, np.zeros((3, 2), int), np.zeros((2, 3), int), np.zeros(4, int)],
+    )
+    def test_labels_not_shaped_like_the_chains_rejected(self, rng, labels):
+        blocks = separable_blocks(rng, per_length=2)
+        blocks.append((rng.normal(size=(2, 2, F)), labels))
+        with pytest.raises(ValueError, match="labels of shape"):
+            train(blocks)
 
     @pytest.mark.parametrize(
         "config, match",
@@ -403,12 +403,12 @@ class TestTrain:
     )
     def test_bad_config_rejected(self, rng, config, match):
         with pytest.raises(ValueError, match=match):
-            train(separable_chains(rng, n_chains=3), config)
+            train(separable_blocks(rng, per_length=1), config)
 
     def test_training_is_deterministic(self, rng):
-        chains = separable_chains(rng, n_chains=10)
-        a = train(chains, CrfTrainConfig(l2=0.1, max_iters=100, tol=1e-6))
-        b = train(chains, CrfTrainConfig(l2=0.1, max_iters=100, tol=1e-6))
+        blocks = separable_blocks(rng, per_length=3)
+        a = train(blocks, CrfTrainConfig(l2=0.1, max_iters=100, tol=1e-6))
+        b = train(blocks, CrfTrainConfig(l2=0.1, max_iters=100, tol=1e-6))
         np.testing.assert_array_equal(a.model.weights, b.model.weights)
 
 

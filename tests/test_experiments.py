@@ -48,6 +48,11 @@ class TestSynthSpec:
             else:
                 assert count == 7
 
+    @pytest.mark.parametrize("field", ["formations", "angles"])
+    def test_empty_cell_list_rejected(self, field):
+        with pytest.raises(ValueError, match="must not be empty"):
+            SynthSpec(**{field: ()})
+
     def test_config_seeds_do_not_collide(self):
         spec = SynthSpec(count_per_cell=50, seed=0)
         ranges = []

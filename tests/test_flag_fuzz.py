@@ -99,6 +99,10 @@ def commands(scenes, out):
                     "--test-out",
                     os.path.join(out, "test.jsonl"),
                 ],
+                # no cell at all
+                ["--formations", ""],
+                ["--formations", ","],
+                ["--angles", ""],
             ],
         ),
         "train-crf": (

@@ -24,6 +24,7 @@ from fformation.pipeline import (
     REASON_TOO_FEW_VISIBLE,
     REASON_TOO_SMALL,
     Detection,
+    _chain_blocks,
     build_crf_chains,
     detect,
     detect_many,
@@ -414,6 +415,23 @@ class TestTrainingGroups:
         [poses] = training_groups([scene])
         # poses were placed right to left
         assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
+
+    def test_chain_blocks_are_shortest_first_with_indices_in_input_order(self):
+        scenes = [self._scene(("G",) * n) for n in (3, 1, 0, 3, 2, 1, 0, 3)]
+        blocks = _chain_blocks(scenes)
+        assert [(idx, feats.shape[:2]) for idx, _, feats in blocks] == [
+            ([1, 5], (2, 1)),
+            ([4], (1, 2)),
+            ([0, 3, 7], (3, 3)),
+        ]  # the poseless scenes 2 and 6 are in no block
+        trained = build_crf_chains(scenes)
+        assert [labels.shape for _, labels in trained] == [(2, 1), (1, 2), (3, 3)]
+        for (_, _, feats), (got, _) in zip(blocks, trained):
+            assert np.array_equal(got, feats)
+
+    def test_crf_chain_labels_are_gold_in_chain_order(self):
+        [(_, labels)] = build_crf_chains([self._scene(("G", "O", "O"))])
+        assert labels.tolist() == [[1, 1, 0]]  # poses were placed right to left
 
     def test_scene_without_a_pose_has_no_chain_and_no_group(self):
         empty, scene = self._scene(()), self._scene(("G", "O", "G"))

@@ -259,6 +259,24 @@ class TestSceneJsonl:
         [scene] = parse_scenes(io.StringIO(json.dumps(doc) + "\n"))
         assert scene == two_person_scene
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("angle_deg", False),  # False == 0 would pass as the 0 class
+            ("membership", "GG"),  # two labels, one per character
+            ("image_width", True),  # a 1-pixel-wide image
+        ],
+    )
+    def test_json_booleans_and_strings_rejected_naming_the_line(
+        self, two_person_scene, field, value
+    ):
+        doc = scene_to_dict(two_person_scene)
+        (doc if field == "image_width" else doc["truth"])[field] = value
+        text = json.dumps(scene_to_dict(two_person_scene)) + "\n" + json.dumps(doc) + "\n"
+        with pytest.raises(DataError, match="line 2") as exc:
+            parse_scenes(io.StringIO(text))
+        assert exc.value.lineno == 2
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_round_trip_property(self, seed):
