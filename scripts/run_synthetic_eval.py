@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Full synthetic evaluation: 2,800 scenes, trained models, all four tables.
 
-Reproduces the headline experiment end to end in one process: 13-14 s wall
-at the default 100 scenes per cell on a 2-core x86 VM with BLAS pinned to
-one thread, most of it CRF training. Outputs land in --out-dir as CSV +
-JSON; rerunning with the same seed rewrites identical bytes.
+Reproduces the headline experiment end to end in one process: 4.6-5.9 s
+wall in three runs at the default 100 scenes per cell on a 2-core x86 VM
+with BLAS pinned to one thread. Outputs land in --out-dir as CSV + JSON;
+rerunning with the same seed rewrites identical bytes.
 """
 import argparse
 import sys

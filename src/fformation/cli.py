@@ -171,7 +171,8 @@ def cmd_train_crf(args) -> int:
     n_chains = sum(len(labels) for _, labels in blocks)
     print(
         f"trained crf on {n_chains} chains: converged={result.converged} "
-        f"grad_inf_norm={result.final_grad_inf_norm:.3e} iters={result.n_iters}"
+        f"grad_inf_norm={result.final_grad_inf_norm:.3e} iters={result.n_iters} "
+        f"loss={result.final_loss:.6f}"
     )
     return 0
 

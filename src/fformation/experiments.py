@@ -159,7 +159,7 @@ def train_crf(
     result = crf_mod.train(blocks, config)  # positional: the benchmark's tracer reads args
     if not result.converged:
         logger.warning(
-            "CRF training stopped unconverged after %d L-BFGS iterations "
+            "CRF training stopped unconverged after %d Newton steps "
             "(gradient inf-norm %.3e, tol %g)",
             result.n_iters,
             result.final_grad_inf_norm,
@@ -221,6 +221,7 @@ def train_bundle(
             "converged": crf_result.converged,
             "n_iters": crf_result.n_iters,
             "final_grad_inf_norm": crf_result.final_grad_inf_norm,
+            "final_loss": crf_result.final_loss,
         },
     )
 

@@ -116,7 +116,7 @@ def _chain_blocks(scenes) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
     without a pose has no chain and is in no block. Detection and training
     decode these blocks as they are, and the CRF trains on them in this
     order: its objective sums the blocks in turn, and the sum's rounding
-    steers L-BFGS, so the order fixes the trained weights.
+    steers Newton's steps, so the order fixes the trained weights.
     """
     by_count: dict[int, list[int]] = {}
     for i, scene in enumerate(scenes):
@@ -510,8 +510,8 @@ class ModelBundle:
     formation_svm: svm_mod.SvmModel
     angle_svm: svm_mod.SvmModel
     joint_svm: svm_mod.SvmModel
-    # How L-BFGS ended: {"converged", "n_iters", "final_grad_inf_norm"};
-    # None when the CRF's training run is unknown.
+    # How the CRF's Newton run ended: {"converged", "n_iters",
+    # "final_grad_inf_norm", "final_loss"}; None when the run is unknown.
     crf_training: dict | None = None
 
 

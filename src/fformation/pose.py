@@ -10,6 +10,8 @@ one read-only (17, 3) float array of (x, y, confidence) rows.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO, Iterable
@@ -83,6 +85,22 @@ def confidence_bins(conf: np.ndarray) -> np.ndarray:
     """bin_confidence over an array of confidences already known to lie in
     [0, 1]; integer bin indices of the same shape."""
     return np.searchsorted(CONFIDENCE_BIN_EDGES, conf, side="right")
+
+
+def json_number(name: str, value, kind=numbers.Real):
+    """`value`, after the one check that a value read from outside is a
+    finite number of `kind` (numbers.Integral for an integer): ValueError
+    naming `name` otherwise. A bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _canonical_rows(person_id, names: list, rows: list) -> list:
@@ -273,13 +291,12 @@ def _poses_from_dicts(docs) -> tuple[PersonPose, ...]:
     for doc in docs:
         person_id = str(doc["person_id"])
         kps = doc["keypoints"]
-        rows.append(
-            _canonical_rows(
-                person_id,
-                [k["name"] for k in kps],
-                [(k["x"], k["y"], k["confidence"]) for k in kps],
-            )
-        )
+        values = [(k["x"], k["y"], k["confidence"]) for k in kps]
+        for value in (v for row in values for v in row):
+            # a JSON number parses as an int or a float; all else fails here
+            if type(value) is not float and type(value) is not int:
+                json_number(f"pose {person_id!r}: a keypoint value", value)
+        rows.append(_canonical_rows(person_id, [k["name"] for k in kps], values))
         person_ids.append(person_id)
     return PersonPose._many(person_ids, rows)
 
@@ -305,22 +322,14 @@ def _truth_from_dict(doc) -> SceneTruth | None:
     )
 
 
-def _image_dimension(value) -> int:
-    if isinstance(value, bool):  # int(True) is a 1-pixel image
-        raise ValueError(f"image dimension {value!r} is not a number")
-    dim = int(value)  # OverflowError on Infinity
-    float(dim)  # OverflowError beyond float range: features divide by it
-    return dim
-
-
 def scene_from_dict(doc: dict) -> Scene:
     if not isinstance(doc, dict):
         raise ValueError(f"a scene must be a JSON object, not {type(doc).__name__}")
     try:
         return Scene(
             frame_id=str(doc["frame_id"]),
-            image_width=_image_dimension(doc["image_width"]),
-            image_height=_image_dimension(doc["image_height"]),
+            image_width=json_number("image_width", doc["image_width"], numbers.Integral),
+            image_height=json_number("image_height", doc["image_height"], numbers.Integral),
             poses=_poses_from_dicts(doc["poses"]),
             truth=_truth_from_dict(doc.get("truth")),
         )
@@ -439,15 +448,15 @@ def convert_ego_group(doc: dict) -> list[Scene]:
                 points = np.zeros((NUM_KEYPOINTS, 3))
                 for k, name in enumerate(KEYPOINT_NAMES):
                     if name in kps:
-                        x, y, c = kps[name]
-                        points[k] = float(x), float(y), float(c)
+                        x, y, c = (json_number(f"{name} of {pid!r}", v) for v in kps[name])
+                        points[k] = x, y, c
                 poses.append(PersonPose(pid, points))
                 membership.append(GROUP if pid in grouped else OUTLIER)
             scenes.append(
                 Scene(
                     frame_id=str(frame["frame"]),
-                    image_width=_image_dimension(frame["width"]),
-                    image_height=_image_dimension(frame["height"]),
+                    image_width=json_number("width", frame["width"], numbers.Integral),
+                    image_height=json_number("height", frame["height"], numbers.Integral),
                     poses=tuple(poses),
                     truth=SceneTruth(membership=tuple(membership)),
                 )

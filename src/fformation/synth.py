@@ -32,6 +32,7 @@ from .pose import (
     PersonPose,
     Scene,
     SceneTruth,
+    json_number,
 )
 
 FORMATION_MEMBER_COUNT = {
@@ -153,21 +154,6 @@ def make_template(formation: str, scale: float) -> FormationTemplate:
     return FormationTemplate(formation, positions, headings, o_space_radius=h)
 
 
-def _number(name: str, value, kind=numbers.Real) -> float:
-    """`value` of field `name` as a float; ValueError unless it is a finite
-    number of this kind (a bool is none)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     formation: str
@@ -190,24 +176,24 @@ class SynthConfig:
             # 30.0 == 30, but a scene file with angle 30.0 does not parse
             raise ValueError(f"unknown approach angle {angle!r}")
         for name in ("image_width", "image_height"):
-            if _number(name, getattr(self, name), numbers.Integral) <= 0:
+            if json_number(name, getattr(self, name), numbers.Integral) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if _number("seed", self.seed, numbers.Integral) < 0:
+        if json_number("seed", self.seed, numbers.Integral) < 0:
             raise ValueError("seed must be >= 0")
-        if _number("outlier_count", self.outlier_count, numbers.Integral) < 0:
+        if json_number("outlier_count", self.outlier_count, numbers.Integral) < 0:
             raise ValueError("outlier count must be >= 0")
         for name in ("noise_px", "angle_jitter_deg", "scale_jitter"):
-            if _number(name, getattr(self, name)) < 0:
+            if json_number(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.scale_jitter >= 1:
             raise ValueError("scale_jitter must be below 1: the spacing stays positive")
         scale = self.formation_scale
-        if scale is not None and _number("formation_scale", scale) <= 0:
+        if scale is not None and json_number("formation_scale", scale) <= 0:
             raise ValueError("formation_scale must be positive")
         d = self.distance_m
         pair = d if isinstance(d, (tuple, list)) and len(d) == 2 else (d, d)
         try:
-            lo, hi = (_number("distance_m", x) for x in pair)
+            lo, hi = (json_number("distance_m", x) for x in pair)
             ok = 0 < lo <= hi
         except ValueError:
             ok = False

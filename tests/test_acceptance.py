@@ -147,32 +147,38 @@ def test_criterion_1_crf_exactness(verdict):
 
 def test_criterion_2_crf_gradient(verdict):
     """Central finite differences at h=1e-5, rel error < 1e-5 per coordinate,
-    of the objective crf.train minimises, on the blocks it trains on."""
+    of the objective crf.train minimises, on the blocks it trains on: of its
+    loss against each gradient entry, and of its gradient against each
+    Hessian column, relative to the column's largest entry."""
     t0 = time.perf_counter()
     spec = SynthSpec(count_per_cell=2, seed=202)
     scenes = generate_dataset(spec.configs(), shuffle_seed=spec.seed)
     blocks = build_crf_chains(scenes)
     rng = np.random.default_rng(202)
     h = 1e-5
-    worst = 0.0
+    worst = worst_hess = 0.0
     for _ in range(20):
         w = rng.normal(size=crf_mod.weight_dim(F_NODE))
-        _, grad = crf_mod._batched_objective(w, blocks, 0.5, F_NODE)
+        _, grad, hess = crf_mod._batched_objective(w, blocks, 0.5, F_NODE)
         for j in range(len(w)):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
             wm[j] -= h
-            lp, _ = crf_mod._batched_objective(wp, blocks, 0.5, F_NODE)
-            lm, _ = crf_mod._batched_objective(wm, blocks, 0.5, F_NODE)
+            lp, gp, _ = crf_mod._batched_objective(wp, blocks, 0.5, F_NODE)
+            lm, gm, _ = crf_mod._batched_objective(wm, blocks, 0.5, F_NODE)
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-8))
+            fd = (gp - gm) / (2 * h)  # column j of the Hessian
+            scale = max(np.abs(fd).max(), np.abs(hess[:, j]).max(), 1e-8)
+            worst_hess = max(worst_hess, float(np.abs(fd - hess[:, j]).max()) / scale)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-5 and elapsed < 60.0
+    ok = worst < 1e-5 and worst_hess < 1e-5 and elapsed < 60.0
     verdict(
         2,
         ok,
         f"20 weight vectors on {len(scenes)} scenes' chains: worst per-coordinate "
-        f"rel error {worst:.2e} (<1e-5), {elapsed:.1f}s (<60s)",
+        f"rel error {worst:.2e} (gradient), {worst_hess:.2e} (Hessian) (<1e-5), "
+        f"{elapsed:.1f}s (<60s)",
     )
 
 
@@ -364,6 +370,10 @@ def test_criterion_8_cli_determinism(verdict):
         "bundle/svm_joint.json",
     }
     assert "reports/meta.json" in first and "stdout predict --joint" in first
+    for head in ("formation", "angle", "joint"):
+        # the capped CRF's groups differ from gold, so its SVMs do too
+        capped = first[f"svm_{head}_crf_capped_0.125.json"]
+        assert capped != first[f"svm_{head}_gold_0.125.json"]
     diffs = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
     ok = not diffs
     verdict(

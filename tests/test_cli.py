@@ -279,19 +279,30 @@ def test_reproduction_script_out_of_range_flag_is_usage_error(flag, value):
     assert "Traceback" not in proc.stderr
 
 
-def test_importing_the_cli_loads_no_optimizer():
-    # scipy.optimize costs most of the import time; only CRF training uses it
+def test_a_full_evaluate_run_loads_no_scipy(workdir, tmp_path):
+    # numpy is the one runtime dependency: CRF training included, nothing
+    # the evaluate command runs imports scipy
     src = os.path.dirname(os.path.dirname(fformation.__file__))
-    code = "import sys, fformation.cli; print('scipy.optimize' in sys.modules)"
+    argv = [
+        "evaluate", "--train", str(workdir / "train.jsonl"),
+        "--test", str(workdir / "test.jsonl"), "--out-dir", str(tmp_path / "reports"),
+        "--save-models", str(tmp_path / "models"),
+    ]
+    code = (
+        "import sys; from fformation.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
+        timeout=300,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "reports" / "meta.json").exists()
 
 
 def test_non_positive_gamma_is_config_error(workdir):
@@ -552,6 +563,24 @@ def test_evaluate_on_a_boolean_angle_is_data_error(workdir, artifacts):
     assert "data error: line 2: approach angle False is not an integer" in err
     assert "Traceback" not in err
     assert not (workdir / "never_reports").exists()
+
+
+def test_predict_on_a_string_keypoint_is_data_error(workdir, artifacts):
+    lines = (workdir / "test.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["poses"][0]["keypoints"][0]["x"] = "12.5"
+    data = workdir / "string_keypoint.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(doc)]) + "\n")
+    out = workdir / "never_predictions.jsonl"
+    rc, err = run_cli(
+        ["predict", "--models", str(artifacts["models"]), "--data", str(data)]
+        + ["--out", str(out)]
+    )
+    assert rc == 3, err
+    assert "data error: line 2: pose" in err
+    assert "a keypoint value must be a number, got '12.5'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from fformation.crf import (
     ChainInstance,
@@ -12,7 +11,6 @@ from fformation.crf import (
     CrfTrainConfig,
     _batched_objective,
     _forward_backward,
-    _log_add,
     _posteriors,
     crf_from_dict,
     crf_to_dict,
@@ -31,6 +29,15 @@ from fformation.errors import DataError, VersionMismatchError
 from fformation.features import F_NODE, FEATURE_CATALOG_VERSION
 
 F = 5  # small synthetic feature dimension for oracle tests
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along `axis` (all of `a` if None), overflow-free:
+    the oracles' log-sum, written apart from the CRF's np.logaddexp."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    total = top + np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True))
+    return np.squeeze(total, axis=axis)
 
 
 def random_instance(rng, n=None):
@@ -200,20 +207,23 @@ class TestMarginals:
 
 
 def reference_forward_backward(node, trans):
-    """One chain (n, 2), node by node with scipy's logsumexp."""
+    """One chain (n, 2), node by node with np.logaddexp."""
     n = node.shape[0]
     alpha = np.empty_like(node)
     alpha[0] = node[0]
     for i in range(1, n):
-        alpha[i] = node[i] + logsumexp(alpha[i - 1][:, None] + trans, axis=0)
+        prev = alpha[i - 1][:, None] + trans
+        alpha[i] = node[i] + np.logaddexp(prev[0], prev[1])
     beta = np.zeros_like(node)
     for i in range(n - 2, -1, -1):
-        beta[i] = logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
-    return alpha, beta, logsumexp(alpha[-1])
+        nxt = trans + (node[i + 1] + beta[i + 1])[None, :]
+        beta[i] = np.logaddexp(nxt[:, 0], nxt[:, 1])
+    return alpha, beta, np.logaddexp(alpha[-1][0], alpha[-1][1])
 
 
 def reference_batched_objective(w, groups, l2, f):
-    """The training objective with scipy's logsumexp and a loop over edges."""
+    """The training loss and gradient with a numpy log-sum-exp and a loop
+    over edges."""
     w_obs = w[: 2 * f].reshape(2, f)
     trans = w[2 * f :].reshape(2, 2)
     loss = 0.5 * l2 * float(w @ w)
@@ -259,16 +269,7 @@ def reference_batched_objective(w, groups, l2, f):
 
 
 class TestExactness:
-    """The CRF core rounds exactly like the scipy-based recursion, so the
-    L-BFGS path and the trained weights do not move."""
-
-    def test_log_add_is_scipy_logsumexp_bit_for_bit(self, rng):
-        for scale in (0.1, 1.0, 10.0, 100.0, 1000.0):
-            pairs = rng.normal(size=(20_000, 2)) * scale
-            pairs[:500, 1] = pairs[:500, 0]  # ties
-            pairs[500:1000, 1] = pairs[500:1000, 0] + rng.uniform(-1e3, 1e3, 500)
-            got = _log_add(pairs[:, 0], pairs[:, 1])
-            assert np.array_equal(got, logsumexp(pairs, axis=1))
+    """The batched messages equal a one-chain recursion bit for bit."""
 
     def test_forward_backward_matches_reference_exactly(self, rng):
         for n in range(1, 9):
@@ -283,15 +284,6 @@ class TestExactness:
                     assert np.array_equal(alpha[b], ra)
                     assert np.array_equal(beta[b], rb)
                     assert log_z[b] == rz
-
-    def test_batched_objective_matches_reference_exactly(self, rng):
-        for scale in (0.5, 5.0, 50.0):
-            blocks = random_blocks(rng, range(1, 9))
-            w = scale * rng.normal(size=weight_dim(F))
-            loss, grad = _batched_objective(w, blocks, 0.3, F)
-            ref_loss, ref_grad = reference_batched_objective(w, blocks, 0.3, F)
-            assert loss == ref_loss
-            assert np.array_equal(grad, ref_grad)
 
 
 class TestNllAndGradient:
@@ -321,9 +313,35 @@ class TestNllAndGradient:
         blocks = random_blocks(rng, range(1, 9))
         w = rng.normal(size=weight_dim(F))
         l_ref, g_ref = nll_and_gradient(CrfModel(w), blocks, l2=0.4)
-        l_bat, g_bat = _batched_objective(w, blocks, 0.4, F)
+        l_bat, g_bat, _ = _batched_objective(w, blocks, 0.4, F)
         assert l_bat == pytest.approx(l_ref, rel=1e-12)
         np.testing.assert_allclose(g_bat, g_ref, rtol=1e-10, atol=1e-12)
+
+    def test_batched_objective_matches_edge_loop_reference(self, rng):
+        for scale in (0.5, 5.0, 50.0):
+            blocks = random_blocks(rng, range(1, 9))
+            w = scale * rng.normal(size=weight_dim(F))
+            loss, grad, _ = _batched_objective(w, blocks, 0.3, F)
+            ref_loss, ref_grad = reference_batched_objective(w, blocks, 0.3, F)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+
+    def test_hessian_matches_central_differences_of_the_gradient(self, rng):
+        # chains up to 8 nodes: longer than any synthetic scene's
+        h = 1e-5
+        for scale in (0.5, 3.0):
+            blocks = random_blocks(rng, range(1, 9))
+            w = scale * rng.normal(size=weight_dim(F))
+            _, _, hess = _batched_objective(w, blocks, 0.2, F)
+            for j in range(len(w)):
+                wp, wm = w.copy(), w.copy()
+                wp[j] += h
+                wm[j] -= h
+                gp = _batched_objective(wp, blocks, 0.2, F)[1]
+                gm = _batched_objective(wm, blocks, 0.2, F)[1]
+                fd = (gp - gm) / (2 * h)
+                np.testing.assert_allclose(hess[:, j], fd, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
 
 
 def separable_blocks(rng, per_length=10):
@@ -364,8 +382,8 @@ class TestTrain:
         ) + 1e-6
 
     def test_loss_non_increasing_in_the_iteration_cap(self, rng):
-        # L-BFGS is deterministic, so the run capped at k iterations stops
-        # on the path of every longer run; each step lowers the loss.
+        # Newton is deterministic, so the run capped at k steps stops on the
+        # path of every longer run; each step lowers the loss.
         blocks = separable_blocks(rng, per_length=3)
         losses, iters = [], []
         for k in range(1, 31):
@@ -374,6 +392,23 @@ class TestTrain:
             iters.append(result.n_iters)
         assert iters == sorted(iters) and iters[-1] > 1
         assert np.all(np.diff(losses) <= 1e-9)
+
+    def test_default_config_converges_and_reports_the_final_loss(self, rng):
+        blocks = separable_blocks(rng)
+        result = train(blocks)
+        assert result.converged and 1 <= result.n_iters < CrfTrainConfig.max_iters
+        assert result.final_grad_inf_norm <= CrfTrainConfig.tol
+        loss, _ = nll_and_gradient(result.model, blocks, l2=CrfTrainConfig.l2)
+        assert result.final_loss == pytest.approx(loss, rel=1e-12)
+
+    def test_singular_hessian_at_zero_l2_still_trains(self, rng):
+        # feature 1 is 0 on every node, so at l2 = 0 the Hessian has a zero
+        # row and column for each of its two weights
+        blocks = separable_blocks(rng)
+        for feats, _ in blocks:
+            feats[:, :, 1] = 0.0
+        result = train(blocks, CrfTrainConfig(l2=0.0, max_iters=100, tol=1e-4))
+        assert result.converged and result.final_grad_inf_norm <= 1e-4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -165,11 +165,11 @@ class TestTrainBundle:
     def test_unconverged_crf_is_logged_and_recorded(self, mini, caplog):
         with caplog.at_level(logging.WARNING, logger="fformation.experiments"):
             bundle = train_bundle(
-                mini.train_scenes, TrainingConfig(crf_max_iters=30), seed=2024
+                mini.train_scenes, TrainingConfig(crf_max_iters=1), seed=2024
             )
         record = bundle.crf_training
         assert record["converged"] is False
-        assert record["n_iters"] == 30
+        assert record["n_iters"] == 1
         assert record["final_grad_inf_norm"] > 1e-4
         assert any("unconverged" in r.getMessage() for r in caplog.records)
 

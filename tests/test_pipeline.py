@@ -7,7 +7,13 @@ import pytest
 
 from fformation import pipeline
 from fformation import svm as svm_mod
-from fformation.crf import CrfModel, decode_batch, indices_to_labels, weight_dim
+from fformation.crf import (
+    CrfModel,
+    decode_batch,
+    indices_to_labels,
+    nll_and_gradient,
+    weight_dim,
+)
 from fformation.errors import DataError, VersionMismatchError
 from fformation.features import (
     F_GROUP,
@@ -668,8 +674,13 @@ class TestModelBundle:
         path = tmp_path / "bundle"
         save_models(mini.bundle, path)
         training = json.loads((path / "manifest.json").read_text())["training"]
-        assert set(training["crf"]) == {"converged", "n_iters", "final_grad_inf_norm"}
+        assert set(training["crf"]) == {
+            "converged", "n_iters", "final_grad_inf_norm", "final_loss"
+        }
         assert training["crf"] == mini.bundle.crf_training
+        blocks = build_crf_chains(mini.train_scenes)
+        loss, _ = nll_and_gradient(mini.bundle.crf, blocks, l2=mini.bundle.crf.l2)
+        assert training["crf"]["final_loss"] == pytest.approx(loss, rel=1e-12)
         for name in ("formation", "angle", "joint"):
             model = getattr(mini.bundle, f"{name}_svm")
             assert training["svm"][name] == {

@@ -265,13 +265,18 @@ class TestSceneJsonl:
             ("angle_deg", False),  # False == 0 would pass as the 0 class
             ("membership", "GG"),  # two labels, one per character
             ("image_width", True),  # a 1-pixel-wide image
+            ("image_width", "640"),
+            ("image_width", 640.7),  # would be truncated to 640
+            ("x", "12.5"),
+            ("confidence", True),  # would be confidence 1.0
         ],
     )
     def test_json_booleans_and_strings_rejected_naming_the_line(
         self, two_person_scene, field, value
     ):
         doc = scene_to_dict(two_person_scene)
-        (doc if field == "image_width" else doc["truth"])[field] = value
+        owner = {"angle_deg": doc["truth"], "membership": doc["truth"], "image_width": doc}
+        owner.get(field, doc["poses"][1]["keypoints"][3])[field] = value
         text = json.dumps(scene_to_dict(two_person_scene)) + "\n" + json.dumps(doc) + "\n"
         with pytest.raises(DataError, match="line 2") as exc:
             parse_scenes(io.StringIO(text))
@@ -329,6 +334,24 @@ class TestEgoGroupAdapter:
         [scene] = convert_ego_group(self._doc())
         assert scene.truth.formation is None
         assert scene.truth.angle_deg is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nose", "101"),  # was read as (1, 0, 1)
+            ("nose", [1, "2", True]),  # was read as (1, 2, 1)
+            ("nose", [1, 2]),
+            ("width", "1280"),
+            ("width", 1280.5),
+            ("width", True),
+        ],
+    )
+    def test_values_not_numbers_rejected_naming_the_frame(self, field, value):
+        doc = self._doc()
+        frame = doc["frames"][0]
+        (frame if field == "width" else frame["people"][1]["keypoints"])[field] = value
+        with pytest.raises(DataError, match="frame 0"):
+            convert_ego_group(doc)
 
     def test_malformed_frame(self):
         with pytest.raises(DataError, match="frame 0"):
