@@ -3,6 +3,9 @@
 
 Per spec, in a fresh directory, it runs:
 - `generate` with its train/test split;
+- `generate --config` on CONFIG: no pixel noise, one camera distance, no
+  jitter and three bystanders, so the always-drawn zero noise and the
+  occlusion of every body by every other are under the digests;
 - `evaluate`, which trains and saves the bundle and writes the reports and
   meta.json;
 - `train-crf`;
@@ -57,6 +60,15 @@ from fformation.pipeline import HEADS
 DEFAULT_SPECS = ("8:0", "20:5:600")
 GAMMAS = ("0.125", "auto")
 CAPPED_CRF_ITERS = "1"
+CONFIG = {
+    "formation": "triangle",
+    "angle_deg": 0,
+    "distance_m": 3.0,
+    "noise_px": 0.0,
+    "angle_jitter_deg": 0.0,
+    "scale_jitter": 0.0,
+    "outlier_count": 3,
+}
 
 
 def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[str]]:
@@ -67,6 +79,10 @@ def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[st
         "generate": [
             "generate", "--count", count, "--seed", seed, "--out", "all.jsonl",
             "--train-out", "train.jsonl", "--test-out", "test.jsonl",
+        ],
+        "generate --config": [
+            "generate", "--config", "config.json", "--count", count, "--seed", seed,
+            "--out", "config.jsonl",
         ],
         "evaluate": [
             "evaluate", "--train", "train.jsonl", "--test", "test.jsonl",
@@ -120,6 +136,8 @@ def spec_digests(spec: str, work_dir: str) -> dict[str, str]:
     cwd = os.getcwd()
     os.chdir(work_dir)
     try:
+        with open("config.json", "w", encoding="utf-8") as fp:
+            json.dump({**CONFIG, "seed": int(seed)}, fp)
         for name, argv in _commands(count, seed, rest[0] if rest else None).items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

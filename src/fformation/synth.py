@@ -8,11 +8,16 @@ stand in r-space (beyond 1.5x the p-space radius) with random headings.
 
 Per-keypoint confidence = base(depth) * visibility, where visibility drops to
 0.15 when the keypoint's line of sight crosses another person's bounding
-cylinder, when it projects off-frame, or (eyes only) when the person faces
-away from the camera. Keypoints behind the camera become confidence-0 points
-at (0, 0). Everything is driven by per-scene seeded generators, with members
-and outliers on separate substreams so the same seed renders identical
-members with or without outliers.
+cylinder, when it projects off-frame, or (face landmarks only) when the person
+faces away from the camera. Keypoints behind the camera become confidence-0
+points at (0, 0). A scene renders in one array pass over its B bodies:
+(B, 17, 3) keypoints, one projection, one (body, occluder, keypoint)
+occlusion test, and one check of the B poses.
+
+Everything is driven by per-scene seeded generators, with members and
+outliers on separate substreams so the same seed renders identical members
+with or without outliers. Pixel noise is always drawn, as the last draw on
+each substream, so noise_px 0 draws exact zeros and shifts no other draw.
 """
 from __future__ import annotations
 
@@ -59,6 +64,10 @@ CAMERA_HEIGHT = 1.2
 LOOK_AT_HEIGHT = 1.0
 OCCLUDED_VISIBILITY = 0.15
 TRAIN_FRACTION = 0.8  # of each (formation, angle) cell, in split_train_test
+# Camera distances and member spacings SynthConfig accepts, meters: wider than
+# a robot filming a conversation needs, and far from where the renderer's
+# squares overflow (1e155 m) or underflow to zero (1e-300 m).
+LENGTH_RANGE_M = (1e-3, 1e3)
 
 # Distinct subjects, assigned by member slot (outliers take the last one).
 # Identical bodies would make symmetric camera placements of the symmetric
@@ -82,43 +91,47 @@ OUTLIER_RADIUS_FACTOR = 1.5
 OUTLIER_LATERAL_RANGE = (1.2, 1.8)
 OUTLIER_DEPTH_RANGE = (0.0, 1.5)
 
-# Outward azimuth of each face landmark relative to the person's heading,
+# Outward azimuth of each face landmark, the first five keypoints (nose,
+# leftEye, rightEye, leftEar, rightEar), relative to the person's heading,
 # radians: the head hides landmarks facing away from the camera, so profile
 # views lose the far-side eye and ear and back views lose both eyes.
-FACE_OUTWARD_AZIMUTH = {
-    "nose": 0.0,
-    "leftEye": math.radians(20.0),
-    "rightEye": math.radians(-20.0),
-    "leftEar": math.radians(90.0),
-    "rightEar": math.radians(-90.0),
-}
+FACE_OUTWARD_AZIMUTH = np.radians([0.0, 20.0, -20.0, 90.0, -90.0])
 FACE_VISIBILITY_SLACK = -0.1  # dot(outward, to_camera) below this hides it
 
 # (z height, forward offset, offset toward the person's left) for the
-# reference 1.70 m body, meters, plus the scaling family: heights and
-# forward offsets scale with body height, arm lateral offsets with shoulder
+# reference 1.70 m body, meters, one row per keypoint in KEYPOINT_NAMES order,
+# and each keypoint's scaling family: heights and forward offsets scale with
+# body height, head lateral offsets too, arm lateral offsets with shoulder
 # width, leg lateral offsets with hip width. Face points protrude forward so
-# that projected eye/nose placement encodes the facing direction; ears sit
-# on the side of the head.
-_BODY_OFFSETS = {
-    "nose": (1.575, 0.10, 0.0, "head"),
-    "leftEye": (1.60, 0.08, 0.033, "head"),
-    "rightEye": (1.60, 0.08, -0.033, "head"),
-    "leftEar": (1.58, 0.0, 0.072, "head"),
-    "rightEar": (1.58, 0.0, -0.072, "head"),
-    "leftShoulder": (1.39, 0.0, SHOULDER_WIDTH / 2, "arm"),
-    "rightShoulder": (1.39, 0.0, -SHOULDER_WIDTH / 2, "arm"),
-    "leftElbow": (1.08, 0.02, 0.22, "arm"),
-    "rightElbow": (1.08, 0.02, -0.22, "arm"),
-    "leftWrist": (0.82, 0.04, 0.23, "arm"),
-    "rightWrist": (0.82, 0.04, -0.23, "arm"),
-    "leftHip": (0.88, 0.0, HIP_WIDTH / 2, "leg"),
-    "rightHip": (0.88, 0.0, -HIP_WIDTH / 2, "leg"),
-    "leftKnee": (0.47, 0.02, 0.16, "leg"),
-    "rightKnee": (0.47, 0.02, -0.16, "leg"),
-    "leftAnkle": (0.07, 0.03, 0.17, "leg"),
-    "rightAnkle": (0.07, 0.03, -0.17, "leg"),
-}
+# that projected eye/nose placement encodes the facing direction; ears sit on
+# the side of the head.
+_BODY_OFFSETS = np.array([
+    (1.575, 0.10, 0.0),  # nose
+    (1.60, 0.08, 0.033),  # leftEye
+    (1.60, 0.08, -0.033),  # rightEye
+    (1.58, 0.0, 0.072),  # leftEar
+    (1.58, 0.0, -0.072),  # rightEar
+    (1.39, 0.0, SHOULDER_WIDTH / 2),  # leftShoulder
+    (1.39, 0.0, -SHOULDER_WIDTH / 2),  # rightShoulder
+    (1.08, 0.02, 0.22),  # leftElbow
+    (1.08, 0.02, -0.22),  # rightElbow
+    (0.82, 0.04, 0.23),  # leftWrist
+    (0.82, 0.04, -0.23),  # rightWrist
+    (0.88, 0.0, HIP_WIDTH / 2),  # leftHip
+    (0.88, 0.0, -HIP_WIDTH / 2),  # rightHip
+    (0.47, 0.02, 0.16),  # leftKnee
+    (0.47, 0.02, -0.16),  # rightKnee
+    (0.07, 0.03, 0.17),  # leftAnkle
+    (0.07, 0.03, -0.17),  # rightAnkle
+])
+_HEAD, _ARM, _LEG = 0, 1, 2
+_OFFSET_FAMILY = np.repeat([_HEAD, _ARM, _LEG], [5, 6, 6])
+# Per BODY_PROFILES entry: its height, and its scales in family order.
+_PROFILE_HEIGHTS = np.array([p["height"] for p in BODY_PROFILES])
+_PROFILE_SCALES = np.array([
+    (p["height"] / BODY_HEIGHT, p["shoulder"] / SHOULDER_WIDTH, p["hip"] / HIP_WIDTH)
+    for p in BODY_PROFILES
+])
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,7 @@ class SynthConfig:
         angle = self.angle_deg
         if isinstance(angle, (bool, float)) or angle not in APPROACH_ANGLES:
             # 30.0 == 30, but a scene file with angle 30.0 does not parse
-            raise ValueError(f"unknown approach angle {angle!r}")
+            raise ValueError(f"angle_deg must be one of {APPROACH_ANGLES}, got {angle!r}")
         for name in ("image_width", "image_height"):
             if json_number(name, getattr(self, name), numbers.Integral) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -185,22 +198,25 @@ class SynthConfig:
         for name in ("noise_px", "angle_jitter_deg", "scale_jitter"):
             if json_number(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.angle_jitter_deg > 180:
+            raise ValueError("angle_jitter_deg must be at most 180: that covers every azimuth")
         if self.scale_jitter >= 1:
             raise ValueError("scale_jitter must be below 1: the spacing stays positive")
+        shortest, longest = LENGTH_RANGE_M
         scale = self.formation_scale
-        if scale is not None and json_number("formation_scale", scale) <= 0:
-            raise ValueError("formation_scale must be positive")
+        if scale is not None and not shortest <= json_number("formation_scale", scale) <= longest:
+            raise ValueError(f"formation_scale must be {shortest} to {longest} m, got {scale!r}")
         d = self.distance_m
         pair = d if isinstance(d, (tuple, list)) and len(d) == 2 else (d, d)
         try:
             lo, hi = (json_number("distance_m", x) for x in pair)
-            ok = 0 < lo <= hi
+            ok = shortest <= lo <= hi <= longest
         except ValueError:
             ok = False
         if not ok:
             raise ValueError(
-                f"distance_m must be a positive distance or an ordered (lo, hi) "
-                f"pair of them, got {d!r}"
+                f"distance_m must be a distance of {shortest} to {longest} m or an "
+                f"ordered (lo, hi) pair of them, got {d!r}"
             )
 
 
@@ -257,15 +273,20 @@ def make_camera(azimuth_deg: float, distance: float, image_width: int, image_hei
 
 
 def project_points(camera: Camera, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole projection: pixel coordinates (m, 2) and camera depths (m,)."""
-    rel = np.atleast_2d(points) - camera.position
+    """Pinhole projection of (..., 3) points: pixel coordinates (..., 2) and
+    camera depths (...).
+
+    A (B, 17, 3) stack takes B matrix-vector products, as B one-body calls
+    did, and rounds as they did; a per-row (..., 1, 3) form rounds otherwise.
+    """
+    rel = points - camera.position
     depth = rel @ camera.forward
     x_cam = rel @ camera.right
     y_cam = rel @ camera.up
     safe = np.where(np.abs(depth) < 1e-9, 1e-9, depth)
     px = camera.cx + camera.focal_px * x_cam / safe
     py = camera.cy - camera.focal_px * y_cam / safe
-    return np.column_stack([px, py]), depth
+    return np.stack([px, py], axis=-1), depth
 
 
 @dataclass(frozen=True)
@@ -277,54 +298,44 @@ class Body:
     profile: int = 2  # index into BODY_PROFILES; 2 is the 1.70 m reference
 
 
-def body_keypoints_3d(body: Body) -> np.ndarray:
-    """(17, 3) world-frame joint positions for a stick body."""
-    gx, gy = body.ground
-    ch, sh = math.cos(body.heading), math.sin(body.heading)
-    prof = BODY_PROFILES[body.profile]
-    height_scale = prof["height"] / BODY_HEIGHT
-    lat_scale = {
-        "head": height_scale,
-        "arm": prof["shoulder"] / SHOULDER_WIDTH,
-        "leg": prof["hip"] / HIP_WIDTH,
-    }
-    pts = np.empty((len(KEYPOINT_NAMES), 3))
-    for k, name in enumerate(KEYPOINT_NAMES):
-        z, fwd, left, family = _BODY_OFFSETS[name]
-        fwd = fwd * height_scale
-        left = left * lat_scale[family]
-        pts[k, 0] = gx + fwd * ch - left * sh
-        pts[k, 1] = gy + fwd * sh + left * ch
-        pts[k, 2] = z * height_scale
-    return pts
-
-
-def depth_base_confidence(depth_m: np.ndarray) -> np.ndarray:
-    return np.clip(1.2 - 0.1 * depth_m, 0.05, 0.98)
+def body_keypoints_3d(bodies: list[Body]) -> np.ndarray:
+    """(B, 17, 3) world-frame joint positions of B stick bodies."""
+    ground = np.array([b.ground for b in bodies], dtype=float)
+    # math.cos, as one body at a time did: np.cos need not round like libm
+    cos = np.array([math.cos(b.heading) for b in bodies])[:, None]
+    sin = np.array([math.sin(b.heading) for b in bodies])[:, None]
+    scales = _PROFILE_SCALES[[b.profile for b in bodies]]
+    z, fwd, left = _BODY_OFFSETS.T
+    height = scales[:, _HEAD, None]
+    fwd = fwd * height
+    left = left * scales[:, _OFFSET_FAMILY]
+    x = ground[:, :1] + fwd * cos - left * sin
+    y = ground[:, 1:] + fwd * sin + left * cos
+    return np.stack([x, y, z * height], axis=-1)
 
 
 def _occluded_by(
     camera_xy, pts: np.ndarray, occluder_xy, occluder_height
 ) -> np.ndarray:
-    """Per row of the (m, 3) points: does its camera->point segment cross the
-    occluder's bounding cylinder?
+    """Per (..., 3) point, broadcast against (..., 2) occluder grounds and
+    (...) heights: does its camera->point segment cross the occluder's
+    bounding cylinder?
 
     The dot products go through np.vecdot, which rounds like a scalar
-    `a @ b` on 2-vectors (BLAS ddot), so each row's answer is the same as
-    testing that point on its own.
+    `a @ b` on 2-vectors (BLAS ddot), so each answer is the same as testing
+    that point against that occluder on its own.
     """
     p0 = np.asarray(camera_xy, dtype=float)
-    d = pts[:, :2] - p0
+    d = pts[..., :2] - p0
     c = np.asarray(occluder_xy, dtype=float) - p0
     dd = np.vecdot(d, d)
     valid = dd >= 1e-12  # a point straight below the camera crosses nothing
     t = np.clip(np.vecdot(d, c) / np.where(valid, dd, 1.0), 0.0, 1.0)
-    closest = p0 + t[:, None] * d
-    off = closest - occluder_xy
-    near = np.hypot(off[:, 0], off[:, 1]) <= BODY_RADIUS
+    off = p0 + t[..., None] * d - occluder_xy
+    near = np.hypot(off[..., 0], off[..., 1]) <= BODY_RADIUS
     # z of the segment where it passes the cylinder axis must be within the
     # body's height range; the segment starts at camera height.
-    z_at_t = CAMERA_HEIGHT + t * (pts[:, 2] - CAMERA_HEIGHT)
+    z_at_t = CAMERA_HEIGHT + t * (pts[..., 2] - CAMERA_HEIGHT)
     return valid & near & (0.0 <= z_at_t) & (z_at_t <= occluder_height)
 
 
@@ -334,9 +345,7 @@ class SceneLayout:
 
     bodies: tuple[Body, ...]  # in rendered pose order
     camera: Camera
-    template: FormationTemplate
     distance_m: float
-    azimuth_deg: float
     p_space_radius: float
 
 
@@ -345,53 +354,48 @@ def render_bodies(
     camera: Camera,
     image_width: int,
     image_height: int,
-    noise: np.ndarray | None = None,
-) -> list[PersonPose]:
+    noise: np.ndarray,
+) -> tuple[PersonPose, ...]:
     """Project bodies to poses with occlusion/heading/frame-gated confidences.
 
-    noise, if given, is a (n_bodies, 17, 2) array of pixel offsets added to
-    the projected coordinates.
+    noise is a (n_bodies, 17, 2) array of pixel offsets added to the
+    projected coordinates. Every body is rendered in one array pass.
     """
     cam_xy = camera.position[:2]
-    all_pts = [body_keypoints_3d(b) for b in bodies]
-    poses = []
-    for bi, body in enumerate(bodies):
-        pts = all_pts[bi]
-        pix, depth = project_points(camera, pts)
-        if noise is not None:
-            pix = pix + noise[bi]
-        base = depth_base_confidence(depth)
-        occluded = np.zeros(len(KEYPOINT_NAMES), dtype=bool)
-        for oi, other in enumerate(bodies):
-            if oi != bi:
-                other_height = BODY_PROFILES[other.profile]["height"]
-                occluded |= _occluded_by(cam_xy, pts, other.ground, other_height)
-        visibility = np.where(occluded, OCCLUDED_VISIBILITY, 1.0)
+    pts = body_keypoints_3d(bodies)
+    pix, depth = project_points(camera, pts)
+    pix = pix + noise
 
-        to_cam = cam_xy - np.array(body.ground)
-        norm = np.linalg.norm(to_cam)
-        if norm > 1e-9:
-            to_cam = to_cam / norm
-            for name, az in FACE_OUTWARD_AZIMUTH.items():
-                outward = np.array(
-                    [math.cos(body.heading + az), math.sin(body.heading + az)]
-                )
-                if float(outward @ to_cam) < FACE_VISIBILITY_SLACK:
-                    k = KEYPOINT_NAMES.index(name)
-                    visibility[k] = min(visibility[k], OCCLUDED_VISIBILITY)
+    # (body, occluder, keypoint): no body occludes itself
+    ground = np.array([b.ground for b in bodies], dtype=float)
+    heights = _PROFILE_HEIGHTS[[b.profile for b in bodies]]
+    blocked = _occluded_by(
+        cam_xy, pts[:, None], ground[None, :, None], heights[None, :, None]
+    )
+    hidden = (blocked & ~np.eye(len(bodies), dtype=bool)[:, :, None]).any(axis=1)
 
-        off_frame = (
-            (pix[:, 0] < 0)
-            | (pix[:, 0] > image_width)
-            | (pix[:, 1] < 0)
-            | (pix[:, 1] > image_height)
-        )
-        visibility[off_frame] = np.minimum(visibility[off_frame], OCCLUDED_VISIBILITY)
+    to_cam = cam_xy - ground
+    norm = np.sqrt(np.vecdot(to_cam, to_cam))
+    faces = norm > 1e-9  # a camera inside the body sees every landmark
+    to_cam = to_cam / np.where(faces, norm, 1.0)[:, None]
+    azimuth = np.array([b.heading for b in bodies])[:, None] + FACE_OUTWARD_AZIMUTH
+    outward = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=-1)
+    facing = np.vecdot(outward, to_cam[:, None])
+    hidden[:, : len(FACE_OUTWARD_AZIMUTH)] |= faces[:, None] & (
+        facing < FACE_VISIBILITY_SLACK
+    )
 
-        points = np.column_stack([pix, base * visibility])
-        points[depth <= 0.05] = 0.0  # behind the camera
-        poses.append(PersonPose(body.person_id, points))
-    return poses
+    hidden |= (
+        (pix[..., 0] < 0)
+        | (pix[..., 0] > image_width)
+        | (pix[..., 1] < 0)
+        | (pix[..., 1] > image_height)
+    )
+    base = np.clip(1.2 - 0.1 * depth, 0.05, 0.98)  # confidence falls with depth
+    conf = base * np.where(hidden, OCCLUDED_VISIBILITY, 1.0)
+    points = np.concatenate([pix, conf[..., None]], axis=-1)
+    points[depth <= 0.05] = 0.0  # behind the camera
+    return PersonPose._many([b.person_id for b in bodies], points)
 
 
 def _place_outlier(
@@ -400,7 +404,6 @@ def _place_outlier(
     p_radius: float,
     camera: Camera,
     image_width: int,
-    image_height: int,
 ) -> tuple[tuple[float, float], float]:
     """Sample an r-space ground position visible to the camera, plus a heading.
 
@@ -478,12 +481,9 @@ def render_scene_with_layout(cfg: SynthConfig) -> tuple[Scene, SceneLayout]:
     ]
 
     camera = make_camera(azimuth, distance, cfg.image_width, cfg.image_height)
-    for attempt in range(10):
-        clear = all(
-            np.hypot(*(camera.position[:2] - np.array(b.ground))) > MIN_CAMERA_CLEARANCE
-            for b in members
-        )
-        if clear:
+    for _ in range(10):
+        off = camera.position[:2] - np.array(template.positions)
+        if np.all(np.hypot(off[:, 0], off[:, 1]) > MIN_CAMERA_CLEARANCE):
             break
         azimuth += float(rng_members.uniform(-3.0, 3.0))
         camera = make_camera(azimuth, distance, cfg.image_width, cfg.image_height)
@@ -492,31 +492,27 @@ def render_scene_with_layout(cfg: SynthConfig) -> tuple[Scene, SceneLayout]:
             f"camera at distance {distance:.2f} m could not clear the bodies"
         )
 
+    # the last draw on this substream (see the module docstring)
     member_noise = rng_members.normal(
         0.0, cfg.noise_px, size=(len(members), len(KEYPOINT_NAMES), 2)
-    ) if cfg.noise_px > 0 else np.zeros((len(members), len(KEYPOINT_NAMES), 2))
+    )
 
     p_radius = max(math.hypot(*p) for p in template.positions) + BODY_RADIUS
-    outliers = []
-    for oi in range(cfg.outlier_count):
-        ground, heading = _place_outlier(
-            rng_outliers, members, p_radius, camera, cfg.image_width, cfg.image_height
+    outliers = [
+        Body(
+            *_place_outlier(rng_outliers, members, p_radius, camera, cfg.image_width),
+            label=OUTLIER,
+            person_id=f"o{oi}",
+            profile=OUTLIER_PROFILE,
         )
-        outliers.append(
-            Body(
-                ground=ground,
-                heading=heading,
-                label=OUTLIER,
-                person_id=f"o{oi}",
-                profile=OUTLIER_PROFILE,
-            )
-        )
+        for oi in range(cfg.outlier_count)
+    ]
     outlier_noise = rng_outliers.normal(
         0.0, cfg.noise_px, size=(len(outliers), len(KEYPOINT_NAMES), 2)
-    ) if cfg.noise_px > 0 else np.zeros((len(outliers), len(KEYPOINT_NAMES), 2))
+    )
 
     bodies = members + outliers
-    noise = np.concatenate([member_noise, outlier_noise], axis=0) if bodies else None
+    noise = np.concatenate([member_noise, outlier_noise], axis=0)
     poses = render_bodies(bodies, camera, cfg.image_width, cfg.image_height, noise)
 
     # Emit in left-to-right order with truth aligned, mirroring the pose
@@ -540,9 +536,7 @@ def render_scene_with_layout(cfg: SynthConfig) -> tuple[Scene, SceneLayout]:
     layout = SceneLayout(
         bodies=tuple(bodies),
         camera=camera,
-        template=template,
         distance_m=distance,
-        azimuth_deg=azimuth,
         p_space_radius=p_radius,
     )
     return scene, layout

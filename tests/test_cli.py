@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,15 +208,25 @@ class TestGenerate:
             ("angle_jitter_deg", "x"),
             ("scale_jitter", "x"),
             ("angle_deg", 30.0),
+            # large enough to overflow rendering, or small enough to underflow
+            ("angle_jitter_deg", 1e308),
+            ("distance_m", 1e155),
+            ("formation_scale", 1e155),
+            ("distance_m", 1e-300),
         ],
     )
-    def test_config_with_bad_field_is_config_error(self, workdir, field, value):
+    def test_config_with_bad_field_is_config_error(self, workdir, capsys, field, value):
         cfg_path = workdir / "bad_field.json"
         cfg = {"formation": "triangle", "angle_deg": 30, field: value}
         cfg_path.write_text(json.dumps(cfg))
         out = str(workdir / "never.jsonl")
         args = ["generate", "--config", str(cfg_path), "--count", "1", "--out", out]
-        assert main(args) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("gamma", ["abc", "-1", "nan"])

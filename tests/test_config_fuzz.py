@@ -2,7 +2,8 @@
 
 One field of a valid config is dropped or replaced (other types, NaN,
 Infinity, negatives, huge numbers, floats where integers belong). Whatever
-the config holds, the CLI must exit 0 or 2 and print no traceback. Every
+the config holds, the CLI must exit 0 or 2, print no traceback and raise no
+RuntimeWarning (an overflow or a division by zero while rendering). Every
 config renders one scene, and a valid bystander count stays at 3 or below,
 so each accepted draw renders in milliseconds.
 """
@@ -11,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +62,11 @@ def _generate(doc):
         args += ["--out", os.path.join(tmp, "scenes.jsonl")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(args)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(args)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, f"{doc}: {runtime}"
     return rc, err.getvalue()
 
 

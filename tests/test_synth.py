@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import asdict, replace
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from fformation import synth as synth_mod
 from fformation.errors import PlacementError
 from fformation.pose import (
+    APPROACH_ANGLES,
     CONF,
+    FORMATIONS,
     GROUP,
     KEYPOINT_INDEX,
     KEYPOINT_NAMES,
@@ -22,12 +25,17 @@ from fformation.pose import (
     scene_to_dict,
 )
 from fformation.synth import (
+    BODY_HEIGHT,
     BODY_PROFILES,
     BODY_RADIUS,
     CAMERA_HEIGHT,
+    FACE_VISIBILITY_SLACK,
     FORMATION_MEMBER_COUNT,
+    HIP_WIDTH,
     LOOK_AT_HEIGHT,
+    OCCLUDED_VISIBILITY,
     OUTLIER_RADIUS_FACTOR,
+    SHOULDER_WIDTH,
     Body,
     SynthConfig,
     body_keypoints_3d,
@@ -89,7 +97,7 @@ class TestTemplates:
 class TestBodiesAndProjection:
     def test_body_joint_count_and_heights(self):
         body = Body(ground=(0.0, 0.0), heading=0.0, label=GROUP, person_id="m")
-        pts = body_keypoints_3d(body)
+        [pts] = body_keypoints_3d([body])
         assert pts.shape == (17, 3)
         assert pts[:, 2].max() <= BODY_PROFILES[body.profile]["height"]
         assert pts[:, 2].min() >= 0.0
@@ -98,7 +106,7 @@ class TestBodiesAndProjection:
         wide = Body(ground=(0.0, 0.0), heading=0.0, label=GROUP, person_id="w", profile=1)
         slim = Body(ground=(0.0, 0.0), heading=0.0, label=GROUP, person_id="s", profile=0)
         def width(b):
-            pts = body_keypoints_3d(b)
+            [pts] = body_keypoints_3d([b])
             return np.linalg.norm(pts[5] - pts[6])
         assert width(wide) > width(slim)
 
@@ -185,16 +193,19 @@ class TestOcclusionOracle:
         cfg = SynthConfig(formation, angle_deg=0, outlier_count=seed % 2, seed=seed)
         _, layout = render_scene_with_layout(cfg)
         cam_xy = layout.camera.position[:2]
+        pts = body_keypoints_3d(layout.bodies)
+        ground = np.array([b.ground for b in layout.bodies])
+        heights = np.array([BODY_PROFILES[b.profile]["height"] for b in layout.bodies])
+        # the (body, occluder, keypoint) broadcast render_bodies makes
+        got = synth_mod._occluded_by(
+            cam_xy, pts[:, None], ground[None, :, None], heights[None, :, None]
+        )
         blocked = 0
-        for body in layout.bodies:
-            pts = body_keypoints_3d(body)
-            for other in layout.bodies:
-                if other is body:
-                    continue
-                h = BODY_PROFILES[other.profile]["height"]
-                got = synth_mod._occluded_by(cam_xy, pts, other.ground, h)
-                assert got.tolist() == oracle_mask(cam_xy, pts, other.ground, h)
-                blocked += int(got.sum())
+        for bi, oi in itertools.permutations(range(len(layout.bodies)), 2):
+            h = heights[oi]
+            expected = oracle_mask(cam_xy, pts[bi], layout.bodies[oi].ground, h)
+            assert got[bi, oi].tolist() == expected
+            blocked += int(got[bi, oi].sum())
         if seed % 4 == 0:  # face-to-face at 0: the near member hides the far one
             assert blocked > 0
 
@@ -235,6 +246,138 @@ class TestOcclusionOracle:
         pts = np.array([[2.0, 0.0, 1.69], [2.0, 0.0, 1.8], [2.0, 0.0, -0.1]])
         assert oracle_mask(cam_xy, pts, occluder_xy, 1.7) == expected
         assert synth_mod._occluded_by(cam_xy, pts, occluder_xy, 1.7).tolist() == expected
+
+
+# The renderer that render_bodies' array pass replaced, kept as its
+# reference: one body, occluder, keypoint and face landmark at a time, with
+# occlusion from the scalar ray_blocked.
+REF_BODY_OFFSETS = {
+    "nose": (1.575, 0.10, 0.0, "head"),
+    "leftEye": (1.60, 0.08, 0.033, "head"),
+    "rightEye": (1.60, 0.08, -0.033, "head"),
+    "leftEar": (1.58, 0.0, 0.072, "head"),
+    "rightEar": (1.58, 0.0, -0.072, "head"),
+    "leftShoulder": (1.39, 0.0, SHOULDER_WIDTH / 2, "arm"),
+    "rightShoulder": (1.39, 0.0, -SHOULDER_WIDTH / 2, "arm"),
+    "leftElbow": (1.08, 0.02, 0.22, "arm"),
+    "rightElbow": (1.08, 0.02, -0.22, "arm"),
+    "leftWrist": (0.82, 0.04, 0.23, "arm"),
+    "rightWrist": (0.82, 0.04, -0.23, "arm"),
+    "leftHip": (0.88, 0.0, HIP_WIDTH / 2, "leg"),
+    "rightHip": (0.88, 0.0, -HIP_WIDTH / 2, "leg"),
+    "leftKnee": (0.47, 0.02, 0.16, "leg"),
+    "rightKnee": (0.47, 0.02, -0.16, "leg"),
+    "leftAnkle": (0.07, 0.03, 0.17, "leg"),
+    "rightAnkle": (0.07, 0.03, -0.17, "leg"),
+}
+REF_FACE_AZIMUTH = {
+    "nose": 0.0,
+    "leftEye": math.radians(20.0),
+    "rightEye": math.radians(-20.0),
+    "leftEar": math.radians(90.0),
+    "rightEar": math.radians(-90.0),
+}
+
+
+def ref_body_keypoints_3d(body: Body) -> np.ndarray:
+    gx, gy = body.ground
+    ch, sh = math.cos(body.heading), math.sin(body.heading)
+    prof = BODY_PROFILES[body.profile]
+    height_scale = prof["height"] / BODY_HEIGHT
+    lat_scale = {
+        "head": height_scale,
+        "arm": prof["shoulder"] / SHOULDER_WIDTH,
+        "leg": prof["hip"] / HIP_WIDTH,
+    }
+    pts = np.empty((len(KEYPOINT_NAMES), 3))
+    for k, name in enumerate(KEYPOINT_NAMES):
+        z, fwd, left, family = REF_BODY_OFFSETS[name]
+        fwd = fwd * height_scale
+        left = left * lat_scale[family]
+        pts[k, 0] = gx + fwd * ch - left * sh
+        pts[k, 1] = gy + fwd * sh + left * ch
+        pts[k, 2] = z * height_scale
+    return pts
+
+
+def ref_project_points(camera, points):
+    rel = np.atleast_2d(points) - camera.position
+    depth = rel @ camera.forward
+    x_cam = rel @ camera.right
+    y_cam = rel @ camera.up
+    safe = np.where(np.abs(depth) < 1e-9, 1e-9, depth)
+    px = camera.cx + camera.focal_px * x_cam / safe
+    py = camera.cy - camera.focal_px * y_cam / safe
+    return np.column_stack([px, py]), depth
+
+
+def ref_render_bodies(bodies, camera, image_width, image_height, noise):
+    """(person_id, (17, 3) points) per body."""
+    cam_xy = camera.position[:2]
+    all_pts = [ref_body_keypoints_3d(b) for b in bodies]
+    poses = []
+    for bi, body in enumerate(bodies):
+        pts = all_pts[bi]
+        pix, depth = ref_project_points(camera, pts)
+        pix = pix + noise[bi]
+        base = np.clip(1.2 - 0.1 * depth, 0.05, 0.98)
+        occluded = np.zeros(len(KEYPOINT_NAMES), dtype=bool)
+        for oi, other in enumerate(bodies):
+            if oi != bi:
+                other_height = BODY_PROFILES[other.profile]["height"]
+                occluded |= oracle_mask(cam_xy, pts, other.ground, other_height)
+        visibility = np.where(occluded, OCCLUDED_VISIBILITY, 1.0)
+
+        to_cam = cam_xy - np.array(body.ground)
+        norm = np.linalg.norm(to_cam)
+        if norm > 1e-9:
+            to_cam = to_cam / norm
+            for name, az in REF_FACE_AZIMUTH.items():
+                outward = np.array(
+                    [math.cos(body.heading + az), math.sin(body.heading + az)]
+                )
+                if float(outward @ to_cam) < FACE_VISIBILITY_SLACK:
+                    k = KEYPOINT_NAMES.index(name)
+                    visibility[k] = min(visibility[k], OCCLUDED_VISIBILITY)
+
+        off_frame = (
+            (pix[:, 0] < 0)
+            | (pix[:, 0] > image_width)
+            | (pix[:, 1] < 0)
+            | (pix[:, 1] > image_height)
+        )
+        visibility[off_frame] = np.minimum(visibility[off_frame], OCCLUDED_VISIBILITY)
+
+        points = np.column_stack([pix, base * visibility])
+        points[depth <= 0.05] = 0.0  # behind the camera
+        poses.append((body.person_id, points))
+    return poses
+
+
+def _bytes(poses):
+    return [(pid, np.asarray(points).tobytes()) for pid, points in poses]
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("formation", FORMATIONS)
+    @pytest.mark.parametrize("angle", APPROACH_ANGLES)
+    def test_array_pass_matches_the_per_keypoint_renderer(self, formation, angle):
+        for bystanders in range(4):
+            cfg = SynthConfig(
+                formation, angle, noise_px=0.0, outlier_count=bystanders, seed=bystanders
+            )
+            scene, layout = render_scene_with_layout(cfg)
+            bodies, camera = layout.bodies, layout.camera
+            expected = np.stack([ref_body_keypoints_3d(b) for b in bodies])
+            assert body_keypoints_3d(bodies).tobytes() == expected.tobytes()
+            # noise_px 0 draws zeros: the scene is the noiseless rendering
+            zeros = np.zeros((len(bodies), len(KEYPOINT_NAMES), 2))
+            expected = ref_render_bodies(bodies, camera, 640, 480, zeros)
+            assert _bytes((p.person_id, p.points) for p in scene.poses) == _bytes(expected)
+            noise = np.random.default_rng(bystanders).normal(0.0, 1.5, size=zeros.shape)
+            got = render_bodies(bodies, camera, 640, 480, noise)
+            expected = ref_render_bodies(bodies, camera, 640, 480, noise)
+            assert _bytes((p.person_id, p.points) for p in got) == _bytes(expected)
 
 
 class TestRenderScene:
@@ -324,8 +467,8 @@ class TestRenderScene:
         cam = make_camera(0.0, 2.0, 640, 480)
         far = Body(ground=(-0.5, 0.0), heading=0.0, label=GROUP, person_id="far")
         near = Body(ground=(0.5, 0.0), heading=math.pi, label=GROUP, person_id="near")
-        [blocked, _] = render_bodies([far, near], cam, 640, 480)
-        [clear] = render_bodies([far], cam, 640, 480)
+        [blocked, _] = render_bodies([far, near], cam, 640, 480, np.zeros((2, 17, 2)))
+        [clear] = render_bodies([far], cam, 640, 480, np.zeros((1, 17, 2)))
         assert np.all(blocked.points[:, CONF] <= clear.points[:, CONF])
         nose = KEYPOINT_INDEX["nose"]
         assert blocked.points[nose, CONF] < clear.points[nose, CONF]
