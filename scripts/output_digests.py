@@ -90,8 +90,7 @@ def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[st
             *evaluate_iters,
         ],
         "train-crf": [
-            "train-crf", "--train", "train.jsonl", "--out", "crf.json", "--seed", seed,
-            *train_crf_iters,
+            "train-crf", "--train", "train.jsonl", "--out", "crf.json", *train_crf_iters,
         ],
     }
     for head in HEADS:
@@ -105,7 +104,7 @@ def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[st
                 ]
     commands["train-crf capped"] = [
         "train-crf", "--train", "train.jsonl", "--out", "crf_capped.json",
-        "--seed", seed, "--max-iters", CAPPED_CRF_ITERS,
+        "--max-iters", CAPPED_CRF_ITERS,
     ]
     for head in HEADS:
         name = f"svm_{head}_crf_capped_0.125"

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, train-crf, train-svm, predict, evaluate, baseline,
-bench. Every command takes --seed and is deterministic given its flags.
+bench, convert-ego-group. Every command is deterministic given its flags;
+generate, train-svm and evaluate, the ones whose output depends on a seed,
+take --seed.
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import asdict
 
 from . import crf as crf_mod
 from . import svm as svm_mod
-from .errors import ConfigError, DataError, PlacementError
+from .errors import ConfigError, ConvergenceError, DataError, PlacementError
 from .experiments import (
     LATENCY_MIN_SCENES,
     LATENCY_REPETITIONS,
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=training.crf_l2)
     p.add_argument("--max-iters", type=int, default=training.crf_max_iters)
     p.add_argument("--tol", type=float, default=training.crf_tol)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_crf)
 
     p = sub.add_parser("train-svm", help="train a formation, angle, or joint classifier")
@@ -331,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="model bundle directory")
     p.add_argument("--out", required=True)
     p.add_argument("--joint", action="store_true", help="use the 28-class joint classifier")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="emit table-style reports")
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run the rule-based head-orientation classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("bench", help="single-threaded detect() latency benchmark")
@@ -361,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True)
     p.add_argument("--repetitions", type=int, default=LATENCY_REPETITIONS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_convert_ego)
 
     return parser
@@ -381,7 +378,8 @@ def main(argv=None) -> int:
     try:
         _check_flag_ranges(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ConvergenceError) as exc:
+        # a solver that does not converge was given a setting it cannot meet
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -252,10 +252,10 @@ def _decode_scenes(scenes, bundle) -> tuple[list[Detection], list[str | None]]:
     return detections, rules
 
 
-def _report_rows(first_column, rep, classes, extra=None) -> list[list]:
+def _report_rows(first_column, rep, classes, rule=None) -> list[list]:
     """Header, one row per class of `classes` and the weighted_avg row of a
-    report. `extra`, when given, is (column name, one value per class, the
-    overall value): one more column."""
+    report. `rule`, when given, is the rule baseline's report over the same
+    classes: one more column, its recall per class and its accuracy."""
     rows = [[first_column, "precision", "recall", "f1", "support"]]
     for c in classes:
         pc = rep.per_class(c)
@@ -271,10 +271,10 @@ def _report_rows(first_column, rep, classes, extra=None) -> list[list]:
     )
     for row in rows[1:]:
         row[1:4] = [f"{v:.6f}" for v in row[1:4]]
-    if extra is not None:
-        column, values, overall = extra
-        rows[0].append(column)
-        for row, value in zip(rows[1:], [*values, overall], strict=True):
+    if rule is not None:
+        rows[0].append("rule_accuracy")
+        values = [rule.per_class(c)["recall"] for c in classes] + [rule.accuracy]
+        for row, value in zip(rows[1:], values, strict=True):
             row.append(f"{value:.6f}")
     return rows
 
@@ -293,18 +293,11 @@ def formation_table(scenes, detections, rules) -> tuple[list[list], dict]:
     gold = [s.truth.formation for s in scenes]
     learned = [d.formation if d.formation is not None else NONE_CLASS for d in detections]
     rule = [r if r is not None else NONE_CLASS for r in rules]
-    rep = report(gold, learned, FORMATIONS + (NONE_CLASS,))
-    rule_acc = []
-    for c in FORMATIONS:
-        in_class = [i for i, g in enumerate(gold) if g == c]
-        rule_acc.append(
-            float(np.mean([rule[i] == c for i in in_class])) if in_class else 0.0
-        )
-    rule_overall = float(np.mean([r == g for r, g in zip(rule, gold)]))
-    rows = _report_rows(
-        "formation", rep, FORMATIONS, ("rule_accuracy", rule_acc, rule_overall)
-    )
-    payload = {"report": report_to_dict(rep), "rule_accuracy_overall": rule_overall}
+    classes = FORMATIONS + (NONE_CLASS,)
+    rep = report(gold, learned, classes)
+    rule_rep = report(gold, rule, classes)
+    rows = _report_rows("formation", rep, FORMATIONS, rule_rep)
+    payload = {"report": report_to_dict(rep), "rule_accuracy_overall": rule_rep.accuracy}
     return rows, payload
 
 
@@ -318,35 +311,31 @@ def angle_table(scenes, detections, rules) -> tuple[list[list], dict]:
 def joint_table(scenes, detections, rules) -> tuple[list[list], dict]:
     """28 rows of (formation, angle): learned joint accuracy vs rule accuracy.
 
-    The rule baseline predicts only the formation, so its column scores
-    formation correctness within each cell, as in the compared system.
+    Each column is one report over the joint classes: a cell's accuracy is
+    its class's recall, the average row the report's accuracy. The rule
+    baseline predicts only the formation, so its prediction pairs that
+    formation with the scene's own angle and its column scores formation
+    correctness within each cell, as in the compared system.
     """
-    by_cell: dict[str, list[int]] = {c: [] for c in JOINT_CLASSES}
-    for i, scene in enumerate(scenes):
-        by_cell[joint_class(scene.truth.formation, scene.truth.angle_deg)].append(i)
+    gold = [joint_class(s.truth.formation, s.truth.angle_deg) for s in scenes]
+    learned = [joint_class(*d.joint) if d.joint is not None else NONE_CLASS for d in detections]
+    rule = [
+        joint_class(r, s.truth.angle_deg) if r is not None else NONE_CLASS
+        for s, r in zip(scenes, rules)
+    ]
+    classes = JOINT_CLASSES + (NONE_CLASS,)
+    learned_rep = report(gold, learned, classes)
+    rule_rep = report(gold, rule, classes)
     rows = [["formation", "angle_deg", "n", "learned_accuracy", "rule_accuracy"]]
     cells = {}
-    total_n = 0
-    learned_hits = 0.0
-    rule_hits = 0.0
     for cls in JOINT_CLASSES:
-        formation, angle = parse_joint_class(cls)
-        cell = by_cell[cls]
-        n = len(cell)
-        l_ok = sum(detections[i].joint == (formation, angle) for i in cell)
-        r_ok = sum(rules[i] == formation for i in cell)
-        l_acc = l_ok / n if n else 0.0
-        r_acc = r_ok / n if n else 0.0
-        rows.append(
-            [formation, angle, n, f"{l_acc:.6f}", f"{r_acc:.6f}"]
-        )
+        pc = learned_rep.per_class(cls)
+        n, l_acc, r_acc = pc["support"], pc["recall"], rule_rep.per_class(cls)["recall"]
+        rows.append([*parse_joint_class(cls), n, f"{l_acc:.6f}", f"{r_acc:.6f}"])
         cells[cls] = {"n": n, "learned_accuracy": l_acc, "rule_accuracy": r_acc}
-        total_n += n
-        learned_hits += l_ok
-        rule_hits += r_ok
-    l_avg = learned_hits / total_n if total_n else 0.0
-    r_avg = rule_hits / total_n if total_n else 0.0
-    rows.append(["average", "", total_n, f"{l_avg:.6f}", f"{r_avg:.6f}"])
+    l_avg, r_avg = learned_rep.accuracy, rule_rep.accuracy
+    n_total = int(learned_rep.support.sum())
+    rows.append(["average", "", n_total, f"{l_avg:.6f}", f"{r_avg:.6f}"])
     payload = {
         "cells": cells,
         "learned_accuracy_avg": l_avg,

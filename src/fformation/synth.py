@@ -40,13 +40,6 @@ from .pose import (
     json_number,
 )
 
-FORMATION_MEMBER_COUNT = {
-    "face-to-face": 2,
-    "side-by-side": 2,
-    "L-shaped": 2,
-    "triangle": 3,
-}
-
 # Default member spacing per formation, meters. Side-by-side partners stand
 # close; conversational formations leave arm's-plus room.
 DEFAULT_FORMATION_SCALE = {
@@ -141,7 +134,6 @@ class FormationTemplate:
     formation: str
     positions: tuple[tuple[float, float], ...]
     headings: tuple[float, ...]
-    o_space_radius: float
 
 
 def make_template(formation: str, scale: float) -> FormationTemplate:
@@ -164,7 +156,7 @@ def make_template(formation: str, scale: float) -> FormationTemplate:
         angles = (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
         positions = tuple((h * math.cos(a), h * math.sin(a)) for a in angles)
         headings = tuple((a + math.pi) % (2 * math.pi) for a in angles)
-    return FormationTemplate(formation, positions, headings, o_space_radius=h)
+    return FormationTemplate(formation, positions, headings)
 
 
 @dataclass(frozen=True)
@@ -198,6 +190,12 @@ class SynthConfig:
         for name in ("noise_px", "angle_jitter_deg", "scale_jitter"):
             if json_number(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        side = max(self.image_width, self.image_height)
+        if self.noise_px > side:
+            raise ValueError(
+                f"noise_px must be at most the larger image side, {side} px: wider "
+                f"noise leaves no keypoint on the frame; got {self.noise_px!r}"
+            )
         if self.angle_jitter_deg > 180:
             raise ValueError("angle_jitter_deg must be at most 180: that covers every azimuth")
         if self.scale_jitter >= 1:

@@ -11,6 +11,7 @@ import pytest
 
 import fformation
 from fformation import experiments
+from fformation import svm as svm_mod
 from fformation.cli import (
     _parse_angles,
     _parse_distance,
@@ -182,6 +183,7 @@ class TestGenerate:
             ("--distance", "5:2"),
             ("--noise-px", "-1"),
             ("--noise-px", "nan"),
+            ("--noise-px", "641"),  # wider than the 640 px frame
             ("--outlier-frac", "2"),
             ("--width", "0"),
             ("--count", "0"),
@@ -213,6 +215,8 @@ class TestGenerate:
             ("distance_m", 1e155),
             ("formation_scale", 1e155),
             ("distance_m", 1e-300),
+            ("noise_px", 641),
+            ("noise_px", 1e308),
         ],
     )
     def test_config_with_bad_field_is_config_error(self, workdir, capsys, field, value):
@@ -354,6 +358,24 @@ def test_out_of_range_flag_is_config_error(workdir, capsys, command, flag, value
     }[command]
     assert main([command, *args, flag, value]) == 2
     assert f"config error: {flag} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-svm", "evaluate"])
+def test_unconverged_smo_is_config_error(workdir, monkeypatch, capsys, command):
+    # what a tolerance below SMO's reach does once it runs out of iterations
+    monkeypatch.setattr(svm_mod, "SMO_MAX_ITER", 2)
+    train, test = str(workdir / "train.jsonl"), str(workdir / "test.jsonl")
+    never = workdir / "never_smo"
+    args = {
+        "train-svm": ["--task", "formation", "--train", train, "--out", str(never)],
+        "evaluate": ["--train", train, "--test", test, "--out-dir", str(never)]
+        + ["--crf-max-iters", "1"],
+    }[command]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: SMO did not reach tol=")
+    assert len(err.splitlines()) == 1
+    assert not never.exists()
 
 
 class TestTraining:

@@ -14,24 +14,33 @@ from fformation import experiments, pipeline
 from fformation.errors import ConfigError, DataError
 from fformation.experiments import (
     LATENCY_MIN_SCENES,
+    NONE_CLASS,
     ExperimentConfig,
     SynthSpec,
     TrainingConfig,
     bench_latency,
+    formation_table,
+    joint_table,
     run_experiment,
     train_bundle,
     train_heads,
 )
 from fformation.pipeline import (
     HEADS,
+    JOINT_CLASSES,
+    Detection,
     build_angle_data,
     build_formation_data,
+    joint_class,
+    parse_joint_class,
     save_models,
     training_groups,
     training_rows,
 )
-from fformation.pose import save_scenes
+from fformation.pose import APPROACH_ANGLES, FORMATIONS, SceneTruth, save_scenes
 from fformation.synth import SynthConfig, render_scene
+
+from conftest import make_scene
 
 
 class TestSynthSpec:
@@ -144,6 +153,106 @@ class TestRunExperiment:
         )
         outputs = run_experiment(cfg)
         assert os.path.exists(outputs["table1_membership"]["csv"])
+
+
+def counted_rule_column(scenes, rules):
+    """Table 2's rule column, counted scene by scene: its accuracy on each
+    formation's scenes, then on all scenes."""
+    gold = [s.truth.formation for s in scenes]
+    rule = [r if r is not None else NONE_CLASS for r in rules]
+    rule_acc = []
+    for c in FORMATIONS:
+        in_class = [i for i, g in enumerate(gold) if g == c]
+        rule_acc.append(
+            float(np.mean([rule[i] == c for i in in_class])) if in_class else 0.0
+        )
+    rule_overall = float(np.mean([r == g for r, g in zip(rule, gold)]))
+    return rule_acc, rule_overall
+
+
+def counted_joint_table(scenes, detections, rules):
+    """Table 4 counted cell by cell: hits over scenes per (formation, angle)
+    cell, the rule scored on the formation alone."""
+    by_cell: dict[str, list[int]] = {c: [] for c in JOINT_CLASSES}
+    for i, scene in enumerate(scenes):
+        by_cell[joint_class(scene.truth.formation, scene.truth.angle_deg)].append(i)
+    rows = [["formation", "angle_deg", "n", "learned_accuracy", "rule_accuracy"]]
+    cells = {}
+    total_n = 0
+    learned_hits = 0.0
+    rule_hits = 0.0
+    for cls in JOINT_CLASSES:
+        formation, angle = parse_joint_class(cls)
+        cell = by_cell[cls]
+        n = len(cell)
+        l_ok = sum(detections[i].joint == (formation, angle) for i in cell)
+        r_ok = sum(rules[i] == formation for i in cell)
+        l_acc = l_ok / n if n else 0.0
+        r_acc = r_ok / n if n else 0.0
+        rows.append([formation, angle, n, f"{l_acc:.6f}", f"{r_acc:.6f}"])
+        cells[cls] = {"n": n, "learned_accuracy": l_acc, "rule_accuracy": r_acc}
+        total_n += n
+        learned_hits += l_ok
+        rule_hits += r_ok
+    l_avg = learned_hits / total_n
+    r_avg = rule_hits / total_n
+    rows.append(["average", "", total_n, f"{l_avg:.6f}", f"{r_avg:.6f}"])
+    payload = {"cells": cells, "learned_accuracy_avg": l_avg, "rule_accuracy_avg": r_avg}
+    return rows, payload
+
+
+def hand_built_outcomes(n=90, seed=11):
+    """Scenes over half the joint cells, so the rest have no scene, with
+    detections and rule formations drawn at random: right, wrong or None."""
+    rng = np.random.default_rng(seed)
+    cells = [parse_joint_class(c) for c in JOINT_CLASSES[::2]]
+    scenes, detections, rules = [], [], []
+    for i in range(n):
+        formation, angle = cells[rng.integers(len(cells))]
+        truth = SceneTruth(formation=formation, angle_deg=angle)
+        scenes.append(make_scene([], frame_id=f"f{i}", truth=truth))
+        guess = (str(rng.choice(FORMATIONS)), int(rng.choice(APPROACH_ANGLES)))
+        joint = [None, guess, (formation, angle)][rng.integers(3)]
+        detected = [None, guess[0], formation][rng.integers(3)]
+        detections.append(Detection(f"f{i}", (), formation=detected, joint=joint))
+        rules.append([None, guess[0], formation][rng.integers(3)])
+    assert None in rules
+    assert None in [d.formation for d in detections]
+    assert None in [d.joint for d in detections]
+    return scenes, detections, rules
+
+
+class TestTablesMatchCounting:
+    """Every rule and joint number of tables 2 and 4 equals the count it
+    stands for, on real detections and on hand-built ones with None
+    formations and joints and empty cells."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self, mini):
+        detections, rules = experiments._decode_scenes(mini.test_scenes, mini.bundle)
+        return {
+            "mini": (mini.test_scenes, detections, rules),
+            "hand_built": hand_built_outcomes(),
+        }
+
+    @pytest.mark.parametrize("case", ["mini", "hand_built"])
+    def test_formation_rule_column(self, outcomes, case):
+        scenes, detections, rules = outcomes[case]
+        rows, payload = formation_table(scenes, detections, rules)
+        rule_acc, rule_overall = counted_rule_column(scenes, rules)
+        assert rows[0][-1] == "rule_accuracy"
+        assert [row[-1] for row in rows[1:]] == [
+            f"{v:.6f}" for v in [*rule_acc, rule_overall]
+        ]
+        assert payload["rule_accuracy_overall"] == rule_overall
+
+    @pytest.mark.parametrize("case", ["mini", "hand_built"])
+    def test_joint_table(self, outcomes, case):
+        scenes, detections, rules = outcomes[case]
+        rows, payload = joint_table(scenes, detections, rules)
+        want_rows, want = counted_joint_table(scenes, detections, rules)
+        assert payload == want  # every cell's n and accuracies, both averages
+        assert rows == want_rows
 
 
 @pytest.fixture(scope="module")

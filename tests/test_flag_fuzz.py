@@ -111,7 +111,6 @@ def commands(scenes, out):
                 "--l2": "non-negative",
                 "--max-iters": "at least 1",
                 "--tol": "positive",
-                **SEED,
             },
             [],
         ),
@@ -126,7 +125,7 @@ def commands(scenes, out):
         ),
         "predict": (
             {"--data": scenes, "--models": models, "--out": os.path.join(out, "p.jsonl")},
-            SEED,
+            {},
             [],
         ),
         "evaluate": (
@@ -149,17 +148,17 @@ def commands(scenes, out):
         ),
         "baseline": (
             {"--data": scenes, "--out": os.path.join(out, "b.jsonl")},
-            SEED,
+            {},
             [],
         ),
         "bench": (
             {"--data": scenes, "--models": models, "--out": os.path.join(out, "b.json")},
-            {"--repetitions": "at least 1", **SEED},
+            {"--repetitions": "at least 1"},
             [],
         ),
         "convert-ego-group": (
             {"--annotations": scenes, "--out": os.path.join(out, "ego.jsonl")},
-            SEED,
+            {},
             [],
         ),
     }
@@ -173,7 +172,11 @@ def broken_argv(draw, scenes, out):
     flags = dict(flags)
     if command == "generate":
         flags["--count"] = "1"  # not required, but 100 scenes per cell would render
-    kinds = ["numeric", "missing"] + (["contradictory"] if contradictions else [])
+    kinds = (
+        (["numeric"] if numeric else [])
+        + ["missing"]
+        + (["contradictory"] if contradictions else [])
+    )
     kind = draw(st.sampled_from(kinds))
     extra = []
     if kind == "numeric":

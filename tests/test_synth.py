@@ -30,7 +30,6 @@ from fformation.synth import (
     BODY_RADIUS,
     CAMERA_HEIGHT,
     FACE_VISIBILITY_SLACK,
-    FORMATION_MEMBER_COUNT,
     HIP_WIDTH,
     LOOK_AT_HEIGHT,
     OCCLUDED_VISIBILITY,
@@ -59,7 +58,6 @@ class TestTemplates:
         # members face each other across the center
         assert t.headings[0] == pytest.approx(0.0)
         assert t.headings[1] == pytest.approx(math.pi)
-        assert t.o_space_radius == pytest.approx(0.5)
 
     def test_side_by_side_parallel_headings(self):
         t = make_template("side-by-side", 0.6)
@@ -84,8 +82,11 @@ class TestTemplates:
             assert float(facing @ to_center) == pytest.approx(1.0)
 
     def test_member_counts(self):
-        for formation, count in FORMATION_MEMBER_COUNT.items():
-            assert len(make_template(formation, 1.0).positions) == count
+        want = {"face-to-face": 2, "side-by-side": 2, "L-shaped": 2, "triangle": 3}
+        assert set(want) == set(FORMATIONS)
+        for formation, count in want.items():
+            t = make_template(formation, 1.0)
+            assert len(t.positions) == len(t.headings) == count
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -537,6 +538,15 @@ class TestRenderScene:
             SynthConfig(formation="triangle", angle_deg=45)
         with pytest.raises(ValueError):
             SynthConfig(formation="triangle", angle_deg=0, noise_px=-1.0)
+        with pytest.raises(ValueError, match="noise_px must be at most .* 200 px"):
+            SynthConfig(
+                formation="triangle", angle_deg=0, image_width=100, image_height=200,
+                noise_px=200.5,
+            )
+        SynthConfig(  # noise as wide as the frame is allowed
+            formation="triangle", angle_deg=0, image_width=100, image_height=200,
+            noise_px=200.0,
+        )
         with pytest.raises(ValueError):
             SynthConfig(formation="triangle", angle_deg=0, outlier_count=-1)
 
