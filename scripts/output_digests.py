@@ -17,7 +17,7 @@ Per spec, in a fresh directory, it runs:
   ones, and so would a CRF capped at 3 steps or more. After one step its
   labels differ from gold on 33 of 168 and 114 of 448 training scenes, so
   the capped files cover the CRF-filtered route;
-- `predict`, `predict --joint` and `baseline` on the test split.
+- `predict` and `baseline` on the test split.
 
 It digests every file written and every command's stdout. Two checkouts
 whose outputs are byte-identical print the same JSON:
@@ -114,10 +114,6 @@ def _commands(count: str, seed: str, crf_iters: str | None) -> dict[str, list[st
         ]
     commands["predict"] = [
         "predict", "--data", "test.jsonl", "--models", "bundle", "--out", "predict.jsonl"
-    ]
-    commands["predict --joint"] = [
-        "predict", "--data", "test.jsonl", "--models", "bundle", "--joint",
-        "--out", "predict_joint.jsonl",
     ]
     commands["baseline"] = ["baseline", "--data", "test.jsonl", "--out", "baseline.jsonl"]
     return commands

@@ -32,7 +32,7 @@ from .pipeline import (
     detect_many,
     load_models,
     rule_classify,
-    training_groups,
+    training_rows,
     write_detections,
 )
 from .pose import (
@@ -183,11 +183,11 @@ def cmd_train_svm(args) -> int:
     training = TrainingConfig(svm_c=args.C, svm_gamma=_parse_gamma(args.gamma), svm_tol=args.tol)
     scenes = load_scenes(args.train)
     crf_model = crf_mod.load_crf(args.crf) if args.crf else None
-    groups = training_groups(scenes, crf_model)
-    [model] = train_heads(scenes, groups, (args.task,), training, args.seed).values()
+    X, truths = training_rows(scenes, crf_model, HEADS[args.task][3])
+    [model] = train_heads(X, truths, (args.task,), training, args.seed).values()
     svm_mod.save_svm(model, args.out)
     print(
-        f"trained {args.task} svm on {sum(g is not None for g in groups)} samples "
+        f"trained {args.task} svm on {len(X)} samples "
         f"(gamma={model.gamma:g}, {len(model.classes)} classes, "
         f"{model.n_support_vectors} stored SVs)"
     )
@@ -196,12 +196,8 @@ def cmd_train_svm(args) -> int:
 
 def cmd_predict(args) -> int:
     scenes = load_scenes(args.data)
-    bundle = load_models(args.models)
-    if args.joint:
-        heads = {"joint_svm": bundle.joint_svm}
-    else:
-        heads = {"formation_svm": bundle.formation_svm, "angle_svm": bundle.angle_svm}
-    detections = detect_many(scenes, bundle.crf, **heads)
+    b = load_models(args.models)
+    detections = detect_many(scenes, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
         write_detections(detections, fp)
     print(f"wrote {len(detections)} detections to {args.out}")
@@ -331,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--models", required=True, help="model bundle directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--joint", action="store_true", help="use the 28-class joint classifier")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="emit table-style reports")

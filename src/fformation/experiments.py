@@ -30,7 +30,6 @@ from .pipeline import (
     parse_joint_class,
     rule_classify,
     save_models,
-    training_groups,
     training_rows,
 )
 from .pose import (
@@ -169,18 +168,15 @@ def train_crf(
 
 
 def train_heads(
-    scenes: list[Scene], groups, heads, training: TrainingConfig, seed: int = 0
+    X: np.ndarray, truths, heads, training: TrainingConfig, seed: int = 0
 ) -> dict[str, svm_mod.SvmModel]:
-    """One SVM per head named in `heads` (keys of HEADS), trained on the rows
-    of `groups`, training_groups(scenes, ...).
+    """One SVM per head named in `heads` (keys of HEADS), trained on the
+    group rows X and their scenes' truths, training_rows(...).
 
-    The rows are built once for all heads. A head one of whose classes has
-    no row is a DataError before any SVM trains. Every head trains with
-    one gamma: the fixed one, or for "auto" svm.select_gamma's choice on the
-    first head's training set.
+    A head one of whose classes has no row is a DataError before any SVM
+    trains. Every head trains with one gamma: the fixed one, or for "auto"
+    svm.select_gamma's choice on the first head's training set.
     """
-    fields = dict.fromkeys(f for head in heads for f in HEADS[head][3])
-    X, truths = training_rows(scenes, groups, tuple(fields))
     data = {}
     for head in heads:
         build, classes, _, _ = HEADS[head]
@@ -212,8 +208,9 @@ def train_bundle(
     detection time makes them robust to the filter's residual mistakes.
     """
     _, crf_result = train_crf(train_scenes, training)
-    groups = training_groups(train_scenes, crf_result.model)
-    svms = train_heads(train_scenes, groups, tuple(HEADS), training, seed)
+    fields = dict.fromkeys(f for *_, head_fields in HEADS.values() for f in head_fields)
+    X, truths = training_rows(train_scenes, crf_result.model, tuple(fields))
+    svms = train_heads(X, truths, tuple(HEADS), training, seed)
     return ModelBundle(
         crf=crf_result.model,
         **{f"{head}_svm": model for head, model in svms.items()},
@@ -371,6 +368,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     bad_tables = [t for t in cfg.tables if t not in _TABLE_BUILDERS]
     if bad_tables:
         raise ConfigError(f"unknown tables requested: {bad_tables}")
+    if not cfg.tables or len(set(cfg.tables)) < len(cfg.tables):
+        raise ConfigError(f"name each table once, at least one: got {list(cfg.tables)}")
     if cfg.models_dir is not None and cfg.save_models_dir is not None:
         raise ConfigError(
             "models_dir loads a bundle and save_models_dir saves a trained one: "
@@ -412,7 +411,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "tables": list(cfg.tables),
         "n_train_scenes": len(train_scenes),
         "n_test_scenes": len(test_scenes),
-        "training": asdict(cfg.training),
+        # A loaded bundle was not trained here: its manifest says how it was.
+        "training": asdict(cfg.training) if cfg.models_dir is None else None,
         "synth": asdict(cfg.synth) if cfg.synth is not None else None,
     }
     meta_path = os.path.join(cfg.out_dir, "meta.json")

@@ -152,21 +152,21 @@ def _kept_members(perm: np.ndarray, labels: np.ndarray) -> list[int] | None:
     return members if len(members) >= 2 else None
 
 
-def _group_rows(scenes, groups) -> np.ndarray:
-    """Classifier rows (len(groups), F_GROUP) in one batch: groups[g] holds
-    the poses of a group of scenes[g], left to right, and its first
-    GROUP_SLOTS poses fill the slots. Detection and training both build
-    their rows here, so the heads train on the rows they classify.
+def _group_rows(scenes, kept) -> np.ndarray:
+    """Classifier rows (len(kept), F_GROUP) in one batch: kept holds (scene
+    index, its _kept_members) pairs, and the first GROUP_SLOTS members of
+    each fill the slots. Detection and training both build their rows here,
+    so the heads train on the rows they classify.
     """
-    sizes = [min(len(poses), GROUP_SLOTS) for poses in groups]
-    points = np.zeros((len(groups), GROUP_SLOTS, NUM_KEYPOINTS, 3))
-    for g, (poses, size) in enumerate(zip(groups, sizes)):
-        points[g, :size] = [p.points for p in poses[:size]]
+    sizes = [min(len(members), GROUP_SLOTS) for _, members in kept]
+    points = np.zeros((len(kept), GROUP_SLOTS, NUM_KEYPOINTS, 3))
+    for g, ((i, members), size) in enumerate(zip(kept, sizes)):
+        points[g, :size] = [scenes[i].poses[m].points for m in members[:size]]
     return stacked_group_features(
         points,
         sizes,
-        [s.image_width for s in scenes],
-        [s.image_height for s in scenes],
+        [scenes[i].image_width for i, _ in kept],
+        [scenes[i].image_height for i, _ in kept],
     )
 
 
@@ -216,29 +216,22 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
     kept.sort()
 
     if kept:
-        X = _group_rows(
-            [scenes[i] for i, _ in kept],
-            [[scenes[i].poses[m] for m in members] for i, members in kept],
-        )
-        if formation_svm is not None:
-            formations = svm_mod.predict_many(formation_svm, X)
-            Xa = angle_features(X, [f for f, _ in formations])
-            angles = svm_mod.predict_many(angle_svm, Xa)
+        X = _group_rows(scenes, kept)
+        formations = svm_mod.predict_many(formation_svm, X)
+        Xa = angle_features(X, [f for f, _ in formations])
+        angles = svm_mod.predict_many(angle_svm, Xa)
         if joint_svm is not None:
             joints = svm_mod.predict_many(joint_svm, X)
         for g, (i, members) in enumerate(kept):
             det = fields[i]
             det["reason"] = REASON_OVERFLOW if len(members) > GROUP_SLOTS else None
             scores = det["scores"]
-            if formation_svm is not None:
-                det["formation"], scores["formation"] = formations[g]
-                angle, scores["angle"] = angles[g]
-                det["angle_deg"] = int(angle)
+            det["formation"], scores["formation"] = formations[g]
+            angle, scores["angle"] = angles[g]
+            det["angle_deg"] = int(angle)
             if joint_svm is not None:
                 cls, scores["joint"] = joints[g]
                 det["joint"] = parse_joint_class(cls)
-                if formation_svm is None:
-                    det["formation"], det["angle_deg"] = det["joint"]
     t3 = time.perf_counter()
     detections = [
         Detection(**fields[i]) if i in fields else _no_people(scene)
@@ -250,19 +243,19 @@ def _detect_batch(scenes, crf_model, formation_svm, angle_svm, joint_svm):
 def detect_many(
     scenes,
     crf_model: crf_mod.CrfModel,
-    formation_svm: svm_mod.SvmModel | None = None,
-    angle_svm: svm_mod.SvmModel | None = None,
+    formation_svm: svm_mod.SvmModel,
+    angle_svm: svm_mod.SvmModel,
     *,
     joint_svm: svm_mod.SvmModel | None = None,
     timings: dict | None = None,
 ) -> list[Detection]:
-    """Membership by the CRF filter, then the requested heads on its group,
-    for every scene.
+    """Membership by the CRF filter, then the heads on its group, for every
+    scene.
 
-    The cascade (formation_svm and angle_svm) predicts the formation, then
-    the angle with the formation fed as a feature. The joint head
-    (joint_svm) predicts one of the 28 (formation, angle) classes into
-    `joint`; without the cascade, formation and angle are its class's.
+    The cascade predicts the formation (formation_svm), then the angle
+    (angle_svm) with the formation fed as a feature. The joint head
+    (joint_svm), when given, also predicts one of the 28 (formation, angle)
+    classes into `joint`; it leaves the cascade's fields as they are.
 
     Scenes are batched: one Viterbi and one forward-backward per chain
     length, and one SVM decision per head over all groups. The result for
@@ -270,10 +263,6 @@ def detect_many(
     in the last bits (see svm.predict_many). `timings`, when given,
     receives the seconds spent on features, crf and svm.
     """
-    if (formation_svm is None) != (angle_svm is None):
-        raise ValueError("the cascade needs both formation_svm and angle_svm")
-    if formation_svm is None and joint_svm is None:
-        raise ValueError("detect needs the cascade heads, the joint head or both")
     scenes = list(scenes)
     detections = []
     spent = np.zeros(3)
@@ -295,13 +284,13 @@ def detect_many(
 def detect(
     scene: Scene,
     crf_model: crf_mod.CrfModel,
-    formation_svm: svm_mod.SvmModel | None = None,
-    angle_svm: svm_mod.SvmModel | None = None,
+    formation_svm: svm_mod.SvmModel,
+    angle_svm: svm_mod.SvmModel,
     *,
     joint_svm: svm_mod.SvmModel | None = None,
     timings: dict | None = None,
 ) -> Detection:
-    """detect_many on one scene: the CRF filter once, then the heads asked for."""
+    """detect_many on one scene: the CRF filter once, then the heads."""
     return detect_many(
         [scene],
         crf_model,
@@ -439,16 +428,17 @@ def build_crf_chains(scenes) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
-    """Per scene, the group its classifier training row is built from: the
-    poses its chain labels G, left to right, or None (see _kept_members).
+def training_rows(scenes, crf_model, fields) -> tuple[np.ndarray, list]:
+    """The classifier rows of the scenes whose chain keeps a group, in scene
+    order, and those scenes' truths. Every scene must carry its membership
+    and each truth field in `fields`.
 
-    With a CRF the labels are its Viterbi labels, one batched decode per
-    block of _chain_blocks, so the classifiers train on the groups
-    detection shows them; without one, the gold labels.
+    With a CRF the chain labels are its Viterbi labels, one batched decode
+    per block of _chain_blocks, so the heads train on the rows detection
+    builds; without one (crf_model None), the gold labels.
     """
-    require_truth(scenes, ("membership",))
-    groups: list = [None] * len(scenes)
+    require_truth(scenes, ("membership", *fields))
+    kept = []  # (scene index, its _kept_members)
     for idx, perms, feats in _chain_blocks(scenes):
         if crf_model is None:
             labels = _gold_labels(scenes, idx, perms)
@@ -457,19 +447,9 @@ def training_groups(scenes, crf_model=None) -> list[list[PersonPose] | None]:
         for i, perm, lab in zip(idx, perms, labels):
             members = _kept_members(perm, lab)
             if members is not None:
-                groups[i] = [scenes[i].poses[m] for m in members]
-    return groups
-
-
-def training_rows(scenes, groups, fields) -> tuple[np.ndarray, list]:
-    """The rows of the scenes with a group, built as detection builds them
-    (_group_rows), and those scenes' truths. Every scene must carry its
-    membership and each truth field in `fields`."""
-    require_truth(scenes, ("membership", *fields))
-    pairs = zip(scenes, groups, strict=True)
-    kept = [i for i, (_, poses) in enumerate(pairs) if poses is not None]
-    X = _group_rows([scenes[i] for i in kept], [groups[i] for i in kept])
-    return X, [scenes[i].truth for i in kept]
+                kept.append((i, members))
+    kept.sort()
+    return _group_rows(scenes, kept), [scenes[i].truth for i, _ in kept]
 
 
 def build_formation_data(X, truths) -> tuple[np.ndarray, np.ndarray]:

@@ -53,6 +53,14 @@ GROUP_LABELS = (GROUP, OUTLIER)
 FORMATIONS = ("face-to-face", "side-by-side", "L-shaped", "triangle")
 APPROACH_ANGLES = (-90, -60, -30, 0, 30, 60, 90)
 
+# Largest |x| or |y| of a keypoint, in pixels. It keeps every feature and
+# every CRF training sum finite (a chain gap is at most 2e12 and a facing
+# score 2e18, over the 1e-6 shoulder-span floor; at 1e200 their squares
+# overflow to NaN), and is fifty times what `generate` renders at its
+# largest image side (synth.MAX_IMAGE_SIDE): bodies beside the camera
+# project up to about 2e4 image heights off-frame.
+MAX_COORDINATE = 1e12
+
 # Anchor x uses only keypoints at or above this confidence, falling back to
 # all 17 when none qualify.
 ANCHOR_CONFIDENCE = 0.5
@@ -120,7 +128,8 @@ def _canonical_rows(person_id, names: list, rows: list) -> list:
 
 def _checked_points(person_ids: list, rows) -> np.ndarray:
     """Keypoint rows of P poses as one read-only (P, 17, 3) float array,
-    after checking every x and y is finite and every confidence in [0, 1]."""
+    after checking every |x| and |y| is at most MAX_COORDINATE and every
+    confidence in [0, 1]."""
     pts = np.array(rows, dtype=float)
     if pts.shape != (len(person_ids), NUM_KEYPOINTS, 3):
         raise ValueError(
@@ -128,11 +137,12 @@ def _checked_points(person_ids: list, rows) -> np.ndarray:
             f" got shape {pts.shape[1:]}"
         )
     conf = pts[..., CONF]
-    ok = np.isfinite(pts[..., :CONF]).all(axis=-1)
+    ok = (np.abs(pts[..., :CONF]) <= MAX_COORDINATE).all(axis=-1)  # False on NaN
     if not ok.all():
         p, k = np.argwhere(~ok)[0]
         raise ValueError(
-            f"pose {person_ids[p]!r}: non-finite coordinates for {KEYPOINT_NAMES[k]}"
+            f"pose {person_ids[p]!r}: coordinates of {KEYPOINT_NAMES[k]} "
+            f"{pts[p, k, :CONF].tolist()} beyond +-{MAX_COORDINATE:g} px"
         )
     ok = (conf >= 0.0) & (conf <= 1.0)
     if not ok.all():

@@ -185,10 +185,16 @@ class SvmModel:
             )
         if not (0 < self.C < np.inf and 0 < self.gamma < np.inf):
             raise ValueError(f"C={self.C} and gamma={self.gamma} must be positive, finite")
+        with np.errstate(over="ignore"):
+            sv_sq_norms = (sv * sv).sum(axis=1)
+            # kernel values lie in [0, 1]: |class c's decision| <= bounds[c]
+            bounds = np.abs(coef).sum(axis=0) + np.abs(bias)
+        if not (np.isfinite(sv_sq_norms).all() and np.isfinite(bounds).all()):
+            raise ValueError("support vector norms or decision values of this model overflow")
         object.__setattr__(self, "support_vectors", sv)
         object.__setattr__(self, "dual_coef", coef)
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "sv_sq_norms", (sv * sv).sum(axis=1))
+        object.__setattr__(self, "sv_sq_norms", sv_sq_norms)
 
     @property
     def n_support_vectors(self) -> int:

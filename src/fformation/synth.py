@@ -61,6 +61,9 @@ TRAIN_FRACTION = 0.8  # of each (formation, angle) cell, in split_train_test
 # a robot filming a conversation needs, and far from where the renderer's
 # squares overflow (1e155 m) or underflow to zero (1e-300 m).
 LENGTH_RANGE_M = (1e-3, 1e3)
+# Largest image side SynthConfig accepts, pixels: the keypoints it renders
+# then stay within pose.MAX_COORDINATE.
+MAX_IMAGE_SIDE = 10**6
 
 # Distinct subjects, assigned by member slot (outliers take the last one).
 # Identical bodies would make symmetric camera placements of the symmetric
@@ -181,8 +184,9 @@ class SynthConfig:
             # 30.0 == 30, but a scene file with angle 30.0 does not parse
             raise ValueError(f"angle_deg must be one of {APPROACH_ANGLES}, got {angle!r}")
         for name in ("image_width", "image_height"):
-            if json_number(name, getattr(self, name), numbers.Integral) <= 0:
-                raise ValueError(f"{name} must be positive")
+            size = json_number(name, getattr(self, name), numbers.Integral)
+            if not 0 < size <= MAX_IMAGE_SIDE:
+                raise ValueError(f"{name} must be 1 to {MAX_IMAGE_SIDE} px")
         if json_number("seed", self.seed, numbers.Integral) < 0:
             raise ValueError("seed must be >= 0")
         if json_number("outlier_count", self.outlier_count, numbers.Integral) < 0:

@@ -616,6 +616,35 @@ def test_predict_on_a_string_keypoint_is_data_error(workdir, artifacts):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "train-crf", "evaluate"])
+@pytest.mark.parametrize("bound", [1e100, 1e200, 1.7e308])
+def test_keypoints_beyond_the_coordinate_bound_are_data_error(
+    workdir, artifacts, command, bound
+):
+    """x alternating between +-bound across one scene's poses: the CRF's
+    features overflow, or leave it unconverged, unless the parser refuses."""
+    lines = (workdir / "train.jsonl").read_text().splitlines()[:6]
+    doc = json.loads(lines[1])
+    for j, pose in enumerate(doc["poses"]):
+        for keypoint in pose["keypoints"]:
+            keypoint["x"] = bound if j % 2 == 0 else -bound
+    lines[1] = json.dumps(doc)
+    data = workdir / "far_keypoints.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    out = workdir / "never_far"
+    args = {
+        "predict": ["predict", "--data", str(data), "--models", str(artifacts["models"])],
+        "train-crf": ["train-crf", "--train", str(data)],
+        "evaluate": ["evaluate", "--train", str(data), "--test", str(workdir / "test.jsonl")],
+    }[command]
+    args += ["--out-dir" if command == "evaluate" else "--out", str(out)]
+    rc, err = run_cli(args)
+    assert rc == 3, err
+    assert "data error: line 2: pose" in err and "coordinates of nose" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def poseless_train(workdir):
     """The training set with one more labelled scene, which has no pose."""
@@ -722,32 +751,28 @@ class TestEvaluatePredictBaselineBench:
             assert (artifacts["reports"] / f"{stem}.json").exists()
 
     def test_predict_cascade_and_joint(self, workdir, artifacts):
-        for extra, name in ([], "det.jsonl"), (["--joint"], "det_joint.jsonl"):
-            rc = main(
-                [
-                    "predict",
-                    "--data",
-                    str(workdir / "test.jsonl"),
-                    "--models",
-                    str(artifacts["models"]),
-                    "--out",
-                    str(workdir / name),
-                ]
-                + extra
-            )
-            assert rc == 0
-        lines = (workdir / "det.jsonl").read_text().splitlines()
-        assert len(lines) == 28
-        doc = json.loads(lines[0])
-        assert "membership" in doc and "formation" in doc
-        joint_doc = json.loads((workdir / "det_joint.jsonl").read_text().splitlines()[0])
-        assert joint_doc["joint"] is not None
-        for line in (workdir / "det_joint.jsonl").read_text().splitlines():
-            doc = json.loads(line)
-            if doc["joint"] is not None:
-                assert doc["formation"] == doc["joint"]["formation"]
-                assert doc["angle_deg"] == doc["joint"]["angle_deg"]
-                assert set(doc["scores"]) == {"membership_g_prob", "joint"}
+        rc = main(
+            [
+                "predict",
+                "--data",
+                str(workdir / "test.jsonl"),
+                "--models",
+                str(artifacts["models"]),
+                "--out",
+                str(workdir / "det.jsonl"),
+            ]
+        )
+        assert rc == 0
+        docs = [json.loads(line) for line in (workdir / "det.jsonl").read_text().splitlines()]
+        assert len(docs) == 28
+        with_group = [doc for doc in docs if doc["formation"] is not None]
+        assert with_group
+        for doc in docs:
+            assert (doc["formation"] is None) == (doc["joint"] is None)
+        for doc in with_group:
+            assert doc["angle_deg"] is not None
+            assert set(doc["joint"]) == {"formation", "angle_deg"}
+            assert set(doc["scores"]) == {"membership_g_prob", "formation", "angle", "joint"}
 
     def test_baseline(self, workdir):
         rc = main(
@@ -858,44 +883,69 @@ class TestEvaluatePredictBaselineBench:
         }
         data = workdir / "empty.jsonl"
         data.write_text(json.dumps(scene) + "\n")
-        for extra in ([], ["--joint"]):
-            out = workdir / "empty_det.jsonl"
-            rc, err = run_cli(
-                [
-                    "predict",
-                    "--data",
-                    str(data),
-                    "--models",
-                    str(artifacts["models"]),
-                    "--out",
-                    str(out),
-                ]
-                + extra
-            )
-            assert rc == 0, err
-            assert "Traceback" not in err
-            [doc] = [json.loads(line) for line in out.read_text().splitlines()]
-            assert doc["membership"] == []
-            assert doc["formation"] is None
-            assert doc["reason"] == "no_people"
+        out = workdir / "empty_det.jsonl"
+        rc, err = run_cli(
+            ["predict", "--data", str(data), "--models", str(artifacts["models"])]
+            + ["--out", str(out)]
+        )
+        assert rc == 0, err
+        assert "Traceback" not in err
+        [doc] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert doc["membership"] == []
+        assert doc["formation"] is None and doc["joint"] is None
+        assert doc["reason"] == "no_people"
 
     def test_bad_table_list_is_config_error(self, workdir, artifacts):
+        # an unknown table, no table, a table named twice
+        for tables in ("1,x", "", "1,1"):
+            out_dir = workdir / "never_reports"
+            rc, err = run_cli(
+                [
+                    "evaluate",
+                    "--test",
+                    str(workdir / "test.jsonl"),
+                    "--models",
+                    str(artifacts["models"]),
+                    "--tables",
+                    tables,
+                    "--out-dir",
+                    str(out_dir),
+                ]
+            )
+            assert rc == 2, tables
+            assert "config error" in err
+            assert "Traceback" not in err
+            assert not out_dir.exists()
+
+    def test_meta_records_no_training_for_a_loaded_bundle(self, workdir, artifacts):
+        trained = json.loads((artifacts["reports"] / "meta.json").read_text())
+        assert trained["training"]["svm_c"] == 10.0
+        out_dir = workdir / "loaded_reports"
         rc, err = run_cli(
-            [
-                "evaluate",
-                "--test",
-                str(workdir / "test.jsonl"),
-                "--models",
-                str(artifacts["models"]),
-                "--tables",
-                "1,x",
-                "--out-dir",
-                str(workdir / "never_reports"),
-            ]
+            ["evaluate", "--test", str(workdir / "test.jsonl"), "--tables", "1"]
+            + ["--models", str(artifacts["models"]), "--C", "5", "--out-dir", str(out_dir)]
         )
-        assert rc == 2
-        assert "config error" in err
+        assert rc == 0, err
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert meta["training"] is None
+        assert meta["n_train_scenes"] == 0
+
+    def test_svm_whose_decision_values_overflow_is_data_error(self, workdir, artifacts):
+        broken = workdir / "overflowing_models"
+        shutil.copytree(artifacts["models"], broken, dirs_exist_ok=True)
+        path = broken / "svm_formation.json"
+        doc = json.loads(path.read_text())
+        doc["dual_coefs"] = [[1e308] * len(row) for row in doc["dual_coefs"]]
+        path.write_text(json.dumps(doc))
+        out = workdir / "never_overflow.jsonl"
+        rc, err = run_cli(
+            ["predict", "--data", str(workdir / "test.jsonl"), "--models", str(broken)]
+            + ["--out", str(out)]
+        )
+        assert rc == 3, err
+        assert "data error" in err and "overflow" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_bundle_file_is_data_error(self, workdir, artifacts):
         broken = workdir / "no_joint_models"

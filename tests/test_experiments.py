@@ -34,7 +34,6 @@ from fformation.pipeline import (
     joint_class,
     parse_joint_class,
     save_models,
-    training_groups,
     training_rows,
 )
 from fformation.pose import APPROACH_ANGLES, FORMATIONS, SceneTruth, save_scenes
@@ -376,10 +375,9 @@ class TestTrainHeads:
 
     def test_fixed_gamma_trains_every_head_without_a_search(self, mini, monkeypatch):
         monkeypatch.setattr(experiments.svm_mod, "select_gamma", None)
-        scenes = mini.train_scenes
-        groups = training_groups(scenes)
+        X, truths = training_rows(mini.train_scenes, None, ("formation", "angle_deg"))
         training = TrainingConfig(svm_gamma=0.25)
-        svms = train_heads(scenes, groups, tuple(HEADS), training, 7)
+        svms = train_heads(X, truths, tuple(HEADS), training, 7)
         assert {m.gamma for m in svms.values()} == {0.25}
 
     def test_gamma_is_selected_on_the_first_heads_rows(self, mini, monkeypatch):
@@ -392,24 +390,23 @@ class TestTrainHeads:
 
         monkeypatch.setattr(experiments.svm_mod, "select_gamma", stand_in)
         scenes = mini.train_scenes
-        groups = training_groups(scenes, mini.bundle.crf)
-        X, truths = training_rows(scenes, groups, ("formation", "angle_deg"))
+        X, truths = training_rows(scenes, mini.bundle.crf, ("formation", "angle_deg"))
         want = {
             "formation": len(set(build_formation_data(X, truths)[1])) / 100,
             "angle": len(set(build_angle_data(X, truths)[1])) / 100,
         }
         assert want["formation"] != want["angle"]
-        [angle] = train_heads(scenes, groups, ("angle",), training, 7).values()
+        [angle] = train_heads(X, truths, ("angle",), training, 7).values()
         assert angle.gamma == want["angle"]
-        svms = train_heads(scenes, groups, tuple(HEADS), training, 7)
+        svms = train_heads(X, truths, tuple(HEADS), training, 7)
         assert {m.gamma for m in svms.values()} == {want["formation"]}
 
     def test_missing_class_is_reported_before_any_svm_trains(self, mini, monkeypatch):
         scenes = [s for s in mini.train_scenes if s.truth.angle_deg != 0]
-        groups = training_groups(scenes)
+        X, truths = training_rows(scenes, None, ("formation", "angle_deg"))
         trained = count_calls(monkeypatch, experiments.svm_mod, "train_one_vs_rest")
         with pytest.raises(DataError, match=r"the angle training data has no sample of \['0'\]"):
-            train_heads(scenes, groups, tuple(HEADS), TrainingConfig(), 0)
+            train_heads(X, truths, tuple(HEADS), TrainingConfig(), 0)
         assert trained == []
 
 

@@ -5,7 +5,8 @@
 Valid documents are mutated (keys dropped, values swapped for other types,
 NaN, Infinity and out-of-range numbers, rows narrowed, class lists
 reordered, cut or renamed, files truncated). Whatever the files hold, the
-CLI must exit 0, 2 or 3 and print no traceback.
+CLI must exit 0, 2 or 3 and print no traceback, and every line `predict`
+writes must be strict JSON.
 """
 import contextlib
 import copy
@@ -90,19 +91,19 @@ def bundle_docs(bundle_dir):
 
 
 def test_base_bundle_predicts(bundle_dir):
-    assert _predict(bundle_dir, SCENES_TEXT, joint=True) == (0, "")
+    assert _predict(bundle_dir, SCENES_TEXT) == (0, "")
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), joint=st.booleans())
-def test_predict_with_mutated_bundle_exits_0_2_or_3(bundle_dir, bundle_docs, data, joint):
+@given(data=st.data())
+def test_predict_with_mutated_bundle_exits_0_2_or_3(bundle_dir, bundle_docs, data):
     name, text = data.draw(mutated_model_file(bundle_docs))
     with tempfile.TemporaryDirectory() as tmp:
         models = os.path.join(tmp, "models")
         shutil.copytree(bundle_dir, models)
         with open(os.path.join(models, name), "w", encoding="utf-8") as fp:
             fp.write(text)
-        rc, err = _predict(models, SCENES_TEXT, joint)
+        rc, err = _predict(models, SCENES_TEXT)
     assert rc in (0, 2, 3)
     assert "Traceback" not in err
 

@@ -41,7 +41,6 @@ from fformation.pipeline import (
     parse_joint_class,
     rule_classify,
     save_models,
-    training_groups,
     training_rows,
     write_detections,
 )
@@ -58,8 +57,8 @@ from fformation.synth import SynthConfig, render_scene
 from conftest import make_pose, make_scene, ordered
 
 
-def formation_rows(scenes, groups):
-    X, _ = training_rows(scenes, groups, ("formation",))
+def formation_rows(scenes, crf_model=None):
+    X, _ = training_rows(scenes, crf_model, ("formation",))
     return X
 
 
@@ -223,15 +222,10 @@ class TestDetect:
     def test_empty_scene_has_no_people(self, mini):
         scene = make_scene([], frame_id="empty")
         timings = {}
+        b = mini.bundle
         dets = [
-            detect(
-                scene,
-                mini.bundle.crf,
-                mini.bundle.formation_svm,
-                mini.bundle.angle_svm,
-                timings=timings,
-            ),
-            detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm),
+            detect(scene, b.crf, b.formation_svm, b.angle_svm, timings=timings),
+            detect(scene, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm),
         ]
         for det in dets:
             assert det.frame_id == "empty"
@@ -271,11 +265,12 @@ class TestDetect:
         scene = render_scene(
             SynthConfig(formation="triangle", angle_deg=60, outlier_count=0, seed=32_000)
         )
-        det = detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm)
+        b = mini.bundle
+        det = detect(scene, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm)
         assert det.joint == ("triangle", 60)
         assert det.formation == "triangle"
         assert det.angle_deg == 60
-        assert set(det.scores) == {"membership_g_prob", "joint"}
+        assert set(det.scores) == {"membership_g_prob", "formation", "angle", "joint"}
 
     def test_joint_head_leaves_the_cascade_unchanged(self, mini):
         b = mini.bundle
@@ -283,20 +278,16 @@ class TestDetect:
         for scene in mini.test_scenes[:60]:
             cascade = detect(scene, b.crf, b.formation_svm, b.angle_svm)
             both = detect(scene, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm)
-            joint = detect(scene, b.crf, joint_svm=b.joint_svm)
-            assert both.membership == cascade.membership == joint.membership
-            assert (both.formation, both.angle_deg) == (cascade.formation, cascade.angle_deg)
-            assert both.joint == joint.joint
-            assert both.scores == {**cascade.scores, **joint.scores}
-            both_seen += both.joint is not None
+            assert replace(both, joint=None, scores=cascade.scores) == cascade
+            joint_scores = both.scores.pop("joint", None)
+            assert both.scores == cascade.scores
+            if both.joint is None:
+                assert joint_scores is None
+            else:
+                best = max(joint_scores, key=joint_scores.get)
+                assert both.joint == parse_joint_class(best)
+                both_seen += 1
         assert both_seen > 0
-
-    def test_needs_whole_cascade_or_joint_head(self, mini):
-        scene = make_scene([make_pose("a"), make_pose("b", x=400.0)])
-        with pytest.raises(ValueError, match="cascade"):
-            detect(scene, mini.bundle.crf, mini.bundle.formation_svm)
-        with pytest.raises(ValueError, match="head"):
-            detect(scene, mini.bundle.crf)
 
     def test_detect_is_deterministic(self, mini):
         scene = render_scene(
@@ -388,20 +379,17 @@ class TestDetect:
         assert pairs >= 5
         assert agreements == pairs
 
-    def test_training_groups_match_detect_members(self, mini):
+    def test_training_rows_match_detect_rows(self, mini, monkeypatch):
         scene = render_scene(
             SynthConfig(formation="L-shaped", angle_deg=-30, outlier_count=1, seed=37_000)
         )
-        [poses] = training_groups([scene], mini.bundle.crf)
+        rows = _capture_rows(monkeypatch, mini.bundle.formation_svm)
         det = detect(
             scene, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
-        assert poses is not None
-        members = sorted(
-            (p for p, m in zip(scene.poses, det.membership) if m == "G"),
-            key=lambda p: p.anchor,
-        )
-        assert poses == members
+        assert det.membership.count("O") == 1  # the filter drops the bystander
+        X, truths = training_rows([scene], mini.bundle.crf, ("formation",))
+        assert X.tobytes() == rows[0].tobytes() and truths == [scene.truth]
 
 
 class TestTrainingGroups:
@@ -412,15 +400,13 @@ class TestTrainingGroups:
 
     def test_gold_groups_below_two_members_are_none(self):
         scenes = [self._scene(m) for m in (("O", "O", "O"), ("O", "G", "O"))]
-        assert training_groups(scenes) == [None, None]
-        X, truths = training_rows(scenes, training_groups(scenes), ("formation",))
+        X, truths = training_rows(scenes, None, ("formation",))
         assert X.shape == (0, F_GROUP) and truths == []
 
     def test_gold_group_is_every_member_left_to_right(self):
-        scene = self._scene(("G", "O", "G", "G", "G"))
-        [poses] = training_groups([scene])
+        scene = self._scene(("G", "O", "G", "G"))
         # poses were placed right to left
-        assert [p.person_id for p in poses] == ["p4", "p3", "p2", "p0"]
+        assert formation_rows([scene]).tobytes() == _row(scene, [3, 2, 0]).tobytes()
 
     def test_chain_blocks_are_shortest_first_with_indices_in_input_order(self):
         scenes = [self._scene(("G",) * n) for n in (3, 1, 0, 3, 2, 1, 0, 3)]
@@ -442,11 +428,20 @@ class TestTrainingGroups:
     def test_scene_without_a_pose_has_no_chain_and_no_group(self):
         empty, scene = self._scene(()), self._scene(("G", "O", "G"))
         assert len(build_crf_chains([empty, scene, empty])) == 1
-        groups = training_groups([empty, scene, empty])
-        assert groups[0] is None and groups[2] is None
-        assert [p.person_id for p in groups[1]] == ["p2", "p0"]
+        X, truths = training_rows([empty, scene, empty], None, ("formation",))
+        assert X.tobytes() == _row(scene, [2, 0]).tobytes() and truths == [scene.truth]
         with pytest.raises(DataError, match="no training scene has a pose"):
             build_crf_chains([empty])
+
+
+def _row(scene, members) -> np.ndarray:
+    """The classifier row (1, F_GROUP) of a group of at most GROUP_SLOTS
+    poses of `scene`, given by their indices left to right."""
+    points = np.zeros((1, GROUP_SLOTS) + scene.poses[0].points.shape)
+    points[0, : len(members)] = [scene.poses[m].points for m in members]
+    return stacked_group_features(
+        points, [len(members)], [scene.image_width], [scene.image_height]
+    )
 
 
 def _capture_rows(monkeypatch, model):
@@ -486,7 +481,7 @@ class TestTrainingRowsAreDetectionRows:
             scenes, mini.bundle.crf, mini.bundle.formation_svm, mini.bundle.angle_svm
         )
         [X_detect] = rows
-        X_train = formation_rows(scenes, training_groups(scenes, mini.bundle.crf))
+        X_train = formation_rows(scenes, mini.bundle.crf)
         kept = sum(d.membership.count("G") >= 2 for d in detections)
         assert len(X_train) == len(X_detect) == kept >= 40
         assert X_train.tobytes() == X_detect.tobytes()
@@ -505,7 +500,7 @@ class TestTrainingRowsAreDetectionRows:
         points = np.stack([p.points for p in leftmost])[None]
         [want] = stacked_group_features(points, [GROUP_SLOTS], [640], [480])
         assert X_detect.tobytes() == want.tobytes()
-        X_train = formation_rows([scene], training_groups([scene], all_g_crf))
+        X_train = formation_rows([scene], all_g_crf)
         assert X_train.tobytes() == X_detect[None].tobytes()
 
 
@@ -530,25 +525,25 @@ def _mixed_scenes():
 
 
 def _heads(bundle):
-    cascade = {"formation_svm": bundle.formation_svm, "angle_svm": bundle.angle_svm}
-    joint = {"joint_svm": bundle.joint_svm}
-    return {"cascade": cascade, "joint": joint, "both": {**cascade, **joint}}
+    """The positional cascade heads and the keyword heads of each head set."""
+    cascade = (bundle.formation_svm, bundle.angle_svm)
+    return {"cascade": (cascade, {}), "both": (cascade, {"joint_svm": bundle.joint_svm})}
 
 
 class TestDetectMany:
     def test_mixed_lengths_cover_one_to_six(self):
         assert {len(s.poses) for s in _mixed_scenes()} == {0, 1, 2, 3, 4, 5, 6}
 
-    @pytest.mark.parametrize("heads", ["cascade", "joint", "both"])
+    @pytest.mark.parametrize("heads", ["cascade", "both"])
     @pytest.mark.parametrize("batch", [512, 4])
     def test_equals_detect_scene_by_scene(self, mini, monkeypatch, heads, batch):
         monkeypatch.setattr(pipeline, "DETECT_BATCH", batch)
         scenes = _mixed_scenes()
-        kwargs = _heads(mini.bundle)[heads]
-        many = detect_many(scenes, mini.bundle.crf, **kwargs)
+        args, kwargs = _heads(mini.bundle)[heads]
+        many = detect_many(scenes, mini.bundle.crf, *args, **kwargs)
         assert len(many) == len(scenes)
         for scene, got in zip(scenes, many):
-            want = detect(scene, mini.bundle.crf, **kwargs)
+            want = detect(scene, mini.bundle.crf, *args, **kwargs)
             assert replace(got, scores={}) == replace(want, scores={})
             assert list(got.scores) == list(want.scores)
             assert got.scores["membership_g_prob"] == want.scores["membership_g_prob"]
@@ -560,7 +555,7 @@ class TestDetectMany:
     def test_decode_matches_per_chain_viterbi_and_marginals(self, mini):
         model = mini.bundle.crf
         scenes = [s for s in _mixed_scenes() if s.poses]
-        many = detect_many(scenes, model, joint_svm=mini.bundle.joint_svm)
+        many = detect_many(scenes, model, mini.bundle.formation_svm, mini.bundle.angle_svm)
         for scene, det in zip(scenes, many):
             perm = left_to_right_permutation(scene)
             [labels], [marg] = decode_batch(
@@ -571,7 +566,8 @@ class TestDetectMany:
             assert [det.scores["membership_g_prob"][src] for src in perm] == g.tolist()
 
     def test_empty_input(self, mini):
-        assert detect_many([], mini.bundle.crf, joint_svm=mini.bundle.joint_svm) == []
+        b = mini.bundle
+        assert detect_many([], b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm) == []
 
 
 class TestGroupProbabilities:
@@ -583,7 +579,7 @@ class TestGroupProbabilities:
         raw_outside = 0
         for _ in range(5):
             model = CrfModel(rng.normal(0.0, 100.0, size=weight_dim(F_NODE)))
-            many = detect_many(scenes, model, joint_svm=mini.bundle.joint_svm)
+            many = detect_many(scenes, model, mini.bundle.formation_svm, mini.bundle.angle_svm)
             for scene, det in zip(scenes, many):
                 feats = chain_features(ordered(scene))
                 raw = decode_batch(model, feats[None], marginals=True)[1][0, :, 0]
@@ -598,7 +594,8 @@ class TestDetectionJsonl:
         scene = render_scene(
             SynthConfig(formation="triangle", angle_deg=90, outlier_count=0, seed=38_000)
         )
-        det = detect(scene, mini.bundle.crf, joint_svm=mini.bundle.joint_svm)
+        b = mini.bundle
+        det = detect(scene, b.crf, b.formation_svm, b.angle_svm, joint_svm=b.joint_svm)
         buf = io.StringIO()
         write_detections([det], buf)
         doc = json.loads(buf.getvalue())

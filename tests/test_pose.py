@@ -10,6 +10,7 @@ from fformation.errors import DataError
 from fformation.pose import (
     KEYPOINT_INDEX,
     KEYPOINT_NAMES,
+    MAX_COORDINATE,
     ConfidenceBin,
     PersonPose,
     Scene,
@@ -118,6 +119,7 @@ class TestPoseArray:
         "row,value,match",
         [
             (5, (float("nan"), 0.0, 0.5), "leftShoulder"),
+            (3, (0.0, np.nextafter(-MAX_COORDINATE, -np.inf), 0.5), "leftEar"),
             (16, (0.0, 0.0, 1.5), "rightAnkle"),
         ],
     )
@@ -341,6 +343,7 @@ class TestEgoGroupAdapter:
             ("nose", "101"),  # was read as (1, 0, 1)
             ("nose", [1, "2", True]),  # was read as (1, 2, 1)
             ("nose", [1, 2]),
+            ("nose", [1e200, 20, 0.8]),  # beyond MAX_COORDINATE
             ("width", "1280"),
             ("width", 1280.5),
             ("width", True),

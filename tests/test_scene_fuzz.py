@@ -3,7 +3,8 @@
 Valid Scene JSONL is mutated (keys dropped, values swapped for other types,
 NaN, Infinity and out-of-range numbers, keypoints or poses dropped and
 duplicated, names repeated, lines truncated). Whatever the file holds, the
-CLI must exit 0, 2 or 3 and print no traceback.
+CLI must exit 0, 2 or 3 and print no traceback, and every line `predict`
+writes must be strict JSON.
 """
 import contextlib
 import copy
@@ -107,25 +108,35 @@ def bundle_dir(tmp_path_factory):
 
 def test_base_scenes_predict(bundle_dir):
     text = "".join(json.dumps(doc) + "\n" for doc in BASE_SCENES)
-    assert _predict(bundle_dir, text, joint=False) == (0, "")
+    assert _predict(bundle_dir, text) == (0, "")
 
 
-def _predict(bundle_dir, text, joint):
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _predict(bundle_dir, text):
+    """(exit code, stderr) of `predict` on `text`; every line it writes must
+    parse as strict JSON, without NaN or Infinity."""
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "scenes.jsonl")
+        out = os.path.join(tmp, "det.jsonl")
         with open(data, "w", encoding="utf-8") as fp:
             fp.write(text)
-        args = ["predict", "--data", data, "--models", str(bundle_dir)]
-        args += ["--out", os.path.join(tmp, "det.jsonl")] + (["--joint"] if joint else [])
+        args = ["predict", "--data", data, "--models", str(bundle_dir), "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(args)
+        if rc == 0:
+            with open(out, encoding="utf-8") as fp:
+                for line in fp:
+                    json.loads(line, parse_constant=_strict_constant)
     return rc, err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=mutated_jsonl(), joint=st.booleans())
-def test_predict_exits_0_2_or_3_without_traceback(bundle_dir, text, joint):
-    rc, err = _predict(bundle_dir, text, joint)
+@given(text=mutated_jsonl())
+def test_predict_exits_0_2_or_3_without_traceback(bundle_dir, text):
+    rc, err = _predict(bundle_dir, text)
     assert rc in (0, 2, 3)
     assert "Traceback" not in err

@@ -541,6 +541,18 @@ class TestSerialization:
             with pytest.raises(DataError, match="finite"):
                 svm_from_dict(bad)
 
+    def test_overflowing_decision_values_raise_data_error(self, rng):
+        X, y = blobs(rng, n_per=5)
+        labels = np.where(y > 0, "pos", "neg")
+        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+        m = len(doc["dual_coefs"])
+        big_coefs = dict(doc, dual_coefs=[[1e308, -1e308]] * m)  # each entry finite
+        big_bias = dict(doc, dual_coefs=[[1e308, 0.0]] + doc["dual_coefs"][1:], bias=[1e308, 0.0])
+        big_norm = dict(doc, support_vectors=[[1e300] * len(doc["support_vectors"][0])] * m)
+        for bad in (big_coefs, big_bias, big_norm):
+            with pytest.raises(DataError, match="overflow"):
+                svm_from_dict(bad)
+
     def test_corrupt_file_raises_data_error(self, tmp_path):
         path = tmp_path / "svm.json"
         path.write_text('{"format_version": 1, "kind": "svm-ovr"')

@@ -17,6 +17,7 @@ from fformation.pose import (
     GROUP,
     KEYPOINT_INDEX,
     KEYPOINT_NAMES,
+    MAX_COORDINATE,
     OUTLIER,
     X,
     Y,
@@ -32,6 +33,7 @@ from fformation.synth import (
     FACE_VISIBILITY_SLACK,
     HIP_WIDTH,
     LOOK_AT_HEIGHT,
+    MAX_IMAGE_SIDE,
     OCCLUDED_VISIBILITY,
     OUTLIER_RADIUS_FACTOR,
     SHOULDER_WIDTH,
@@ -549,6 +551,20 @@ class TestRenderScene:
         )
         with pytest.raises(ValueError):
             SynthConfig(formation="triangle", angle_deg=0, outlier_count=-1)
+
+    def test_largest_image_side_renders_within_the_coordinate_bound(self):
+        side = MAX_IMAGE_SIDE
+        with pytest.raises(ValueError, match="image_width must be 1 to"):
+            SynthConfig(formation="triangle", angle_deg=0, image_width=side + 1)
+        # a camera 1 mm from a formation 1 km wide: the farthest projection
+        # found over the extremes of every range
+        cfg = SynthConfig(
+            formation="side-by-side", angle_deg=30, distance_m=1e-3,
+            image_width=side, image_height=side, noise_px=0.0, outlier_count=3,
+            formation_scale=1e3, angle_jitter_deg=180.0, scale_jitter=0.99,
+        )
+        far = max(np.abs(p.points[:, :2]).max() for p in render_scene(cfg).poses)
+        assert 1e10 < far <= MAX_COORDINATE / 50
 
     def test_camera_colliding_with_a_body_is_placement_error(self):
         # face-to-face at angle 0 with the camera standing on a member.
