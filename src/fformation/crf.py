@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .features import F_NODE, FEATURE_CATALOG_VERSION, check_catalog
-from .pose import GROUP, GROUP_LABELS, OUTLIER, check_header, read_json, write_json
+from .features import F_NODE, FEATURE_CATALOG_VERSION, read_model, write_model
+from .pose import GROUP, GROUP_LABELS, OUTLIER, json_number, json_numbers
 
 NUM_LABELS = 2
 LABEL_INDEX = {GROUP: 0, OUTLIER: 1}
@@ -355,36 +355,22 @@ def decode_batch(
 # written with repr, which round-trips exactly).
 
 
-def crf_to_dict(model: CrfModel) -> dict:
-    return {
-        "format_version": CRF_FORMAT_VERSION,
-        "kind": "crf",
-        "feature_catalog_version": FEATURE_CATALOG_VERSION,
-        "l2": model.l2,
-        "labels": list(GROUP_LABELS),
-        "weights": model.weights.tolist(),
-    }
-
-
-def crf_from_dict(doc: dict) -> CrfModel:
-    check_header(doc, "crf", CRF_FORMAT_VERSION)
-    try:
-        return CrfModel(
-            weights=np.array(doc["weights"], dtype=float),
-            l2=float(doc["l2"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed crf model file: {exc}") from exc
-
-
 def save_crf(model: CrfModel, path) -> None:
-    write_json(path, crf_to_dict(model))
+    body = {"l2": model.l2, "labels": list(GROUP_LABELS), "weights": model.weights.tolist()}
+    write_model(path, "crf", CRF_FORMAT_VERSION, body)
 
 
 def load_crf(path) -> CrfModel:
-    doc = read_json(path, "crf model file")
-    model = crf_from_dict(doc)  # the format version first, then the catalog
-    check_catalog(doc.get("feature_catalog_version"), f"crf model file {path}")
+    doc = read_model(path, "crf", CRF_FORMAT_VERSION)
+    try:
+        if doc["labels"] != list(GROUP_LABELS):
+            raise ValueError(f"labels {doc['labels']!r}, not {list(GROUP_LABELS)}")
+        model = CrfModel(
+            weights=json_numbers("weights", doc["weights"], 1),
+            l2=float(json_number("l2", doc["l2"])),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed crf model file: {exc}") from exc
     if model.f_node != F_NODE:
         raise DataError(
             f"crf model file {path} has weights for {model.f_node} node features, "

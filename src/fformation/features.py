@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import VersionMismatchError
+from .errors import DataError, VersionMismatchError
 from .pose import (
     CONF,
     FORMATIONS,
@@ -24,6 +24,8 @@ from .pose import (
     ConfidenceBin,
     Scene,
     confidence_bins,
+    read_json,
+    write_json,
 )
 
 FEATURE_CATALOG_VERSION = "node26-group309-v1"
@@ -37,6 +39,36 @@ def check_catalog(version, source: str) -> None:
             f"{source} built for catalog {version!r}, "
             f"library provides {FEATURE_CATALOG_VERSION!r}"
         )
+
+
+def write_model(path, kind: str, format_version: int, body: dict) -> None:
+    """A model file at `path`: the header every model file opens with (file
+    format version, model kind, feature catalog), then the keys of `body`."""
+    header = {
+        "format_version": format_version,
+        "kind": kind,
+        "feature_catalog_version": FEATURE_CATALOG_VERSION,
+    }
+    write_json(path, {**header, **body})
+
+
+def read_model(path, kind: str, format_version: int) -> dict:
+    """The JSON object of the model file at `path`, once its header checks:
+    DataError unless it is an object of this kind and file format version,
+    then VersionMismatchError unless it was built for this feature catalog."""
+    what = f"{kind} model file"
+    doc = read_json(path, what)
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed {what}: a {type(doc).__name__}, not an object")
+    if doc.get("kind") != kind:
+        raise DataError(f"not a {what} (kind={doc.get('kind')!r})")
+    if doc.get("format_version") != format_version:
+        raise DataError(
+            f"unsupported {kind} format_version {doc.get('format_version')!r} "
+            f"(this library reads version {format_version}); retrain the model"
+        )
+    check_catalog(doc.get("feature_catalog_version"), f"{what} {path}")
+    return doc
 
 
 # Shoulder-span denominator floor: avoids division by zero when both

@@ -1,6 +1,8 @@
 """Skeleton and scene domain types, confidence binning, pose ordering, and
 the package's JSON I/O: Scene JSONL and the one reader and writer of JSON
-documents (model files, manifests, reports, configs, annotations).
+documents (model files, manifests, reports, configs, annotations). The
+header of a model file is written and checked by features.write_model and
+features.read_model, next to the feature catalog it names.
 
 A scene is one image frame's worth of detected people. Every person carries
 exactly 17 named keypoints; keypoints a detector could not see are stored as
@@ -109,6 +111,19 @@ def json_number(name: str, value, kind=numbers.Real):
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def json_numbers(name: str, value, ndim: int) -> np.ndarray:
+    """`value`, a JSON array nested `ndim` (1 or 2) deep, as a float array
+    once every entry is a number (a bool or null never is): ValueError naming
+    `name` otherwise, TypeError when `value` is not nested so deep. Shapes
+    and finiteness are the caller's to check."""
+    rows = value if ndim == 2 else [value]
+    found = set().union(*(map(type, row) for row in rows)) - {int, float}
+    if found:
+        names = ", ".join(sorted(t.__name__ for t in found))
+        raise ValueError(f"{name} must hold only numbers, found {names}")
+    return np.array(value, dtype=float)
 
 
 def _canonical_rows(person_id, names: list, rows: list) -> list:
@@ -354,9 +369,10 @@ def parse_scenes(stream: IO) -> list[Scene]:
     """
     scenes = []
     for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {lineno}: {exc}", lineno=lineno) from exc
         if not line:
             continue
         try:
@@ -376,7 +392,9 @@ def write_scenes(scenes: Iterable[Scene], stream: IO) -> None:
 
 
 def load_scenes(path) -> list[Scene]:
-    with open(path, "r", encoding="utf-8") as fp:
+    """The scenes of the Scene JSONL file at `path`, read as bytes so that a
+    line that is not UTF-8 is a DataError naming its line."""
+    with open(path, "rb") as fp:
         return parse_scenes(fp)
 
 
@@ -407,22 +425,6 @@ def write_json(path, doc, **dump_options) -> None:
         fp.write(json.dumps(doc, **dump_options) + "\n")
 
 
-def check_header(doc, kind: str, format_version: int) -> None:
-    """DataError unless `doc` is a JSON object of this model kind and file
-    format version."""
-    if not isinstance(doc, dict):
-        raise DataError(
-            f"malformed {kind} model file: a {type(doc).__name__}, not an object"
-        )
-    if doc.get("kind") != kind:
-        raise DataError(f"not a {kind} model file (kind={doc.get('kind')!r})")
-    if doc.get("format_version") != format_version:
-        raise DataError(
-            f"unsupported {kind} format_version {doc.get('format_version')!r} "
-            f"(this library reads version {format_version}); retrain the model"
-        )
-
-
 # ---------------------------------------------------------------------------
 # EGO-GROUP-style annotation adapter.
 #
@@ -432,7 +434,8 @@ def check_header(doc, kind: str, format_version: int) -> None:
 #                "people": [{"id": str, "keypoints": {name: [x, y, conf]}}],
 #                "groups": [[person_id, ...], ...]}]}
 # Keypoint names absent from a person's map become confidence-0 points at
-# (0, 0). People listed in any group get label G, everyone else O.
+# (0, 0). Ids are compared as strings: people listed in any group get label
+# G, everyone else O; a group id may name nobody (a detector can miss one).
 
 
 def convert_ego_group(doc: dict) -> list[Scene]:
@@ -447,14 +450,20 @@ def convert_ego_group(doc: dict) -> list[Scene]:
             groups = frame.get("groups", [])
             if not (isinstance(groups, list) and all(isinstance(g, list) for g in groups)):
                 raise ValueError("'groups' must be a list of person-id lists")
-            grouped = {pid for group in groups for pid in group}
+            # a list or object as an id is unhashable: a TypeError, as before
+            grouped = set(map(str, {pid for group in groups for pid in group}))
             poses = []
             membership = []
             for person in frame["people"]:
                 pid = str(person["id"])
+                if any(p.person_id == pid for p in poses):
+                    raise ValueError(f"person id {pid!r} occurs twice")
                 kps = person.get("keypoints", {})
                 if not isinstance(kps, dict):
                     raise ValueError(f"person {pid!r}: keypoints must be an object")
+                unknown = sorted(set(kps) - set(KEYPOINT_NAMES))
+                if unknown:
+                    raise ValueError(f"person {pid!r}: unknown keypoint names {unknown}")
                 points = np.zeros((NUM_KEYPOINTS, 3))
                 for k, name in enumerate(KEYPOINT_NAMES):
                     if name in kps:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .features import FEATURE_CATALOG_VERSION, check_catalog
-from .pose import check_header, read_json, write_json
+from .features import read_model, write_model
+from .pose import json_number, json_numbers
 
 SVM_FORMAT_VERSION = 2
 
@@ -370,11 +370,8 @@ def select_gamma(
 # Serialization.
 
 
-def svm_to_dict(model: SvmModel) -> dict:
-    return {
-        "format_version": SVM_FORMAT_VERSION,
-        "kind": "svm-ovr",
-        "feature_catalog_version": FEATURE_CATALOG_VERSION,
+def save_svm(model: SvmModel, path) -> None:
+    body = {
         "classes": list(model.classes),
         "C": model.C,
         "gamma": model.gamma,
@@ -382,29 +379,19 @@ def svm_to_dict(model: SvmModel) -> dict:
         "support_vectors": model.support_vectors.tolist(),
         "dual_coefs": model.dual_coef.tolist(),
     }
-
-
-def svm_from_dict(doc: dict) -> SvmModel:
-    check_header(doc, "svm-ovr", SVM_FORMAT_VERSION)
-    try:
-        return SvmModel(
-            classes=tuple(doc["classes"]),
-            support_vectors=np.array(doc["support_vectors"], dtype=float),
-            dual_coef=np.array(doc["dual_coefs"], dtype=float),
-            bias=np.array(doc["bias"], dtype=float),
-            C=float(doc["C"]),
-            gamma=float(doc["gamma"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed svm model file: {exc}") from exc
-
-
-def save_svm(model: SvmModel, path) -> None:
-    write_json(path, svm_to_dict(model))
+    write_model(path, "svm-ovr", SVM_FORMAT_VERSION, body)
 
 
 def load_svm(path) -> SvmModel:
-    doc = read_json(path, "svm model file")
-    model = svm_from_dict(doc)  # the format version first, then the catalog
-    check_catalog(doc.get("feature_catalog_version"), f"svm model file {path}")
-    return model
+    doc = read_model(path, "svm-ovr", SVM_FORMAT_VERSION)
+    try:
+        return SvmModel(
+            classes=tuple(doc["classes"]),
+            support_vectors=json_numbers("support_vectors", doc["support_vectors"], 2),
+            dual_coef=json_numbers("dual_coefs", doc["dual_coefs"], 2),
+            bias=json_numbers("bias", doc["bias"], 1),
+            C=float(json_number("C", doc["C"])),
+            gamma=float(json_number("gamma", doc["gamma"])),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed svm model file: {exc}") from exc

@@ -1020,6 +1020,10 @@ MALFORMED_MODELS = {
     "crf_not_an_object": ("crf.json", lambda d: [d]),
     "crf_l2_not_a_number": ("crf.json", lambda d: d.update(l2="x")),
     "crf_27_node_features": ("crf.json", lambda d: d.update(weights=[0.0] * (2 * 27 + 4))),
+    "crf_a_weight_a_string": ("crf.json", lambda d: d["weights"].__setitem__(0, "0.5")),
+    "crf_labels_swapped": ("crf.json", lambda d: d.update(labels=["O", "G"])),
+    "svm_gamma_a_boolean": ("svm_formation.json", lambda d: d.update(gamma=True)),
+    "svm_c_a_string": ("svm_formation.json", lambda d: d.update(C="10")),
     "svm_308_wide": ("svm_formation.json", _sv_308_wide),
     "svm_formation_renamed_classes": (
         "svm_formation.json",
@@ -1124,7 +1128,18 @@ class TestConvertEgoGroup:
                         {"id": "b", "keypoints": {"nose": [40, 10, 0.8]}},
                     ],
                     "groups": [["a"]],
-                }
+                },
+                {
+                    "frame": "1",
+                    "width": 640,
+                    "height": 480,
+                    "people": [
+                        {"id": 1, "keypoints": {"nose": [10, 10, 0.9]}},
+                        {"id": 2, "keypoints": {"nose": [40, 10, 0.8]}},
+                        {"id": 3, "keypoints": {"nose": [90, 10, 0.8]}},
+                    ],
+                    "groups": [[1, 2]],
+                },
             ]
         }
         path = workdir / "ego.json"
@@ -1139,8 +1154,9 @@ class TestConvertEgoGroup:
             ]
         )
         assert rc == 0
-        [scene] = load_scenes(workdir / "ego.jsonl")
-        assert scene.truth.membership == ("G", "O")
+        lettered, numbered = load_scenes(workdir / "ego.jsonl")
+        assert lettered.truth.membership == ("G", "O")
+        assert numbered.truth.membership == ("G", "G", "O")
 
     @pytest.mark.parametrize("tables, code", [("1", 0), ("1,2,3,4", 3)])
     def test_evaluate_needs_the_truth_its_tables_read(
@@ -1192,8 +1208,35 @@ class TestConvertEgoGroup:
                     }
                 ]
             },
+            {
+                "frames": [
+                    {
+                        "frame": "0",
+                        "width": 640,
+                        "height": 480,
+                        "people": [{"id": "a", "keypoints": {"leftEyee": [1, 2, 0.9]}}],
+                    }
+                ]
+            },
+            {
+                "frames": [
+                    {
+                        "frame": "0",
+                        "width": 640,
+                        "height": 480,
+                        "people": [{"id": "a"}, {"id": "a"}],
+                        "groups": [["a"]],
+                    }
+                ]
+            },
         ],
-        ids=["frames_an_object", "frame_a_string", "keypoints_a_list"],
+        ids=[
+            "frames_an_object",
+            "frame_a_string",
+            "keypoints_a_list",
+            "unknown_keypoint_name",
+            "duplicate_person_id",
+        ],
     )
     def test_malformed_annotation_is_data_error(self, workdir, doc):
         path = workdir / "malformed_ego.json"
@@ -1253,4 +1296,25 @@ def test_malformed_scene_is_data_error(workdir, artifacts, case):
     )
     assert rc == 3, err
     assert "data error" in err and "line 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_line", [1, 2])
+def test_scene_file_not_utf8_is_data_error(workdir, artifacts, bad_line):
+    good = (workdir / "test.jsonl").read_bytes().splitlines(keepends=True)[0]
+    data = workdir / f"not_utf8_line_{bad_line}.jsonl"
+    data.write_bytes(good * (bad_line - 1) + b"\xff" + good)
+    rc, err = run_cli(
+        [
+            "predict",
+            "--data",
+            str(data),
+            "--models",
+            str(artifacts["models"]),
+            "--out",
+            str(workdir / "never.jsonl"),
+        ]
+    )
+    assert rc == 3, err
+    assert f"data error: line {bad_line}:" in err and "utf-8" in err
     assert "Traceback" not in err

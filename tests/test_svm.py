@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,8 +25,6 @@ from fformation.svm import (
     save_svm,
     select_gamma,
     smo_solve,
-    svm_from_dict,
-    svm_to_dict,
     train_one_vs_rest,
 )
 
@@ -474,6 +473,20 @@ class TestSelectGamma:
             )
 
 
+def saved_doc(rng, tmp_path) -> dict:
+    """The JSON object of a small trained model's saved file."""
+    X, y = blobs(rng, n_per=5)
+    labels = np.where(y > 0, "pos", "neg")
+    save_svm(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5), tmp_path / "svm.json")
+    return json.loads((tmp_path / "svm.json").read_text())
+
+
+def load_doc(doc, tmp_path):
+    """load_svm of a model file holding `doc`."""
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    return load_svm(tmp_path / "edited.json")
+
+
 class TestSerialization:
     def test_round_trip_preserves_decisions_exactly(self, rng, tmp_path):
         X, y = blobs(rng)
@@ -487,11 +500,12 @@ class TestSerialization:
             decision_matrix(model, Q), decision_matrix(loaded, Q)
         )
 
-    def test_dict_round_trip(self, rng):
+    def test_file_round_trip(self, rng, tmp_path):
         X, y = blobs(rng, n_per=10)
         labels = np.where(y > 0, "pos", "neg")
         model = train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5)
-        again = svm_from_dict(svm_to_dict(model))
+        save_svm(model, tmp_path / "svm.json")
+        again = load_svm(tmp_path / "svm.json")
         assert again.classes == model.classes
         assert (again.C, again.gamma) == (model.C, model.gamma)
         np.testing.assert_array_equal(again.support_vectors, model.support_vectors)
@@ -499,8 +513,6 @@ class TestSerialization:
         np.testing.assert_array_equal(again.bias, model.bias)
 
     def test_version_1_file_rejected(self, tmp_path):
-        import json
-
         doc = {
             "format_version": 1,
             "kind": "svm-ovr",
@@ -517,41 +529,33 @@ class TestSerialization:
             ]
             * 2,
         }
-        path = tmp_path / "svm_v1.json"
-        path.write_text(json.dumps(doc))
         assert SVM_FORMAT_VERSION == 2
         with pytest.raises(DataError, match="format_version 1"):
-            load_svm(path)
+            load_doc(doc, tmp_path)
 
-    def test_inconsistent_shapes_raise_data_error(self, rng):
-        X, y = blobs(rng, n_per=5)
-        labels = np.where(y > 0, "pos", "neg")
-        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+    def test_inconsistent_shapes_raise_data_error(self, rng, tmp_path):
+        doc = saved_doc(rng, tmp_path)
         doc["bias"] = [0.0]
         with pytest.raises(DataError, match="malformed"):
-            svm_from_dict(doc)
+            load_doc(doc, tmp_path)
 
-    def test_non_finite_or_negative_values_raise_data_error(self, rng):
-        X, y = blobs(rng, n_per=5)
-        labels = np.where(y > 0, "pos", "neg")
-        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+    def test_non_finite_or_negative_values_raise_data_error(self, rng, tmp_path):
+        doc = saved_doc(rng, tmp_path)
         bad_coef = dict(doc, dual_coefs=[[float("nan")] * 2] + doc["dual_coefs"][1:])
         bad_gamma = dict(doc, gamma=-0.5)
         for bad in (bad_coef, bad_gamma):
             with pytest.raises(DataError, match="finite"):
-                svm_from_dict(bad)
+                load_doc(bad, tmp_path)
 
-    def test_overflowing_decision_values_raise_data_error(self, rng):
-        X, y = blobs(rng, n_per=5)
-        labels = np.where(y > 0, "pos", "neg")
-        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+    def test_overflowing_decision_values_raise_data_error(self, rng, tmp_path):
+        doc = saved_doc(rng, tmp_path)
         m = len(doc["dual_coefs"])
         big_coefs = dict(doc, dual_coefs=[[1e308, -1e308]] * m)  # each entry finite
         big_bias = dict(doc, dual_coefs=[[1e308, 0.0]] + doc["dual_coefs"][1:], bias=[1e308, 0.0])
         big_norm = dict(doc, support_vectors=[[1e300] * len(doc["support_vectors"][0])] * m)
         for bad in (big_coefs, big_bias, big_norm):
             with pytest.raises(DataError, match="overflow"):
-                svm_from_dict(bad)
+                load_doc(bad, tmp_path)
 
     def test_corrupt_file_raises_data_error(self, tmp_path):
         path = tmp_path / "svm.json"
@@ -560,13 +564,7 @@ class TestSerialization:
             load_svm(path)
 
     def test_stale_catalog_rejected_at_load(self, rng, tmp_path):
-        import json
-
-        X, y = blobs(rng, n_per=5)
-        labels = np.where(y > 0, "pos", "neg")
-        doc = svm_to_dict(train_one_vs_rest(X, labels, ("neg", "pos"), gamma=0.5))
+        doc = saved_doc(rng, tmp_path)
         doc["feature_catalog_version"] = "stale-v0"
-        path = tmp_path / "svm.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatchError):
-            load_svm(path)
+            load_doc(doc, tmp_path)
